@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 
@@ -54,19 +53,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we reserve 2 for parse
         raise _UsageError(message)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("RIGIDWITT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _UsageError(f"RIGIDWITT_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise _UsageError(f"RIGIDWITT_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _emit(out, payload: dict, as_json: bool, lines) -> None:
@@ -250,7 +236,7 @@ def _cmd_tabulate(args, out) -> int:
 
 
 def _suite_roundtrip(rng) -> list[str]:
-    from .sqclass import Base, FieldDesc, SquareClass
+    from .sqclass import Base, FieldDesc
     from .qform import DiagonalForm
 
     failures = []
@@ -259,8 +245,7 @@ def _suite_roundtrip(rng) -> list[str]:
         field = FieldDesc(base, rng.randrange(0, 4))
         dim = rng.randrange(0, 6)
         phi = DiagonalForm(field, tuple(
-            SquareClass(field, rng.randrange(field.square_class_count()))
-            for _ in range(dim)))
+            field.random_class(rng) for _ in range(dim)))
         text = format_form(phi)
         back = parse_form(text, field)
         if back != phi:
@@ -269,7 +254,7 @@ def _suite_roundtrip(rng) -> list[str]:
 
 
 def _suite_oracles(rng) -> list[str]:
-    from .sqclass import Base, FieldDesc, SquareClass
+    from .sqclass import Base, FieldDesc
     from .qform import DiagonalForm, discriminant
     from .witt import group_ring_equal, anisotropic_part
 
@@ -277,11 +262,10 @@ def _suite_oracles(rng) -> list[str]:
     for i in range(2000):
         base = rng.choice(list(Base))
         field = FieldDesc(base, rng.randrange(0, 3))
-        count = field.square_class_count()
 
         def rand_form():
             return DiagonalForm(field, tuple(
-                SquareClass(field, rng.randrange(count))
+                field.random_class(rng)
                 for _ in range(rng.randrange(0, 6))))
 
         phi, psi = rand_form(), rand_form()
@@ -293,10 +277,8 @@ def _suite_oracles(rng) -> list[str]:
                 f"{format_form(phi)} / {format_form(psi)} over {field}")
     for i in range(500):
         field = FieldDesc(Base.F3, 2)
-        count = field.square_class_count()
         phi = DiagonalForm(field, tuple(
-            SquareClass(field, rng.randrange(count))
-            for _ in range(rng.randrange(0, 7))))
+            field.random_class(rng) for _ in range(rng.randrange(0, 7))))
         lhs = in_In(phi, 2)
         rhs = phi.dim % 2 == 0 and discriminant(phi).is_one()
         if lhs != rhs:
@@ -339,7 +321,6 @@ def _cmd_verify(args, out) -> int:
             raise _UsageError(
                 f"unknown suite {name!r}; choose from "
                 f"{', '.join(list(_SUITES) + ['all'])}")
-    _threads_from_env()  # validated even though suites run serially
     all_failures: dict[str, list[str]] = {}
     for name in names:
         rng = random.Random(args.seed)
@@ -426,7 +407,6 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        _threads_from_env()
         return args.handler(args, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

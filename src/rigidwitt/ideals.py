@@ -16,7 +16,7 @@ from .errors import (
     SquareClassIsOneError,
     UnitClassError,
 )
-from .qform import DiagonalForm, PfisterSpec, neg, orth_sum, scale
+from .qform import DiagonalForm, neg, orth_sum, scale
 from .sqclass import Base, FieldDesc, SquareClass, find_basis_change
 from .witt import (
     anisotropic_part,
@@ -33,7 +33,6 @@ __all__ = [
     "decompose_unimodular",
     "rigid_decompose",
     "lift_form",
-    "lift_representation",
     "extend_scalars_quadratic",
     "extend_fresh_variable",
 ]
@@ -152,21 +151,6 @@ def lift_form(phi: DiagonalForm, field: FieldDesc) -> DiagonalForm:
             f"cannot embed {phi.field} into {field}")
     return DiagonalForm(
         field, tuple(SquareClass(field, e.bits) for e in phi))
-
-
-def lift_representation(
-    reps: list[PfisterSpec], field: FieldDesc
-) -> list[PfisterSpec]:
-    """Lift Pfister terms slotwise through the canonical embedding."""
-    out = []
-    for spec in reps:
-        src = spec.scalar.field
-        if field.base is not src.base or field.nvars < src.nvars:
-            raise FieldMismatchError(f"cannot embed {src} into {field}")
-        out.append(PfisterSpec(
-            SquareClass(field, spec.scalar.bits),
-            tuple(SquareClass(field, s.bits) for s in spec.slots)))
-    return out
 
 
 def extend_scalars_quadratic(

@@ -26,10 +26,11 @@ from .errors import (
     IsotropicInputError,
     NotInIdealError,
 )
-from .ideals import extend_scalars_quadratic, in_In
+from .ideals import _inplace_residues, extend_scalars_quadratic, in_In
 from .qform import (
     DiagonalForm,
     PfisterSpec,
+    _canon_bits,
     format_form,
     is_isometric,
     is_subform,
@@ -126,31 +127,6 @@ def _certificate(n: int, terms: Sequence[PfisterSpec],
         raise InternalContradictionError(
             f"certificate failed verification for {format_form(target)}")
     return cert
-
-
-# --- Witt-class vector helpers --------------------------------------------
-
-def _vsub(field: FieldDesc, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    m = _ring_params(field)[0]
-    if m:
-        return tuple((x - y) % m for x, y in zip(a, b))
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
-    """Canonical sorted bit tuple with the level-2 doubled-pair move."""
-    if field.level() != 2:
-        return tuple(sorted(bits))
-    counts: dict[int, int] = {}
-    for b in bits:
-        counts[b] = counts.get(b, 0) + 1
-    out: list[int] = []
-    for b, c in counts.items():
-        if c == 2:
-            out += [min(b, b ^ 1)] * 2
-        else:
-            out += [b] * c
-    return tuple(sorted(out))
 
 
 # --- generator enumeration ------------------------------------------------
@@ -385,59 +361,10 @@ def find_GP2_subform(
 
 # --- divisibility ---------------------------------------------------------
 
-def _hnf_member(rows: list[list[int]], target: list[int]) -> bool:
-    """Whether target lies in the integer row span of rows."""
-    rows = [r[:] for r in rows]
-    target = target[:]
-    ncols = len(target)
-    pivot_rows: list[tuple[int, list[int]]] = []
-    for col in range(ncols):
-        entries = [r for r in rows if r[col] != 0]
-        if not entries:
-            continue
-        # Euclidean reduction to a single pivot in this column
-        while True:
-            entries.sort(key=lambda r: abs(r[col]))
-            piv = entries[0]
-            done = True
-            for r in entries[1:]:
-                q = r[col] // piv[col]
-                if q:
-                    for j in range(ncols):
-                        r[j] -= q * piv[j]
-                if r[col] != 0:
-                    done = False
-            entries = [piv] + [r for r in entries[1:] if r[col] != 0]
-            if done or len(entries) == 1:
-                break
-        piv = entries[0]
-        pivot_rows.append((col, piv))
-        rows = [r for r in rows if r is not piv]
-    for col, piv in pivot_rows:
-        if target[col] % piv[col]:
-            return False
-        q = target[col] // piv[col]
-        for j in range(ncols):
-            target[j] -= q * piv[j]
-    return not any(target)
-
-
-def _witt_divisible(
-    field: FieldDesc, v: tuple[int, ...], pi: DiagonalForm
-) -> bool:
-    """Membership of the class vector v in the principal ideal of pi."""
-    m, mbits, _split = _ring_params(field)
-    g = witt_vector(pi)
-    L = len(v)
-    rows = []
-    for h in range(L):
-        rows.append([g[i ^ h] for i in range(L)])
-    if m:
-        for i in range(L):
-            row = [0] * L
-            row[i] = m
-            rows.append(row)
-    return _hnf_member(rows, list(v))
+def _splits(phi: DiagonalForm, a: SquareClass) -> bool:
+    """Whether phi becomes hyperbolic over F(sqrt a), i.e. phi lies in
+    <<a>>W(F), the kernel of W(F) -> W(F(sqrt a))."""
+    return is_hyperbolic(extend_scalars_quadratic(phi, a)[1])
 
 
 def divisible_by_pfister(
@@ -445,8 +372,14 @@ def divisible_by_pfister(
 ) -> tuple[bool, DiagonalForm | None]:
     """Whether phi is isometric to <<slots>> tensor rho, with the quotient.
 
-    Decided by principal-ideal membership in the group ring; on success
-    rho is rebuilt by greedy peeling of represented classes.
+    phi must be anisotropic.  Every multiple of pi = <<slots>> splits
+    over F(sqrt a) for each slot a, so a form that some slot leaves
+    non-hyperbolic is rejected.  The rest is decided by peeling scaled
+    copies x*pi off phi: an anisotropic form in pi*W(F) is divisible by
+    pi, so peeling a multiple of pi never gets stuck.  For one slot the
+    splitting test is exact and a stuck peeling is a contradiction; for
+    more slots splitting is only necessary, and a stuck peeling means
+    phi is not divisible.  rho is verified by isometry.
     """
     if is_isotropic(phi):
         raise IsotropicInputError("divisibility is tested on anisotropic forms")
@@ -456,7 +389,7 @@ def divisible_by_pfister(
         if phi.dim == 0:
             return True, DiagonalForm(field, ())
         return False, None
-    if not _witt_divisible(field, witt_vector(phi), pi):
+    if not all(_splits(phi, a) for a in slots):
         return False, None
     remaining = phi
     quotient: list[SquareClass] = []
@@ -468,8 +401,10 @@ def divisible_by_pfister(
                 quotient.append(x)
                 break
         else:
+            if len(slots) > 1:
+                return False, None
             raise InternalContradictionError(
-                "ideal membership holds but peeling found no factor")
+                "form splits over the extension but peeling found no factor")
     rho = DiagonalForm(field, tuple(quotient))
     if not is_isometric(tensor(pi, rho), phi):
         raise InternalContradictionError("peeled quotient fails to verify")
@@ -477,16 +412,14 @@ def divisible_by_pfister(
 
 
 def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
-    """A class d with both Pfister forms divisible by the binary <<d>>."""
-    field = pi1.scalar.field
-    v1 = witt_vector(pi1.expand())
-    v2 = witt_vector(pi2.expand())
-    for d in field.classes():
-        if d.is_one():
-            continue
-        binary = pfister((d,))
-        if _witt_divisible(field, v1, binary) and \
-                _witt_divisible(field, v2, binary):
+    """A class d with both Pfister forms divisible by the binary <<d>>.
+
+    A form is a multiple of <<d>> in W(F) exactly when it splits over
+    F(sqrt d); the first nontrivial d that splits both is returned.
+    """
+    forms = (pi1.expand(), pi2.expand())
+    for d in pi1.scalar.field.classes():
+        if not d.is_one() and all(_splits(f, d) for f in forms):
             return d
     return None
 
@@ -627,13 +560,6 @@ def _gp3_dim12_terms(phi: DiagonalForm) -> list[PfisterSpec]:
         "12-dimensional I^3 form without a binary divisor")
 
 
-def _pure_part_entries(slots: tuple[SquareClass, ...]) -> tuple[SquareClass, ...]:
-    full = pfister(slots)
-    entries = list(full.entries)
-    entries.remove(full.field.one())
-    return tuple(entries)
-
-
 def _gp3_dim14_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     """Two GP_3 terms for an anisotropic 14-dimensional I^3 form.
 
@@ -743,14 +669,9 @@ def _tensor_reduction(
     """
     field = phi.field
     for i in range(field.nvars, 0, -1):
-        bit = 1 << i
-        even = [e for e in phi.entries if not e.bits & bit]
-        odd = [SquareClass(field, e.bits ^ bit) for e in phi.entries
-               if e.bits & bit]
-        if not odd or len(even) != len(odd):
+        phi1, phi2 = _inplace_residues(phi, i)
+        if not phi2.dim or phi1.dim != phi2.dim:
             continue
-        phi1 = DiagonalForm(field, tuple(even))
-        phi2 = DiagonalForm(field, tuple(odd))
         a = min(value_set(phi1), key=SquareClass.sort_key)
         for b in sorted(value_set(phi2), key=SquareClass.sort_key):
             u = a * b
@@ -1191,18 +1112,15 @@ def random_In_form(
 ) -> DiagonalForm:
     """Anisotropic part of a random sum of n-fold Pfister specs with the
     requested dimension (or at most it, with allow_smaller)."""
-    count = field.square_class_count()
     for attempt in range(max_tries):
         r = rng.randrange(1, 4)
         total = DiagonalForm(field, ())
         for _ in range(r):
-            c = SquareClass(field, rng.randrange(count))
-            slots = tuple(
-                SquareClass(field, rng.randrange(count)) for _ in range(n))
+            c = field.random_class(rng)
+            slots = tuple(field.random_class(rng) for _ in range(n))
             total = orth_sum(total, scale(c, pfister(slots)))
         an = anisotropic_part(total)
         if an.dim == dim or (allow_smaller and an.dim <= dim):
             return an
-        r = r % 3 + 1
     raise RuntimeError(
         f"no random I^{n} form of dimension {dim} found in {max_tries} tries")

@@ -7,9 +7,8 @@ module for anisotropic parts.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FieldMismatchError,
@@ -124,10 +123,6 @@ def pfister(slots: Iterable[SquareClass]) -> DiagonalForm:
     return out
 
 
-def pfister_form(spec: PfisterSpec) -> DiagonalForm:
-    return spec.expand()
-
-
 def pure_part(spec: PfisterSpec) -> DiagonalForm:
     """Orthogonal complement of <1> in the (unscaled) Pfister form."""
     full = pfister(spec.slots)
@@ -163,21 +158,25 @@ def canonicalize(phi: DiagonalForm) -> DiagonalForm:
 
     if witt.is_isotropic(phi):
         raise IsotropicInputError("canonicalize requires an anisotropic form")
-    return _canonicalize_unchecked(phi)
+    field = phi.field
+    bits = _canon_bits(field, [e.bits for e in phi])
+    return DiagonalForm(field, tuple(SquareClass(field, b) for b in bits))
 
 
-def _canonicalize_unchecked(phi: DiagonalForm) -> DiagonalForm:
-    if phi.field.level() != 2:
-        return phi  # construction already sorts
-    counts = Counter(phi.entries)
-    out: list[SquareClass] = []
-    for e, c in counts.items():
+def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
+    """Canonical sorted bit tuple with the level-2 doubled-pair move."""
+    if field.level() != 2:
+        return tuple(sorted(bits))
+    counts: dict[int, int] = {}
+    for b in bits:
+        counts[b] = counts.get(b, 0) + 1
+    out: list[int] = []
+    for b, c in counts.items():
         if c == 2:
-            rep = min(e, -e, key=SquareClass.sort_key)
-            out.extend((rep, rep))
+            out += [min(b, b ^ 1)] * 2
         else:
-            out.extend([e] * c)
-    return DiagonalForm(phi.field, tuple(out))
+            out += [b] * c
+    return tuple(sorted(out))
 
 
 def is_isometric(phi: DiagonalForm, psi: DiagonalForm) -> bool:

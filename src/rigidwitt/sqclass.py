@@ -51,6 +51,11 @@ class FieldDesc:
     def square_class_count(self) -> int:
         return self.unit_class_count() * (1 << self.nvars)
 
+    def random_class(self, rng) -> "SquareClass":
+        """A uniformly drawn square class (C has no unit bit to draw)."""
+        i = rng.randrange(self.square_class_count())
+        return SquareClass(self, i << 1 if self.base is Base.C else i)
+
     def one(self) -> "SquareClass":
         return SquareClass(self, 0)
 
@@ -147,14 +152,6 @@ class SquareClass:
 
     def __repr__(self) -> str:
         return f"SquareClass({self.field}, {format_square_class(self)!r})"
-
-
-def mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    return a * b
-
-
-def negate(a: SquareClass) -> SquareClass:
-    return -a
 
 
 @dataclass(frozen=True)

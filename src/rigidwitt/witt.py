@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FieldMismatchError
-from .qform import DiagonalForm, _canonicalize_unchecked, neg, orth_sum
+from .qform import DiagonalForm, _canon_bits, neg, orth_sum
 from .sqclass import Base, FieldDesc, SquareClass
 
 __all__ = [
@@ -99,9 +99,10 @@ def _an_base(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
-    bits = _an_bits(phi.field, tuple(sorted(e.bits for e in phi)))
-    out = DiagonalForm(phi.field, tuple(SquareClass(phi.field, b) for b in bits))
-    return _canonicalize_unchecked(out)
+    field = phi.field
+    raw = _an_bits(field, tuple(sorted(e.bits for e in phi)))
+    bits = _canon_bits(field, raw)
+    return DiagonalForm(field, tuple(SquareClass(field, b) for b in bits))
 
 
 def witt_index(phi: DiagonalForm) -> int:
@@ -215,10 +216,6 @@ def group_ring_equal(phi: DiagonalForm, psi: DiagonalForm) -> bool:
     return witt_vector(phi) == witt_vector(psi)
 
 
-# Anisotropic dimension contributed by one Z/4 coefficient.
-_DIM_MOD4 = (0, 1, 2, 1)
-
-
 def anisotropic_bits_from_vector(
     field: FieldDesc, coeffs: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -248,21 +245,9 @@ def anisotropic_bits_from_vector(
 
 
 def anisotropic_from_group_ring(elt: GroupRingElt) -> DiagonalForm:
-    bits = anisotropic_bits_from_vector(elt.field, elt.coeffs)
-    form = DiagonalForm(
-        elt.field, tuple(SquareClass(elt.field, b) for b in bits))
-    return _canonicalize_unchecked(form)
-
-
-def anisotropic_dim_from_vector(
-    field: FieldDesc, coeffs: tuple[int, ...]
-) -> int:
-    modulus, _m, split_units = _ring_params(field)
-    if modulus == 4:
-        return sum(_DIM_MOD4[c & 3] for c in coeffs)
-    if modulus == 2:
-        return sum(c & 1 for c in coeffs)
-    return sum(abs(c) for c in coeffs)
+    field = elt.field
+    bits = _canon_bits(field, anisotropic_bits_from_vector(field, elt.coeffs))
+    return DiagonalForm(field, tuple(SquareClass(field, b) for b in bits))
 
 
 def form_from_witt_vector(

@@ -38,7 +38,7 @@ from rigidwitt.qform import (
     pfister,
     tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+from rigidwitt.sqclass import Base, FieldDesc
 from rigidwitt.witt import (
     anisotropic_part,
     form_from_witt_vector,
@@ -47,6 +47,7 @@ from rigidwitt.witt import (
     is_hyperbolic,
     represents,
     value_set,
+    witt_vector,
 )
 
 F5 = FieldDesc(Base.F3, 5)
@@ -224,19 +225,17 @@ def _all_witt_classes(field):
         yield form_from_witt_vector(field, tuple(v))
 
 
-def test_criterion_7_oracle_equivalences():
+def test_criterion_7_oracle_equivalences(pfister_multiples):
     discrepancies = 0
     # (a) group-ring equality vs Springer anisotropic parts, 10^4 pairs
     rng = random.Random(707)
     for _ in range(10_000):
         base = rng.choice(list(Base))
         field = FieldDesc(base, rng.randrange(0, 4))
-        count = field.square_class_count()
 
         def rand_form():
             return DiagonalForm(field, tuple(
-                SquareClass(field, rng.randrange(count))
-                for _ in range(rng.randrange(0, 7))))
+                field.random_class(rng) for _ in range(rng.randrange(0, 7))))
 
         phi, psi = rand_form(), rand_form()
         if group_ring_equal(phi, psi) != \
@@ -276,42 +275,43 @@ def test_criterion_7_oracle_equivalences():
                     expected = dim % 2 == 0 and discriminant(phi).is_one()
                     if in_In(phi, 2) != expected:
                         discrepancies += 1
-    # (d) divisible_by_pfister three ways: ideal membership, verified
-    # peeling quotient, and (single slot) hyperbolicity after the
-    # quadratic extension; exhaustive over all anisotropic Witt classes
-    # with nvars <= 2, sampled at nvars = 3
-    def check_divisibility(phi, a):
+    # (d) divisible_by_pfister three ways: brute-force membership of the
+    # Witt vector in pi*W(F), verified peeling quotient, and (single
+    # slot) hyperbolicity after the quadratic extension; exhaustive over
+    # all anisotropic Witt classes of dim <= 8 with nvars <= 2 and one
+    # or two slots over the finite Witt rings, sampled at nvars = 3
+    def check_divisibility(phi, slots):
         nonlocal discrepancies
-        pi = pfister((a,))
-        ok, quotient = divisible_by_pfister(phi, (a,))
-        if is_hyperbolic(pi):
-            if ok:
-                discrepancies += 1
-            return
+        pi = pfister(slots)
+        ok, quotient = divisible_by_pfister(phi, slots)
+        if ok != (witt_vector(phi) in pfister_multiples(pi)):
+            discrepancies += 1
         if ok and not is_isometric(tensor(pi, quotient), phi):
             discrepancies += 1
-        _, ext = extend_scalars_quadratic(phi, a)
-        if ok != is_hyperbolic(ext):
-            discrepancies += 1
+        if len(slots) == 1 and not is_hyperbolic(pi):
+            _, ext = extend_scalars_quadratic(phi, slots[0])
+            if ok != is_hyperbolic(ext):
+                discrepancies += 1
 
-    for base in Base:
+    for base in (Base.F3, Base.C, Base.SQUARE_MINUS_ONE):
         for nvars in range(3):
             field = FieldDesc(base, nvars)
+            classes = list(field.classes())
+            slot_choices = [(a,) for a in classes] + list(
+                itertools.combinations_with_replacement(classes[1:], 2))
             for phi in _all_witt_classes(field):
                 if phi.dim == 0 or phi.dim > 8:
                     continue
-                for a in field.classes():
-                    check_divisibility(phi, a)
+                for slots in slot_choices:
+                    check_divisibility(phi, slots)
     rng = random.Random(717)
     f3v = FieldDesc(Base.F3, 3)
-    count = f3v.square_class_count()
     for _ in range(300):
         phi = anisotropic_part(DiagonalForm(f3v, tuple(
-            SquareClass(f3v, rng.randrange(count))
-            for _ in range(rng.randrange(1, 9)))))
+            f3v.random_class(rng) for _ in range(rng.randrange(1, 9)))))
         if phi.dim == 0:
             continue
-        check_divisibility(phi, SquareClass(f3v, rng.randrange(count)))
+        check_divisibility(phi, (f3v.random_class(rng),))
     _report(7, discrepancies == 0,
             f"group-ring/Springer, value-set, I^2 and divisibility oracles "
             f"agree ({discrepancies} discrepancies)")

@@ -113,15 +113,6 @@ def test_exit_code_depth_cap(capsys):
     assert code == 4
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("RIGIDWITT_THREADS", "zero")
-    code, _, err = run(capsys, "bounds", "--n", "2", "--dmax", "4")
-    assert code == 1
-    monkeypatch.setenv("RIGIDWITT_THREADS", "2")
-    code, _, _ = run(capsys, "bounds", "--n", "2", "--dmax", "4")
-    assert code == 0
-
-
 def test_verify_suites(capsys):
     code, out, _ = run(capsys, "verify", "roundtrip", "--seed", "3")
     assert code == 0

@@ -26,7 +26,7 @@ from rigidwitt.qform import (
     parse_form,
     pfister,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+from rigidwitt.sqclass import Base, FieldDesc
 from rigidwitt.witt import group_ring_equal, is_hyperbolic
 
 F2 = FieldDesc(Base.F3, 2)
@@ -49,9 +49,8 @@ def test_in_In_examples():
 def test_pfister_forms_in_their_ideal():
     rng = random.Random(17)
     f = FieldDesc(Base.F3, 3)
-    count = f.square_class_count()
     for _ in range(50):
-        slots = tuple(SquareClass(f, rng.randrange(count)) for _ in range(3))
+        slots = tuple(f.random_class(rng) for _ in range(3))
         assert in_In(pfister(slots), 3)
 
 
@@ -93,12 +92,10 @@ def test_decompose_unimodular_rejects_hyperbolic_residue():
 def test_decompose_unimodular_random_reassembly():
     rng = random.Random(23)
     f = FieldDesc(Base.F3, 3)
-    count = f.square_class_count()
     done = 0
     while done < 60:
         phi = DiagonalForm(f, tuple(
-            SquareClass(f, rng.randrange(count))
-            for _ in range(rng.randrange(2, 7))))
+            f.random_class(rng) for _ in range(rng.randrange(2, 7))))
         try:
             split = decompose_unimodular(phi)
         except HyperbolicResidueError:

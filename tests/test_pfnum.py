@@ -279,9 +279,21 @@ def test_divisible_rejects_isotropic():
         divisible_by_pfister(_f("<1,-1>"), (F2.var(1),))
 
 
-def test_divisibility_three_way_agreement_exhaustive():
-    # ideal membership == peeling == hyperbolicity after extension, for
-    # every anisotropic Witt class and every single-slot divisor
+def test_divisible_two_slots_split_but_not_divisible():
+    # <1,t1> = <<-t1>> splits over F(sqrt -t1), the only slot of
+    # <<-t1,-t1>>, yet is too small to be a multiple of that 4-dim form
+    R1 = FieldDesc(Base.R, 1)
+    phi = _f("<1,t1>", R1)
+    slots = (-R1.var(1), -R1.var(1))
+    assert not is_hyperbolic(pfister(slots))
+    assert is_hyperbolic(extend_scalars_quadratic(phi, -R1.var(1))[1])
+    assert divisible_by_pfister(phi, slots) == (False, None)
+
+
+def test_divisibility_three_way_agreement_exhaustive(pfister_multiples):
+    # brute-force membership in pi*W(F) == peeling == hyperbolicity
+    # after extension, for every anisotropic Witt class and every
+    # single-slot divisor
     field = F2
     from rigidwitt.witt import _ring_params
 
@@ -298,8 +310,8 @@ def test_divisibility_three_way_agreement_exhaustive():
         for a in field.classes():
             pi = pfister((a,))
             ok, quotient = divisible_by_pfister(phi, (a,))
+            assert ok == (witt_vector(phi) in pfister_multiples(pi))
             if is_hyperbolic(pi):
-                assert not ok  # phi is anisotropic nonzero
                 continue
             # peeling result verifies by isometry whenever ok
             if ok:

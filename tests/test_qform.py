@@ -25,7 +25,7 @@ from rigidwitt.qform import (
     scale,
     tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+from rigidwitt.sqclass import Base, FieldDesc
 from rigidwitt.witt import anisotropic_part, is_anisotropic, value_set
 
 F2 = FieldDesc(Base.F3, 2)
@@ -116,11 +116,9 @@ def test_subform_sees_flipped_doubled_entries():
 def small_forms(draw, max_dim=5):
     base = draw(st.sampled_from([Base.F3, Base.R, Base.C]))
     field = FieldDesc(base, draw(st.integers(0, 3)))
-    count = field.square_class_count()
+    classes = st.sampled_from(list(field.classes()))
     dim = draw(st.integers(0, max_dim))
-    return DiagonalForm(field, tuple(
-        SquareClass(field, draw(st.integers(0, count - 1)))
-        for _ in range(dim)))
+    return DiagonalForm(field, tuple(draw(classes) for _ in range(dim)))
 
 
 @given(small_forms())
@@ -142,12 +140,11 @@ def test_decompose_over_split_properties(seed):
 
     rng = random.Random(seed)
     field = FieldDesc(rng.choice([Base.F3, Base.R]), rng.randrange(1, 3))
-    count = field.square_class_count()
 
     def rand_aniso(max_dim):
         while True:
             phi = DiagonalForm(field, tuple(
-                SquareClass(field, rng.randrange(count))
+                field.random_class(rng)
                 for _ in range(rng.randrange(1, max_dim + 1))))
             if is_anisotropic(phi):
                 return phi

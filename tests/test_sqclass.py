@@ -60,8 +60,8 @@ fields = st.builds(
 @st.composite
 def field_and_classes(draw, k=2):
     f = draw(fields)
-    n = f.square_class_count()
-    return f, [SquareClass(f, draw(st.integers(0, n - 1))) for _ in range(k)]
+    classes = st.sampled_from(list(f.classes()))
+    return f, [draw(classes) for _ in range(k)]
 
 
 @given(field_and_classes(k=2))

@@ -16,7 +16,7 @@ from rigidwitt.qform import (
     pfister,
     scale,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+from rigidwitt.sqclass import Base, FieldDesc
 from rigidwitt.witt import (
     anisotropic_from_group_ring,
     anisotropic_part,
@@ -97,11 +97,9 @@ def test_isotropic_forms_are_universal():
 def forms(draw, max_dim=6, max_vars=3):
     base = draw(st.sampled_from(list(Base)))
     field = FieldDesc(base, draw(st.integers(0, max_vars)))
-    count = field.square_class_count()
+    classes = st.sampled_from(list(field.classes()))
     dim = draw(st.integers(0, max_dim))
-    return DiagonalForm(field, tuple(
-        SquareClass(field, draw(st.integers(0, count - 1)))
-        for _ in range(dim)))
+    return DiagonalForm(field, tuple(draw(classes) for _ in range(dim)))
 
 
 @given(forms())
@@ -145,9 +143,8 @@ def test_witt_vector_roundtrip(phi):
 def test_pfister_forms_are_round_or_hyperbolic():
     rng = random.Random(5)
     f = FieldDesc(Base.F3, 3)
-    count = f.square_class_count()
     for _ in range(100):
-        slots = tuple(SquareClass(f, rng.randrange(count)) for _ in range(3))
+        slots = tuple(f.random_class(rng) for _ in range(3))
         phi = pfister(slots)
         assert witt_index(phi) in (0, 4)  # anisotropic or hyperbolic
 
@@ -156,15 +153,12 @@ def test_level2_value_set_of_sum():
     # D(phi1 + phi2) = D1 u D2 u {-x : x in D1 n D2} over level-2 fields
     rng = random.Random(13)
     f = FieldDesc(Base.F3, 2)
-    count = f.square_class_count()
     checked = 0
     while checked < 50:
         phi1 = DiagonalForm(f, tuple(
-            SquareClass(f, rng.randrange(count))
-            for _ in range(rng.randrange(1, 4))))
+            f.random_class(rng) for _ in range(rng.randrange(1, 4))))
         phi2 = DiagonalForm(f, tuple(
-            SquareClass(f, rng.randrange(count))
-            for _ in range(rng.randrange(1, 4))))
+            f.random_class(rng) for _ in range(rng.randrange(1, 4))))
         total = orth_sum(phi1, phi2)
         if is_isotropic(total):
             continue
@@ -175,10 +169,9 @@ def test_level2_value_set_of_sum():
 
 
 def _rand_aniso(rng, field, max_dim):
-    count = field.square_class_count()
     while True:
         phi = DiagonalForm(field, tuple(
-            SquareClass(field, rng.randrange(count))
+            field.random_class(rng)
             for _ in range(rng.randrange(1, max_dim + 1))))
         if is_anisotropic(phi):
             return phi
