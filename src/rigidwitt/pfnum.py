@@ -1,11 +1,11 @@
 """Exact Pfister numbers, bounds, and the dimension-14/16 classifications.
 
-The search works on Witt-class coefficient vectors.  Minimal
-representations are found by layered exact methods: direct recognition
-of similar-to-Pfister classes, complete two-term tests, constructive
-certificates mandated by the classification theorems, and a
-generator-set search for small fields.  Every certificate re-verifies
-against the group-ring oracle before it is returned.
+Minimal representations are found by layered exact methods: tensor
+reduction, an anchored search for scaled Pfister subforms on raw class
+bits (it recognizes similar-to-Pfister forms and decides two-term
+splittings), constructive certificates mandated by the classification
+theorems, and a generator-set search on Witt-class vectors for small
+fields.  Every certificate re-verifies before it is returned.
 """
 
 from __future__ import annotations
@@ -209,36 +209,96 @@ def enumerate_GPn_classes(
     return out
 
 
-# --- similar-to-Pfister recognition ---------------------------------------
+# --- Pfister subforms on raw class bits ------------------------------------
+#
+# Over these fields D(psi) of an anisotropic psi is its entries and, at
+# level 2 where <z,z> = <-z,-z>, the negatives of its doubled entries.
+# By Witt cancellation a form embeds in psi exactly when its entries can
+# be split off one at a time, so subforms are found by removing entries
+# from a list; no anisotropic part is computed.
 
-def _candidate_variants(phi: DiagonalForm) -> Iterator[tuple[SquareClass, ...]]:
-    """The entry tuple with all doubled-class sign choices (level 2)."""
-    if phi.field.level() != 2:
-        yield phi.entries
-        return
-    doubled = sorted({e for e in phi.entries if phi.entries.count(e) == 2},
-                     key=SquareClass.sort_key)
-    for flips in itertools.product((False, True), repeat=len(doubled)):
-        flip = {e for e, f in zip(doubled, flips) if f}
-        yield tuple(-e if e in flip else e for e in phi.entries)
+def _flex(field: FieldDesc) -> int:
+    """The bit of -1 when <z,z> = <-z,-z> (level 2), else 0."""
+    return 1 if field.level() == 2 else 0
 
 
-def _subgroup_basis(elements: set[int]) -> list[int] | None:
-    """F2 basis of the element set if it is a subgroup, else None."""
-    pivots: dict[int, int] = {}
-    basis = []
-    for v in elements:
-        w = v
-        while w:
-            low = w & -w
-            if low not in pivots:
-                pivots[low] = w
-                basis.append(v)
-                break
-            w ^= pivots[low]
-    if (1 << len(basis)) != len(elements):
-        return None
-    return basis
+def _values(rest: Sequence[int], flex: int) -> list[int]:
+    """D(rest) of an anisotropic form, in the square-class order."""
+    vals = set(rest)
+    if flex:
+        vals.update(z ^ flex for z in rest if rest.count(z) > 1)
+    return sorted(vals, key=lambda b: (b & 1, b >> 1))
+
+
+def _split_off(rest: list[int], y: int, flex: int) -> bool:
+    """Replace the anisotropic rest by its complement of <y>, in place;
+    False if rest does not represent y."""
+    if y in rest:
+        rest.remove(y)
+        return True
+    z = y ^ flex
+    if flex and rest.count(z) > 1:
+        rest.remove(z)
+        rest.remove(z)
+        rest.append(y)
+        return True
+    return False
+
+
+def _pfister_subforms(
+    field: FieldDesc, bits: Sequence[int], n: int, anchors: Sequence[int]
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Scaled n-fold Pfister subforms of an anisotropic form, on raw bits.
+
+    For each anchor e, yields (e, slots, complement) once for every
+    isometry class of subforms e*<<slots>> of the form with these
+    entries.  Pfister forms are round, so these are all the scaled
+    Pfister subforms that represent e.  pi = <<slots>> grows one slot at
+    a time inside psi = e*phi: pi' = pi + x*pi embeds iff x*pi embeds in
+    the complement of pi, and x then lies in its value set.
+    """
+    flex = _flex(field)
+    minus_one = field.minus_one().bits
+    for e in anchors:
+        psi = [e ^ b for b in bits]
+        if not _split_off(psi, 0, flex):
+            continue
+        seen: set[tuple[int, ...]] = set()
+        stack = [((), (0,), psi)]
+        while stack:
+            slots, pi, rest = stack.pop()
+            if len(slots) == n:
+                yield e, slots, tuple(e ^ b for b in rest)
+                continue
+            for x in reversed(_values(rest, flex)):
+                block = [x ^ p for p in pi]
+                left = list(rest)
+                if not all(_split_off(left, y, flex) for y in block):
+                    continue
+                grown = pi + tuple(block)
+                key = _canon_bits(field, grown)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((slots + (x ^ minus_one,), grown, left))
+
+
+def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
+    """Classes such that every orthogonal sum of scaled Pfister forms
+    isometric to phi has a summand representing one of them.
+
+    The anisotropic diagonalization is unique up to <x,x> = <-x,-x>, so
+    an entry that occurs once is an entry of some summand; failing one,
+    the summands hold x or -x for a doubled x.
+    """
+    for b in bits:
+        if bits.count(b) == 1:
+            return (b,)
+    return tuple(dict.fromkeys((bits[0], bits[0] ^ _flex(field))))
+
+
+def _spec(field: FieldDesc, e: int, slots: Sequence[int]) -> PfisterSpec:
+    return PfisterSpec(SquareClass(field, e),
+                       tuple(SquareClass(field, s) for s in slots))
 
 
 def _as_scaled_pfister(
@@ -249,113 +309,40 @@ def _as_scaled_pfister(
 ) -> PfisterSpec | None:
     """A PfisterSpec with expand() isometric to phi, if one exists.
 
-    phi must be anisotropic.  The scaled entry multiset of a Pfister
-    form is a subgroup of the square-class group taken with uniform
-    multiplicity; doubled classes may hide behind a sign flip.
+    phi must be anisotropic.  A scaled Pfister form represents each of
+    its entries, so without restrictions on the scalar it is anchored at
+    an entry of phi; with unscaled or scalars, at the allowed scalars.
     """
     field = phi.field
     if phi.dim != 1 << n:
         return None
-    if n >= 2:
-        # the determinant of any scaled n-fold Pfister form is trivial
-        det = 0
-        for e in phi.entries:
-            det ^= e.bits
-        if det:
-            return None
-    if scalars is None:
-        if unscaled:
-            scalars = [field.one(), -field.one()]
-        else:
-            scalars = sorted({e for e in phi.entries}
-                             | {-e for e in phi.entries},
-                             key=SquareClass.sort_key)
-    for entries in _candidate_variants(phi):
-        for c in scalars:
-            bits = [(c * e).bits for e in entries]
-            elems = set(bits)
-            if 0 not in elems:
-                continue
-            mult = len(bits) // len(elems)
-            if mult * len(elems) != len(bits):
-                continue
-            if any(bits.count(b) != mult for b in elems):
-                continue
-            if any(x ^ y not in elems for x in elems for y in elems):
-                continue
-            basis = _subgroup_basis(elems)
-            if basis is None:
-                continue
-            slots = tuple(-SquareClass(field, b) for b in basis)
-            slots += (field.minus_one(),) * (n - len(slots))
-            spec = PfisterSpec(c, slots)
-            if len(spec.slots) == n and is_isometric(spec.expand(), phi):
-                return spec
+    bits = [e.bits for e in phi.entries]
+    if scalars is None and not unscaled:
+        anchors = bits[:1]
+    else:
+        if scalars is None:
+            scalars = (field.one(), -field.one())
+        anchors = list(dict.fromkeys(c.bits for c in scalars))
+    for e, slots, _comp in _pfister_subforms(field, bits, n, anchors):
+        return _spec(field, e, slots)
     return None
-
-
-# --- sub-multiset scans ---------------------------------------------------
-
-def _sub_multisets(
-    phi: DiagonalForm, size: int
-) -> Iterator[tuple[tuple[SquareClass, ...], tuple[SquareClass, ...]]]:
-    """(chosen, rest) pairs of entry positions, with sign variants for
-    classes that are doubled in phi (level 2 diagonalization flex)."""
-    entries = phi.entries
-    doubled = {e for e in entries if entries.count(e) == 2}
-    idx = range(len(entries))
-    seen = set()
-    for combo in itertools.combinations(idx, size):
-        chosen = [entries[i] for i in combo]
-        rest = tuple(entries[i] for i in idx if i not in combo)
-        flippable = sorted({e for e in chosen if e in doubled},
-                           key=SquareClass.sort_key)
-        for flips in itertools.product((False, True), repeat=len(flippable)):
-            flip = {e for e, f in zip(flippable, flips) if f}
-            variant = tuple(-e if e in flip else e for e in chosen)
-            key = tuple(sorted(e.bits for e in variant))
-            if (key, combo) in seen:
-                continue
-            seen.add((key, combo))
-            yield variant, rest
-
-
-def _find_GPn_submultisets(
-    phi: DiagonalForm, n: int
-) -> Iterator[tuple[PfisterSpec, DiagonalForm]]:
-    """GP_n forms realizable as sub-multisets of an anisotropic phi."""
-    field = phi.field
-    size = 1 << n
-    if phi.dim < size:
-        return
-    emitted = set()
-    for chosen, _rest in _sub_multisets(phi, size):
-        if n >= 2:
-            det = 0
-            for e in chosen:
-                det ^= e.bits
-            if det:
-                continue
-        cand = DiagonalForm(field, chosen)
-        key = tuple(e.bits for e in cand.entries)
-        if key in emitted:
-            continue
-        spec = _as_scaled_pfister(cand, n)
-        if spec is None:
-            continue
-        emitted.add(key)
-        comp = anisotropic_part(orth_sum(phi, neg(cand)))
-        yield spec, comp
 
 
 def find_GP2_subform(
     phi: DiagonalForm,
 ) -> tuple[PfisterSpec, DiagonalForm] | None:
-    """First GP_2 subform of an anisotropic form, with its complement."""
+    """First GP_2 subform of an anisotropic form, with its complement.
+
+    Any subform represents some class of D(phi), so every one is an anchor.
+    """
     if is_isotropic(phi):
         raise IsotropicInputError("find_GP2_subform needs an anisotropic form")
-    for spec, comp in _find_GPn_submultisets(phi, 2):
-        return spec, comp
+    field = phi.field
+    bits = [e.bits for e in phi.entries]
+    anchors = _values(bits, _flex(field))
+    for e, slots, comp in _pfister_subforms(field, bits, 2, anchors):
+        return _spec(field, e, slots), DiagonalForm(field, tuple(
+            SquareClass(field, b) for b in _canon_bits(field, comp)))
     return None
 
 
@@ -929,11 +916,15 @@ def _decide_k(
         # guaranteed two-term dimensions: D(14) and the binary-divisor route
         return _gp3_dim12_terms(an) if d == 12 else _gp3_dim14_terms(an)
     if not unscaled and k == 2 and d == 1 << (n + 1):
-        # an anisotropic direct sum of two Pfister classes splits entrywise
-        for spec, comp in _find_GPn_submultisets(an, n):
-            other = _as_scaled_pfister(comp, n)
-            if other is not None:
-                return [spec, other]
+        # two terms of total dimension d are an isometric splitting
+        # an = sigma1 + sigma2; one sigma_i represents an anchor e, so it
+        # is e*pi for a Pfister subform found by the anchored search, and
+        # its complement must be a scaled Pfister form as well
+        bits = [e.bits for e in an.entries]
+        for e, slots, comp in _pfister_subforms(
+                field, bits, n, _anchors(field, bits)):
+            for c, other, _ in _pfister_subforms(field, comp, n, comp[:1]):
+                return [_spec(field, e, slots), _spec(field, c, other)]
         return None
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(an)
@@ -1020,16 +1011,24 @@ def classify14(phi: DiagonalForm) -> dict:
 
 
 def _gp2_decomposition(phi: DiagonalForm) -> list[PfisterSpec] | None:
-    """phi as an isometric orthogonal sum of dim/4 GP_2 forms."""
-    if phi.dim == 0:
-        return []
-    for spec, comp in _find_GPn_submultisets(phi, 2):
-        if comp.dim != phi.dim - 4:
-            continue
-        rest = _gp2_decomposition(comp)
-        if rest is not None:
-            return [spec] + rest
-    return None
+    """phi as an isometric orthogonal sum of dim/4 GP_2 forms.
+
+    Some summand of any such sum represents an anchor of phi, so the
+    first summand is searched among the subforms at the anchors.
+    """
+    field = phi.field
+
+    def split(bits: Sequence[int]) -> list[PfisterSpec] | None:
+        if not bits:
+            return []
+        for e, slots, comp in _pfister_subforms(
+                field, bits, 2, _anchors(field, bits)):
+            rest = split(comp)
+            if rest is not None:
+                return [_spec(field, e, slots)] + rest
+        return None
+
+    return split([e.bits for e in phi.entries])
 
 
 def _extension_image(

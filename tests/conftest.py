@@ -1,10 +1,181 @@
-"""Shared test oracles."""
+"""Shared test oracles, computed from raw square-class bits.
+
+A square class is an int: bit 0 the unit bit, bit i the exponent of
+t_i.  The Witt ring of every field model is the group ring (Z/m)[H]:
+
+    base   m        H indexed by        <x> contributes
+    F3     4        exponent bits       +1 at x, or -1 at -x if x has unit bit
+    R      0 (Z)    exponent bits       +1 at x, or -1 at -x if x has unit bit
+    C      2        exponent bits       +1
+    F3(i)  2        all bits            +1
+
+The oracles below use that table and `FieldDesc.classes()` only (and
+the form constructors, to hand forms to the library), so they share no
+code with the library's Witt engine or Pfister search.
+"""
 
 import functools
+import itertools
 
+import numpy as np
 import pytest
 
-from rigidwitt.witt import _ring_params, witt_vector
+from rigidwitt.qform import DiagonalForm
+from rigidwitt.sqclass import Base, SquareClass
+
+_MODULUS = {Base.F3: 4, Base.R: 0, Base.C: 2, Base.SQUARE_MINUS_ONE: 2}
+
+
+class RawField:
+    """The group-ring model of a field's Witt ring on raw class bits."""
+
+    def __init__(self, field):
+        self.field = field
+        self.m = _MODULUS[field.base]
+        self.full_index = field.base is Base.SQUARE_MINUS_ONE
+        self.size = 1 << (field.nvars + self.full_index)
+        self.minus_one = 1 if field.base in (Base.F3, Base.R) else 0
+        self.classes = [c.bits for c in field.classes()]
+
+    def reduce(self, coeffs):
+        return tuple(c % self.m for c in coeffs) if self.m else tuple(coeffs)
+
+    def vector(self, bits):
+        """Witt vector of the diagonal form with these entries."""
+        v = [0] * self.size
+        for b in bits:
+            if self.full_index:
+                v[b] += 1
+            elif b & 1:
+                v[b >> 1] -= 1
+            else:
+                v[b >> 1] += 1
+        return self.reduce(v)
+
+    def add(self, u, w):
+        return self.reduce([a + b for a, b in zip(u, w)])
+
+    def an_dim(self, v):
+        """Dimension of the anisotropic forms in the Witt class v."""
+        if self.m == 4:
+            return sum(min(c, 4 - c) for c in v)
+        return sum(abs(c) for c in v)
+
+    def an_bits(self, v):
+        """Entries of the anisotropic form in the class v (a doubled F3
+        class taken without the unit bit)."""
+        out = []
+        for idx, c in enumerate(v):
+            if self.full_index:
+                out += [idx] * c
+            elif self.m == 4:
+                out += {0: [], 1: [idx << 1], 2: [idx << 1] * 2,
+                        3: [idx << 1 | 1]}[c]
+            else:
+                out += [idx << 1 | (c < 0)] * abs(c)
+        return out
+
+    def form(self, v):
+        return DiagonalForm(self.field, tuple(
+            SquareClass(self.field, b) for b in self.an_bits(v)))
+
+    def pfister_bits(self, scalar, slots):
+        """Entries of scalar * <<slots>>, the product of the <1, -a>."""
+        out = [scalar]
+        for a in slots:
+            out += [e ^ a ^ self.minus_one for e in out]
+        return out
+
+    def spec_vector(self, spec):
+        """Witt vector of a library PfisterSpec, re-expanded here."""
+        return self.vector(self.pfister_bits(
+            spec.scalar.bits, [s.bits for s in spec.slots]))
+
+    def witt_classes(self, box=2):
+        """(vector, anisotropic form) for every Witt class; over R
+        (m = 0, infinitely many classes) those with all |c| <= box."""
+        digits = range(self.m) if self.m else range(-box, box + 1)
+        for v in itertools.product(digits, repeat=self.size):
+            yield v, self.form(v)
+
+
+class GPLookup(RawField):
+    """Every nonzero Witt class of an n-fold Pfister form, three ways:
+    scaled by any class, unscaled (scalar 1 or -1), and plain (scalar 1).
+
+    Built by expanding every slot tuple with numpy.  `terms` looks a
+    class up: the exact number of terms when it is at most 2.
+    """
+
+    def __init__(self, field, n):
+        super().__init__(field)
+        combos = np.array(list(itertools.combinations_with_replacement(
+            self.classes, n)), dtype=np.int64).reshape(-1, n)
+        entries = np.zeros((len(combos), 1), dtype=np.int64)
+        for j in range(n):
+            neg_a = combos[:, j:j + 1] ^ self.minus_one
+            entries = np.concatenate([entries, entries ^ neg_a], axis=1)
+        rows, first = np.unique(self._vectors(entries), axis=0,
+                                return_index=True)
+        nonzero = rows.any(axis=1)
+        plain = entries[first[nonzero]]
+        self.plain = self._set(rows[nonzero])
+        self._rows = {}
+        for unscaled, scalars in ((True, {0, self.minus_one}),
+                                  (False, self.classes)):
+            self._rows[unscaled] = np.unique(np.concatenate(
+                [self._vectors(plain ^ c) for c in scalars]), axis=0)
+        self.unscaled = self._set(self._rows[True])
+        self.scaled = self._set(self._rows[False])
+
+    def _vectors(self, entries):
+        if self.full_index:
+            idx, sign = entries, np.ones_like(entries)
+        else:
+            idx, sign = entries >> 1, 1 - 2 * (entries & 1)
+        flat = (np.arange(len(entries))[:, None] * self.size + idx).ravel()
+        out = np.bincount(flat, weights=sign.ravel(),
+                          minlength=len(entries) * self.size)
+        out = out.astype(np.int64).reshape(len(entries), self.size)
+        return out % self.m if self.m else out
+
+    @staticmethod
+    def _set(rows):
+        return frozenset(map(tuple, rows.tolist()))
+
+    def terms(self, v, unscaled=False):
+        """The least k <= 2 with v a sum of k (un)scaled classes, else None."""
+        members = self.unscaled if unscaled else self.scaled
+        if not any(v):
+            return 0
+        if tuple(v) in members:
+            return 1
+        diff = np.array(v, dtype=np.int64)[None, :] - self._rows[unscaled]
+        if self.m:
+            diff %= self.m
+        return None if members.isdisjoint(map(tuple, diff.tolist())) else 2
+
+
+@functools.lru_cache(maxsize=None)
+def _raw_field(field):
+    return RawField(field)
+
+
+@functools.lru_cache(maxsize=None)
+def _gp_lookup(field, n):
+    return GPLookup(field, n)
+
+
+@pytest.fixture
+def raw_field():
+    """raw_field(field): the group-ring model of W(field) on raw bits."""
+    return _raw_field
+
+
+@pytest.fixture
+def gp_lookup():
+    """gp_lookup(field, n): the n-fold Pfister classes of the field."""
+    return _gp_lookup
 
 
 @functools.lru_cache(maxsize=None)
@@ -17,10 +188,10 @@ def _pfister_multiples(pi):
     the additive subgroup generated by those shifts.  Only finite Witt
     rings (every base but R) are supported.
     """
-    m = _ring_params(pi.field)[0]
-    if not m:
+    raw = _raw_field(pi.field)
+    if not raw.m:
         raise ValueError(f"the Witt ring of {pi.field} is infinite")
-    p = witt_vector(pi)
+    p = raw.vector([e.bits for e in pi.entries])
     shifts = [tuple(p[i ^ h] for i in range(len(p))) for h in range(len(p))]
     zero = (0,) * len(p)
     members = {zero}
@@ -28,7 +199,7 @@ def _pfister_multiples(pi):
     while todo:
         v = todo.pop()
         for s in shifts:
-            w = tuple((x + y) % m for x, y in zip(v, s))
+            w = raw.add(v, s)
             if w not in members:
                 members.add(w)
                 todo.append(w)
@@ -37,5 +208,5 @@ def _pfister_multiples(pi):
 
 @pytest.fixture
 def pfister_multiples():
-    """phi lies in pi*W(F) iff witt_vector(phi) in pfister_multiples(pi)."""
+    """phi lies in pi*W(F) iff its Witt vector is in pfister_multiples(pi)."""
     return _pfister_multiples

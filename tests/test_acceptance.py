@@ -1,8 +1,8 @@
 """Acceptance criteria: one pass/fail line per criterion.
 
 Run with `pytest -v` (add `-s` to see the lines live).  Criteria 2-4
-share one seeded sample pool; criterion 8 sweeps every exact Pfister
-number computed anywhere in this process against its bound.
+share one seeded sample pool; criterion 8 computes its own seeded
+Pfister numbers and checks them against their bounds and an oracle.
 """
 
 import functools
@@ -15,7 +15,6 @@ from fractions import Fraction
 from rigidwitt.ideals import extend_scalars_quadratic, in_In, lift_form
 from rigidwitt.pfnum import (
     BoundPoly,
-    RESULT_LOG,
     _extension_image,
     classify14,
     classify16,
@@ -41,7 +40,6 @@ from rigidwitt.qform import (
 from rigidwitt.sqclass import Base, FieldDesc
 from rigidwitt.witt import (
     anisotropic_part,
-    form_from_witt_vector,
     group_ring_equal,
     is_anisotropic,
     is_hyperbolic,
@@ -139,11 +137,16 @@ def test_criterion_3_d14():
             f"{SAMPLES_PER_DIM} dim-14 instances ({failures} failures)")
 
 
-def test_criterion_4_dim16_classification():
+def test_criterion_4_dim16_classification(gp_lookup):
+    # the exact GP_3 of every sample is read off the lookup of all GP_3
+    # classes: 2 if it is a sum of two of them, else 3
+    look = gp_lookup(F5, 3)
     failures = 0
     for phi in _samples(16):
         rep = classify16(phi)
-        if not (rep["gp3"] <= 3 and rep["certificate"].verify()):
+        two = look.terms(look.vector([e.bits for e in phi.entries]))
+        oracle = 3 if two is None else two
+        if not (rep["gp3"] == oracle and rep["certificate"].verify()):
             failures += 1
             continue
         total = DiagonalForm(F5, ())
@@ -159,9 +162,9 @@ def test_criterion_4_dim16_classification():
         if not is_hyperbolic(final):
             failures += 1
     _report(4, failures == 0,
-            f"GP_3 <= 3, 4-term GP_2 decompositions and biquadratic "
-            f"splittings on all {SAMPLES_PER_DIM} dim-16 instances "
-            f"({failures} failures)")
+            f"GP_3 = oracle value <= 3, 4-term GP_2 decompositions and "
+            f"biquadratic splittings on all {SAMPLES_PER_DIM} dim-16 "
+            f"instances ({failures} failures)")
 
 
 def test_criterion_5_sharpness_at_16():
@@ -211,21 +214,7 @@ def test_criterion_6_tensor_lift_identities():
             f"on 50 random I^2 forms ({failures} failures)")
 
 
-def _all_witt_classes(field):
-    from rigidwitt.witt import _ring_params
-
-    m, mbits, _ = _ring_params(field)
-    size = 1 << mbits
-    for bits in range(m ** size):
-        v = []
-        x = bits
-        for _ in range(size):
-            v.append(x % m)
-            x //= m
-        yield form_from_witt_vector(field, tuple(v))
-
-
-def test_criterion_7_oracle_equivalences(pfister_multiples):
+def test_criterion_7_oracle_equivalences(pfister_multiples, raw_field):
     discrepancies = 0
     # (a) group-ring equality vs Springer anisotropic parts, 10^4 pairs
     rng = random.Random(707)
@@ -299,7 +288,7 @@ def test_criterion_7_oracle_equivalences(pfister_multiples):
             classes = list(field.classes())
             slot_choices = [(a,) for a in classes] + list(
                 itertools.combinations_with_replacement(classes[1:], 2))
-            for phi in _all_witt_classes(field):
+            for _v, phi in raw_field(field).witt_classes():
                 if phi.dim == 0 or phi.dim > 8:
                     continue
                 for slots in slot_choices:
@@ -317,27 +306,38 @@ def test_criterion_7_oracle_equivalences(pfister_multiples):
             f"agree ({discrepancies} discrepancies)")
 
 
-def test_criterion_8_bounds():
+def _gp_bound(n: int, d: int, unscaled: bool) -> int:
+    if n == 2:
+        bound = two_pfister_bound(d)
+    elif n == 3:
+        bound = three_pfister_bound(d)
+    else:
+        bound = math.ceil(poly_bound(n)(d))
+    return 2 * bound if unscaled else bound
+
+
+def test_criterion_8_bounds(gp_lookup):
     ok = three_pfister_bound(16) == 3
-    # every exact GP value computed in this process respects its bound
-    checked = 0
-    for entry in RESULT_LOG:
-        n, d = entry["n"], entry["dim"]
-        if n == 1:
-            bound = d // 2
-        elif n == 2:
-            bound = two_pfister_bound(d)
-        elif n == 3:
-            bound = three_pfister_bound(d)
-        else:
-            bound = math.ceil(poly_bound(n)(d))
-        if entry["unscaled"]:
-            bound *= 2
-        if entry["value"] > bound:
+    # seeded exact GP values: each within its bound, and equal to the
+    # lookup of all (un)scaled Pfister classes where that value is at
+    # most 2 (at least 3 where the lookup finds no two-term sum)
+    rng = random.Random(808)
+    cases = [(F5, 3, d, False) for d in (8, 12, 14, 16) for _ in range(4)]
+    f3v = FieldDesc(Base.F3, 3)
+    cases += [(f3v, 2, d, u) for d in (4, 6, 8, 10, 12)
+              for u in (False, True) for _ in range(2)]
+    cases += [(FieldDesc(Base.F3, 4), 4, d, False) for d in (16, 32)
+              for _ in range(2)]
+    for field, n, d, unscaled in cases:
+        phi = random_In_form(field, n, d, rng)
+        k, cert = pfister_number(phi, n, unscaled=unscaled)
+        look = gp_lookup(field, n)
+        oracle = look.terms(look.vector([e.bits for e in phi.entries]),
+                            unscaled)
+        if k > _gp_bound(n, d, unscaled) or not cert.verify():
             ok = False
-        checked += 1
-    if checked == 0:
-        ok = False  # suites 1-6 must have logged their computations
+        if k != oracle and not (oracle is None and k >= 3):
+            ok = False
     # faulhaber_sum against direct summation, degree <= 6, n <= 100
     for degree in range(7):
         q = BoundPoly(tuple(Fraction(1, i + 1) for i in range(degree + 1)))
@@ -352,5 +352,6 @@ def test_criterion_8_bounds():
     if not all(a < b for a, b in zip(vals, vals[1:])):
         ok = False
     _report(8, ok,
-            f"three_pfister_bound(16)=3; {checked} logged GP values within "
-            f"bounds; faulhaber and poly_bound(4) exact and monotone")
+            f"three_pfister_bound(16)=3; {len(cases)} seeded GP values "
+            f"within bounds and equal to the oracle; faulhaber and "
+            f"poly_bound(4) exact and monotone")

@@ -30,7 +30,10 @@ from rigidwitt.pfnum import (
     random_In_form,
     three_pfister_bound,
     two_pfister_bound,
+    _anchors,
     _as_scaled_pfister,
+    _gp2_decomposition,
+    _pfister_subforms,
 )
 from rigidwitt.qform import (
     DiagonalForm,
@@ -48,7 +51,6 @@ from rigidwitt.qform import (
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 from rigidwitt.witt import (
     anisotropic_part,
-    form_from_witt_vector,
     is_anisotropic,
     is_hyperbolic,
     witt_vector,
@@ -57,6 +59,7 @@ from rigidwitt.witt import (
 F1 = FieldDesc(Base.F3, 1)
 F2 = FieldDesc(Base.F3, 2)
 F3V = FieldDesc(Base.F3, 3)
+F5 = FieldDesc(Base.F3, 5)
 
 
 def _f(text, field=F2):
@@ -101,51 +104,169 @@ def test_every_quaternary_I2_form_is_similar_to_pfister():
         assert _as_scaled_pfister(phi, 2) is not None, format_form(phi)
 
 
+def _recognizer_cases(raw, dim):
+    """Every anisotropic form of this dimension, in every diagonalization
+    (level 2 flips doubled pairs <x,x> to <-x,-x>)."""
+    for v, phi in raw.witt_classes():
+        if phi.dim != dim:
+            continue
+        bits = [e.bits for e in phi.entries]
+        doubled = sorted({b for b in bits if bits.count(b) == 2})
+        flips = doubled if raw.m == 4 else []
+        for chosen in itertools.product((0, 1), repeat=len(flips)):
+            flip = {b for b, c in zip(flips, chosen) if c}
+            yield v, DiagonalForm(raw.field, tuple(
+                SquareClass(raw.field, b ^ (b in flip)) for b in bits))
+
+
+@pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)])
+def test_recognizer_modes_match_lookup_exhaustive(field, gp_lookup):
+    # default, unscaled and scalars=(one,) against the lookup's scaled,
+    # unscaled and plain Pfister classes, on every anisotropic 4- and
+    # 8-dimensional form
+    one = field.one()
+    outcomes = set()
+    for n in (2, 3):
+        look = gp_lookup(field, n)
+        for v, phi in _recognizer_cases(look, 1 << n):
+            for kwargs, members, scalars in (
+                    ({}, look.scaled, None),
+                    ({"unscaled": True}, look.unscaled, (one, -one)),
+                    ({"scalars": (one,)}, look.plain, (one,))):
+                spec = _as_scaled_pfister(phi, n, **kwargs)
+                assert (spec is not None) == (v in members), \
+                    (format_form(phi), kwargs)
+                if spec is not None:
+                    assert spec.fold == n
+                    assert look.spec_vector(spec) == v
+                    assert scalars is None or spec.scalar in scalars
+                outcomes.add((n, tuple(kwargs), spec is None))
+    # each mode accepts and rejects at n = 2; at n = 3 the only
+    # anisotropic 8-dimensional forms of these fields are Pfister forms
+    for mode in ((), ("unscaled",), ("scalars",)):
+        assert {(2, mode, True), (2, mode, False), (3, mode, False)} \
+            <= outcomes
+
+
 # --- exactness against an independent breadth-first oracle ----------------
 
-def _bfs_minimum(field, n, target_v, cap):
-    """Minimal number of GP_n classes summing to target, by plain BFS."""
-    from rigidwitt.witt import _ring_params
-
-    m = _ring_params(field)[0]
-    gens = [witt_vector(spec.expand())
-            for _, spec in enumerate_GPn_classes(field, n)]
-    zero = tuple(0 for _ in target_v)
-    frontier = {zero}
-    for k in range(cap + 1):
-        if target_v in frontier:
-            return k
-        frontier = {
-            tuple((a + b) % m if m else a + b for a, b in zip(v, g))
-            for v in frontier for g in gens
-        }
-    return None
+def _bfs_distances(raw, gens, cap):
+    """The least number of generators summing to each class, up to cap."""
+    zero = (0,) * raw.size
+    dist = {zero: 0}
+    frontier = [zero]
+    for k in range(1, cap + 1):
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = raw.add(v, g)
+                if w not in dist:
+                    dist[w] = k
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
-@pytest.mark.parametrize("n,field", [(2, F1), (2, F2), (3, F2)])
-def test_pfister_number_matches_bfs_oracle(n, field):
-    from rigidwitt.witt import _ring_params
+R2 = FieldDesc(Base.R, 2)
+C2 = FieldDesc(Base.C, 2)
 
-    m = _ring_params(field)[0]
-    size = 1 << _ring_params(field)[1]
-    seen = set()
-    for bits in range(m ** size):
-        v = []
-        x = bits
-        for _ in range(size):
-            v.append(x % m)
-            x //= m
-        v = tuple(v)
-        phi = form_from_witt_vector(field, v)
-        if not in_In(phi, n) or witt_vector(phi) in seen:
+
+@pytest.mark.parametrize("n,field", [(2, F1), (2, F2), (3, F2), (2, R2),
+                                     (2, C2)])
+def test_pfister_number_matches_bfs_oracle(n, field, gp_lookup):
+    # every Witt class in I^n (over R those with coefficients |c| <= 2);
+    # over R the BFS frontier grows without end, so its depth is capped
+    look = gp_lookup(field, n)
+    cap = 3 if field.base is Base.R else 6
+    dist = _bfs_distances(look, look.scaled, cap)
+    total = skipped = 0
+    for v, phi in look.witt_classes():
+        if not in_In(phi, n):
             continue
-        seen.add(witt_vector(phi))
-        expected = _bfs_minimum(field, n, witt_vector(phi), cap=6)
-        if expected is None:
+        total += 1
+        if v not in dist:
+            skipped += 1
             continue
         k, cert = pfister_number(phi, n)
-        assert k == expected, (format_form(phi), k, expected)
+        assert k == dist[v], (format_form(phi), k, dist[v])
         assert cert.verify()
+    print(f"GP_{n} over {field}: {total - skipped} classes checked, "
+          f"{skipped} beyond the BFS cap {cap}")
+    assert skipped < total
+
+
+# --- two-term decisions against the Pfister-class lookup ------------------
+
+def _random_class(look, rng, n, dim, terms, fixed=()):
+    """(vector, form) of a random sum of scaled n-fold Pfister forms whose
+    anisotropic part has dimension dim; each term starts with `fixed`."""
+    while True:
+        v = (0,) * look.size
+        for _ in range(rng.choice(terms)):
+            slots = list(fixed) + [rng.choice(look.classes)
+                                   for _ in range(n - len(fixed))]
+            v = look.add(v, look.vector(
+                look.pfister_bits(rng.choice(look.classes), slots)))
+        if look.an_dim(v) == dim:
+            return v, look.form(v)
+
+
+def _dim16_forms(look, rng):
+    """Dim-16 I^3 forms with 0, 2, 4 and 8 doubled classes; GP_3 = 2 and
+    3 for the first three (with eight, the forms are multiples of <<-1>>
+    and all such draws have GP_3 = 2)."""
+    want = {(d, k): 2 for d in (0, 2, 4) for k in (2, None)}
+    want[8, 2] = 3
+    while want:
+        fixed = (look.minus_one,) if rng.random() < 0.2 else ()
+        v, phi = _random_class(look, rng, 3, 16, (2, 3), fixed)
+        key = (v.count(2), look.terms(v))
+        if want.get(key):
+            want[key] -= 1
+            if not want[key]:
+                del want[key]
+            yield v, phi
+
+
+def test_two_term_decisions_match_lookup(gp_lookup):
+    rng = random.Random(316)
+    look = gp_lookup(F5, 3)
+    for v, phi in _dim16_forms(look, rng):
+        k, cert = pfister_number(phi, 3)
+        expected = look.terms(v)
+        assert k == (3 if expected is None else expected), format_form(phi)
+        spec, comp = find_GP2_subform(phi)
+        comp_v = look.vector([e.bits for e in comp.entries])
+        assert comp.dim == 12 and look.an_dim(comp_v) == 12
+        assert look.add(look.spec_vector(spec), comp_v) == v
+        four = _gp2_decomposition(phi)
+        assert len(four) == 4 and all(t.fold == 2 for t in four)
+        total = (0,) * look.size
+        for t in four:
+            total = look.add(total, look.spec_vector(t))
+        assert total == v
+    for field in (FieldDesc(Base.C, 4), FieldDesc(Base.SQUARE_MINUS_ONE, 3),
+                  R2):
+        look = gp_lookup(field, 2)
+        for _ in range(12):
+            v, phi = _random_class(look, rng, 2, 8, (2, 3))
+            k, _ = pfister_number(phi, 2)
+            expected = look.terms(v)
+            assert k == (3 if expected is None else expected), \
+                (str(field), format_form(phi))
+
+
+def test_pfister_subforms_leaves_an_cache_alone():
+    from rigidwitt.witt import _an_bits
+
+    phi = _sample(16, 7)
+    bits = [e.bits for e in phi.entries]
+    # no call at all: hits, misses and currsize stay as they were
+    before = _an_bits.cache_info()
+    found = list(_pfister_subforms(F5, bits, 3, _anchors(F5, bits)))
+    found += list(_pfister_subforms(F5, bits, 2, bits))
+    assert found
+    assert _an_bits.cache_info() == before
 
 
 # --- the generic examples -------------------------------------------------
@@ -290,21 +411,13 @@ def test_divisible_two_slots_split_but_not_divisible():
     assert divisible_by_pfister(phi, slots) == (False, None)
 
 
-def test_divisibility_three_way_agreement_exhaustive(pfister_multiples):
+def test_divisibility_three_way_agreement_exhaustive(pfister_multiples,
+                                                    raw_field):
     # brute-force membership in pi*W(F) == peeling == hyperbolicity
     # after extension, for every anisotropic Witt class and every
     # single-slot divisor
     field = F2
-    from rigidwitt.witt import _ring_params
-
-    m, mbits, _ = _ring_params(field)
-    for bits in range(m ** (1 << mbits)):
-        v = []
-        x = bits
-        for _ in range(1 << mbits):
-            v.append(x % m)
-            x //= m
-        phi = form_from_witt_vector(field, tuple(v))
+    for _v, phi in raw_field(field).witt_classes():
         if phi.dim == 0 or phi.dim > 8:
             continue
         for a in field.classes():
@@ -349,9 +462,6 @@ def test_find_GP2_subform_too_small():
 
 
 # --- dimension routes -----------------------------------------------------
-
-F5 = FieldDesc(Base.F3, 5)
-
 
 def _sample(dim, seed):
     return random_In_form(F5, 3, dim, random.Random(seed))
