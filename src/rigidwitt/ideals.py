@@ -22,9 +22,7 @@ from .witt import (
     anisotropic_part,
     is_hyperbolic,
     represents,
-    residue_forms,
     value_set,
-    witt_vector,
 )
 
 __all__ = [
@@ -42,27 +40,35 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
     """Membership of phi's Witt class in the n-th fundamental-ideal power."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return True
     field = phi.field
-    if field.nvars == 0:
-        return _in_In_base(phi, n)
-    phi1, phi2 = residue_forms(phi)
-    # phi = (phi1 - phi2) + <<-t>> (x) phi2 in WF
-    return in_In(phi2, n - 1) and in_In(orth_sum(phi1, neg(phi2)), n)
+    minus_one = field.minus_one().bits
+
+    def member(bits: list[int], nvars: int, n: int) -> bool:
+        if n == 0:
+            return True
+        if nvars == 0:
+            return _in_In_base(field.base, bits, n)
+        # residue forms wrt the top variable: phi = (phi1 - phi2) +
+        # <<-t>> (x) phi2 in WF
+        top = 1 << nvars
+        even = [b for b in bits if not b & top]
+        odd = [b ^ top for b in bits if b & top]
+        return (member(odd, nvars - 1, n - 1)
+                and member(even + [b ^ minus_one for b in odd], nvars - 1, n))
+
+    return member([e.bits for e in phi], field.nvars, n)
 
 
-def _in_In_base(phi: DiagonalForm, n: int) -> bool:
-    base = phi.field.base
-    if base is Base.C:
-        return phi.dim % 2 == 0
-    if n == 1:
-        return phi.dim % 2 == 0
+def _in_In_base(base: Base, bits: list[int], n: int) -> bool:
+    if base is Base.C or n == 1:
+        return len(bits) % 2 == 0
+    p = bits.count(0)
     if base is Base.R:
-        p = sum(1 for e in phi if not e.unit)
-        return (2 * p - phi.dim) % (1 << n) == 0
-    # F3 (Z/4) and the level-1 two-unit base (Z/2 x Z/2): I^2 = 0
-    return not any(witt_vector(phi))
+        return (2 * p - len(bits)) % (1 << n) == 0
+    if base is Base.F3:  # W = Z/4 and I^2 = 0
+        return (2 * p - len(bits)) % 4 == 0
+    # the level-1 two-unit base: W = Z/2 x Z/2 and I^2 = 0
+    return p % 2 == 0 and len(bits) % 2 == 0
 
 
 @dataclass(frozen=True)

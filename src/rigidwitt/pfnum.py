@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,7 +27,7 @@ from .errors import (
     IsotropicInputError,
     NotInIdealError,
 )
-from .ideals import _inplace_residues, extend_scalars_quadratic, in_In
+from .ideals import extend_scalars_quadratic, in_In
 from .qform import (
     DiagonalForm,
     PfisterSpec,
@@ -40,14 +41,18 @@ from .qform import (
     scale,
     tensor,
 )
-from .sqclass import FieldDesc, SquareClass, find_basis_change
+from .sqclass import FieldDesc, SquareClass, _apply_cols, find_basis_change
 from .witt import (
     anisotropic_part,
     is_hyperbolic,
     is_isotropic,
     value_set,
     witt_vector,
+    _an_bits,
+    _class_order,
+    _flex,
     _ring_params,
+    _values,
 )
 
 __all__ = [
@@ -70,9 +75,9 @@ __all__ = [
     "random_In_form",
 ]
 
-# Every exact Pfister number computed in this process is appended here so
-# bound-soundness checks can sweep all values produced by a test run.
-RESULT_LOG: list[dict] = []
+# The most recent exact Pfister numbers computed in this process, newest
+# last; older records drop off so the log stays bounded.
+RESULT_LOG: deque[dict] = deque(maxlen=4096)
 
 _MAX_ENUM_CLASSES = 1 << 20  # square_class_count ** (n+1) gate
 _MAX_SEARCH_ROWS = 1 << 23  # generator-pass row budget for deep search
@@ -143,8 +148,6 @@ def _pfister_sets(field: FieldDesc, n: int) -> list[dict]:
 
     Each S_k maps the canonical entry-bit tuple to a slot witness.
     """
-    from .witt import _an_bits
-
     key = (field, n)
     cached = _GEN_CACHE.get(("S", key))
     if cached is not None:
@@ -211,24 +214,10 @@ def enumerate_GPn_classes(
 
 # --- Pfister subforms on raw class bits ------------------------------------
 #
-# Over these fields D(psi) of an anisotropic psi is its entries and, at
-# level 2 where <z,z> = <-z,-z>, the negatives of its doubled entries.
+# D(psi) of an anisotropic psi is read off its entries (witt._values).
 # By Witt cancellation a form embeds in psi exactly when its entries can
 # be split off one at a time, so subforms are found by removing entries
 # from a list; no anisotropic part is computed.
-
-def _flex(field: FieldDesc) -> int:
-    """The bit of -1 when <z,z> = <-z,-z> (level 2), else 0."""
-    return 1 if field.level() == 2 else 0
-
-
-def _values(rest: Sequence[int], flex: int) -> list[int]:
-    """D(rest) of an anisotropic form, in the square-class order."""
-    vals = set(rest)
-    if flex:
-        vals.update(z ^ flex for z in rest if rest.count(z) > 1)
-    return sorted(vals, key=lambda b: (b & 1, b >> 1))
-
 
 def _split_off(rest: list[int], y: int, flex: int) -> bool:
     """Replace the anisotropic rest by its complement of <y>, in place;
@@ -555,52 +544,45 @@ def _gp3_dim14_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     the negated pure part of another Pfister form.
     """
     field = phi.field
-    one = field.one()
-    pool = list(phi.entries)
+    flex = _flex(field)
+    minus_one = field.minus_one().bits
+    bits = [e.bits for e in phi.entries]
     # subform entry candidates: entries, plus flips of doubled classes,
     # plus negatives (the scaled pure part sits inside phi up to signs
     # that a chosen z-entry pins down)
-    cand = sorted(set(pool) | {-e for e in pool if pool.count(e) == 2},
-                  key=SquareClass.sort_key)
-    allowed = {e.bits for e in cand}
+    cand = sorted(set(bits) | {b ^ minus_one for b in bits
+                               if bits.count(b) == 2},
+                  key=_class_order)
+    allowed = set(cand)
     seen: set = set()
     for y1, y2, y3 in itertools.combinations_with_replacement(cand, 3):
-        y12 = y1.bits ^ y2.bits
-        y13 = y1.bits ^ y3.bits
-        y23 = y2.bits ^ y3.bits
-        y123 = y12 ^ y3.bits
+        y12 = y1 ^ y2
+        y13 = y1 ^ y3
+        y23 = y2 ^ y3
+        y123 = y12 ^ y3
         if y123 not in allowed:
             continue
         for z in cand:
             # s * phi contains the pure part of tau1 = <<a,b,c>> with
             # entries x_i = s*y_i; z pins the product entry s*y1*y2
-            s_bits = z.bits ^ y12
-            if (s_bits ^ y13) not in allowed or (s_bits ^ y23) not in allowed:
+            s = z ^ y12
+            if (s ^ y13) not in allowed or (s ^ y23) not in allowed:
                 continue
-            s = SquareClass(field, s_bits)
-            slots = tuple(sorted((-(s * y) for y in (y1, y2, y3)),
-                                 key=SquareClass.sort_key))
-            key = (s_bits, tuple(x.bits for x in slots))
-            if key in seen:
+            slots = tuple(sorted((s ^ y ^ minus_one for y in (y1, y2, y3)),
+                                 key=_class_order))
+            if (s, slots) in seen:
                 continue
-            seen.add(key)
-            tau1 = pfister(slots)
-            if is_isotropic(tau1):
+            seen.add((s, slots))
+            pure1 = (s ^ y1, s ^ y2, s ^ y3, y12, y13, y23, s ^ y123)
+            if len(_an_bits(field, tuple(sorted((0,) + pure1)))) < 8:
+                continue  # tau1 is isotropic
+            comp = [s ^ b for b in bits]
+            if not all(_split_off(comp, y, flex) for y in pure1):
                 continue
-            psi = scale(s, phi)
-            pure1 = DiagonalForm(field, tuple(
-                SquareClass(field, b)
-                for b in (s_bits ^ y1.bits, s_bits ^ y2.bits,
-                          s_bits ^ y3.bits, y12, y13, y23,
-                          s_bits ^ y123)))
-            if not is_subform(pure1, psi):
-                continue
-            comp = anisotropic_part(orth_sum(psi, neg(pure1)))
-            tau2 = orth_sum(DiagonalForm(field, (one,)), neg(comp))
-            spec2 = _as_scaled_pfister(tau2, 3, scalars=(one,))
-            if spec2 is None:
-                continue
-            return [PfisterSpec(s, slots), PfisterSpec(-s, spec2.slots)]
+            tau2 = [0] + [b ^ minus_one for b in _canon_bits(field, comp)]
+            for _e, slots2, _ in _pfister_subforms(field, tau2, 3, (0,)):
+                return [_spec(field, s, slots),
+                        _spec(field, s ^ minus_one, slots2)]
     raise InternalContradictionError(
         "14-dimensional I^3 form without a two-term representation")
 
@@ -650,26 +632,33 @@ def _tensor_reduction(
 ) -> tuple[SquareClass, DiagonalForm] | None:
     """A factorization phi = <1,t> (x) tau with tau free of t's variable.
 
-    Returns (t, tau over the residue field after moving t onto the last
-    variable) or None.  Pfister numbers are preserved: GP_n of the
-    product equals GP_{n-1} of tau.
+    phi must be anisotropic.  Returns (t, tau over the residue field
+    after moving t onto the last variable) or None.  Pfister numbers are
+    preserved: GP_n of the product equals GP_{n-1} of tau.  The residue
+    forms are anisotropic, so they are isometric exactly when their
+    canonical diagonalizations agree.
     """
     field = phi.field
+    flex = _flex(field)
+    bits = [e.bits for e in phi.entries]
     for i in range(field.nvars, 0, -1):
-        phi1, phi2 = _inplace_residues(phi, i)
-        if not phi2.dim or phi1.dim != phi2.dim:
+        bit = 1 << i
+        even = [b for b in bits if not b & bit]
+        odd = [b ^ bit for b in bits if b & bit]
+        if not odd or len(even) != len(odd):
             continue
-        a = min(value_set(phi1), key=SquareClass.sort_key)
-        for b in sorted(value_set(phi2), key=SquareClass.sort_key):
-            u = a * b
-            if is_isometric(phi1, scale(u, phi2)):
-                t = u * field.var(i)
-                m = find_basis_change(t)
-                tau_moved = [m.apply(e) for e in scale(u, phi2)]
+        target = _canon_bits(field, even)
+        a = _values(even, flex)[0]
+        for b in _values(odd, flex):
+            u = a ^ b
+            if _canon_bits(field, [u ^ x for x in odd]) == target:
+                t = SquareClass(field, u ^ bit)
+                cols = find_basis_change(t).cols
                 top = 1 << field.nvars
                 res = field.residue()
                 tau = DiagonalForm(res, tuple(
-                    SquareClass(res, e.bits & ~top) for e in tau_moved))
+                    SquareClass(res, _apply_cols(cols, u ^ x) & ~top)
+                    for x in odd))
                 return t, tau
     return None
 
@@ -990,8 +979,6 @@ def classify14(phi: DiagonalForm) -> dict:
         raise ValueError("classify14 requires a 14-dimensional form")
     if is_isotropic(phi):
         raise IsotropicInputError("form must be anisotropic")
-    if not in_In(phi, 3):
-        raise NotInIdealError("form is not in I^3")
     k, cert = pfister_number(phi, 3)
     subform = find_GP2_subform(phi)
     if subform is None:
@@ -1072,8 +1059,6 @@ def classify16(phi: DiagonalForm) -> dict:
         raise ValueError("classify16 requires a 16-dimensional form")
     if is_isotropic(phi):
         raise IsotropicInputError("form must be anisotropic")
-    if not in_In(phi, 3):
-        raise NotInIdealError("form is not in I^3")
     k, cert = pfister_number(phi, 3)
     if k > 3:
         raise InternalContradictionError("GP_3 above 3 for a 16-dim I^3 form")

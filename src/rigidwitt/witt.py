@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import FieldMismatchError
 from .qform import DiagonalForm, _canon_bits, neg, orth_sum
@@ -121,20 +122,57 @@ def is_hyperbolic(phi: DiagonalForm) -> bool:
     return anisotropic_part(phi).dim == 0
 
 
+# --- value sets ------------------------------------------------------------
+#
+# The fields are rigid: an anisotropic binary form represents at most two
+# square classes.  So D(psi) of an anisotropic psi is read off its
+# diagonal: the entries and, at level 2 where <z,z> = <-z,-z>, the
+# negatives of its doubled entries.
+
+def _flex(field: FieldDesc) -> int:
+    """The bit of -1 when <z,z> = <-z,-z> (level 2), else 0."""
+    return 1 if field.level() == 2 else 0
+
+
+def _class_order(b: int) -> tuple[int, int]:
+    """SquareClass.sort_key on raw bits."""
+    return (b & 1, b >> 1)
+
+
+def _values(rest: Sequence[int], flex: int) -> list[int]:
+    """D(rest) of an anisotropic form, in the square-class order."""
+    vals = set(rest)
+    if flex:
+        vals.update(z ^ flex for z in rest if rest.count(z) > 1)
+    return sorted(vals, key=_class_order)
+
+
+def _represented(phi: DiagonalForm) -> list[int] | None:
+    """D(phi) on raw bits, or None when phi is isotropic (and so
+    represents every class)."""
+    field = phi.field
+    bits = tuple(sorted(e.bits for e in phi))
+    an = _an_bits(field, bits)
+    if len(an) < len(bits):
+        return None
+    return _values(an, _flex(field))
+
+
 def represents(phi: DiagonalForm, x: SquareClass) -> bool:
-    """Whether phi represents the square class x (phi + <-x> isotropic
-    for nonzero phi; the zero form represents nothing)."""
+    """Whether phi represents the square class x (the zero form
+    represents nothing)."""
     if x.field != phi.field:
         raise FieldMismatchError(f"{x.field} vs {phi.field}")
-    if phi.dim == 0:
-        return False
-    if is_isotropic(phi):
-        return True  # isotropic forms are universal
-    return is_isotropic(DiagonalForm(phi.field, phi.entries + (-x,)))
+    vals = _represented(phi)
+    return vals is None or x.bits in vals
 
 
 def value_set(phi: DiagonalForm) -> frozenset[SquareClass]:
-    return frozenset(x for x in phi.field.classes() if represents(phi, x))
+    field = phi.field
+    vals = _represented(phi)
+    if vals is None:
+        return frozenset(field.classes())
+    return frozenset(SquareClass(field, b) for b in vals)
 
 
 # --- group-ring picture ---------------------------------------------------

@@ -178,6 +178,21 @@ def gp_lookup():
     return _gp_lookup
 
 
+def _subgroup(raw, gens):
+    """The additive subgroup of the finite ring (Z/m)[H] generated by
+    the vectors gens.  Each generator outside the current subgroup S
+    adds the cosets S + g, S + 2g, ... until they wrap around to S."""
+    members = {(0,) * raw.size}
+    for g in gens:
+        layer = list(members)
+        while True:
+            layer = [raw.add(v, g) for v in layer]
+            if layer[0] in members:
+                break
+            members.update(layer)
+    return frozenset(members)
+
+
 @functools.lru_cache(maxsize=None)
 def _pfister_multiples(pi):
     """The Witt vectors vec(pi) * vec(rho) over every Witt class rho.
@@ -192,21 +207,28 @@ def _pfister_multiples(pi):
     if not raw.m:
         raise ValueError(f"the Witt ring of {pi.field} is infinite")
     p = raw.vector([e.bits for e in pi.entries])
-    shifts = [tuple(p[i ^ h] for i in range(len(p))) for h in range(len(p))]
-    zero = (0,) * len(p)
-    members = {zero}
-    todo = [zero]
-    while todo:
-        v = todo.pop()
-        for s in shifts:
-            w = raw.add(v, s)
-            if w not in members:
-                members.add(w)
-                todo.append(w)
-    return frozenset(members)
+    return _subgroup(raw, [tuple(p[i ^ h] for i in range(len(p)))
+                           for h in range(len(p))])
 
 
 @pytest.fixture
 def pfister_multiples():
     """phi lies in pi*W(F) iff its Witt vector is in pfister_multiples(pi)."""
     return _pfister_multiples
+
+
+@functools.lru_cache(maxsize=None)
+def _ideal_power(field, n):
+    """I^n as a set of Witt vectors: the additive subgroup generated by
+    the scaled n-fold Pfister classes of `gp_lookup` (finite Witt rings
+    only)."""
+    look = _gp_lookup(field, n)
+    if not look.m:
+        raise ValueError(f"the Witt ring of {field} is infinite")
+    return _subgroup(look, sorted(look.scaled))
+
+
+@pytest.fixture
+def ideal_power():
+    """phi lies in I^n iff its Witt vector is in ideal_power(field, n)."""
+    return _ideal_power

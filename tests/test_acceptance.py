@@ -41,7 +41,6 @@ from rigidwitt.sqclass import Base, FieldDesc
 from rigidwitt.witt import (
     anisotropic_part,
     group_ring_equal,
-    is_anisotropic,
     is_hyperbolic,
     represents,
     value_set,
@@ -230,24 +229,29 @@ def test_criterion_7_oracle_equivalences(pfister_multiples, raw_field):
         if group_ring_equal(phi, psi) != \
                 (anisotropic_part(phi) == anisotropic_part(psi)):
             discrepancies += 1
-    # (b) value_set vs represents, exhaustive anisotropic dims <= 4;
-    # the independent oracle reads the represented classes off the
-    # group-ring vector: x in D(phi) iff an-dim(phi - <x>) = dim - 1
+    # (b) value_set vs represents, exhaustive dims <= 4 (the zero form
+    # and isotropic forms included); the independent oracle reads the
+    # represented classes off the group-ring vector: an isotropic form
+    # represents every class, the zero form none, and an anisotropic
+    # phi represents x iff an-dim(phi + <-x>) = dim - 1
     for base in Base:
         for nvars in range(4):
             field = FieldDesc(base, nvars)
+            raw = raw_field(field)
             classes = list(field.classes())
-            for dim in range(1, 5):
+            for dim in range(5):
                 for combo in itertools.combinations_with_replacement(
                         classes, dim):
                     phi = DiagonalForm(field, combo)
-                    if not is_anisotropic(phi):
-                        continue
+                    bits = [e.bits for e in combo]
+                    isotropic = raw.an_dim(raw.vector(bits)) < dim
                     vs = value_set(phi)
                     for x in classes:
-                        oracle = anisotropic_part(
-                            orth_sum(phi, DiagonalForm(field, (-x,)))
-                        ).dim == dim - 1
+                        if isotropic:
+                            oracle = True
+                        else:
+                            oracle = dim > 0 and raw.an_dim(raw.vector(
+                                bits + [x.bits ^ raw.minus_one])) == dim - 1
                         if (x in vs) != represents(phi, x) or \
                                 oracle != (x in vs):
                             discrepancies += 1

@@ -66,6 +66,26 @@ def test_I2_oracle_exhaustive(base):
             assert in_In(phi, 2) == expected, format_form(phi)
 
 
+@pytest.mark.parametrize("field", [
+    FieldDesc(Base.F3, 2), FieldDesc(Base.F3, 3), FieldDesc(Base.C, 3),
+    FieldDesc(Base.SQUARE_MINUS_ONE, 2)], ids=str)
+def test_in_In_matches_ideal_power_oracle(field, raw_field, ideal_power):
+    # every Witt class in its anisotropic diagonalization, then seeded
+    # diagonalizations with hyperbolic planes in them
+    raw = raw_field(field)
+    powers = {n: ideal_power(field, n) for n in range(1, 5)}
+    for v, phi in raw.witt_classes():
+        for n, members in powers.items():
+            assert in_In(phi, n) == (v in members), (format_form(phi), n)
+    rng = random.Random(41)
+    for _ in range(300):
+        phi = DiagonalForm(field, tuple(
+            field.random_class(rng) for _ in range(rng.randrange(0, 13))))
+        v = raw.vector([e.bits for e in phi.entries])
+        for n, members in powers.items():
+            assert in_In(phi, n) == (v in members), (format_form(phi), n)
+
+
 def test_real_base_signature_criterion():
     f = FieldDesc(Base.R, 0)
     four = DiagonalForm(f, (f.one(),) * 4)

@@ -34,6 +34,7 @@ from rigidwitt.pfnum import (
     _as_scaled_pfister,
     _gp2_decomposition,
     _pfister_subforms,
+    _tensor_reduction,
 )
 from rigidwitt.qform import (
     DiagonalForm,
@@ -48,7 +49,7 @@ from rigidwitt.qform import (
     scale,
     tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass, find_basis_change
 from rigidwitt.witt import (
     anisotropic_part,
     is_anisotropic,
@@ -321,6 +322,43 @@ def test_tensor_identity_with_twisted_uniformizer():
     assert k3 == 1 and cert.verify()
 
 
+def _check_tensor_reduction(raw, phi):
+    """Whether _tensor_reduction(phi) factors; asserts that a returned
+    (t, tau), mapped back, gives <1,t> (x) tau' in phi's Witt class."""
+    found = _tensor_reduction(phi)
+    if found is None:
+        return False
+    t, tau = found
+    field = phi.field
+    assert tau.field == field.residue()
+    inv = find_basis_change(t).inverse()
+    back = [inv.apply(SquareClass(field, e.bits)).bits for e in tau.entries]
+    product = back + [t.bits ^ b for b in back]
+    assert raw.vector(product) == raw.vector(
+        [e.bits for e in phi.entries]), format_form(phi)
+    return True
+
+
+@pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3), R2], ids=str)
+def test_tensor_reduction_sound_on_every_class(field, raw_field):
+    # every anisotropic form (over R those with coefficients |c| <= 2),
+    # the I^2 classes among them
+    raw = raw_field(field)
+    hits = sum(_check_tensor_reduction(raw, phi)
+               for _v, phi in raw.witt_classes() if phi.dim)
+    assert hits
+
+
+def test_tensor_reduction_sound_on_I3_forms(gp_lookup):
+    look = gp_lookup(F5, 3)
+    rng = random.Random(648)
+    for dim in (12, 16):
+        hits = sum(_check_tensor_reduction(
+            look, _random_class(look, rng, 3, dim, (2, 3))[1])
+            for _ in range(40))
+        assert hits
+
+
 # --- error paths ----------------------------------------------------------
 
 def test_not_in_ideal():
@@ -356,6 +394,19 @@ def test_result_log_records_values():
     pfister_number(_f("<1,t1,t2,t1*t2>"), 2)
     assert RESULT_LOG and RESULT_LOG[-1]["value"] == 1
     assert RESULT_LOG[-1]["n"] == 2
+
+
+def test_result_log_keeps_the_most_recent_records():
+    RESULT_LOG.clear()
+    size = RESULT_LOG.maxlen
+    forms = [_f(text) for text in ("<1,t1>", "<1,t2>", "<1,t1,t2,-t1*t2>")]
+    calls = [forms[i % 3] for i in range(size + 5)]
+    for phi in calls:
+        pfister_number(phi, 1)
+    assert len(RESULT_LOG) == size
+    assert [r["form"] for r in RESULT_LOG] == \
+        [format_form(phi) for phi in calls[-size:]]
+    RESULT_LOG.clear()
 
 
 # --- enumeration ----------------------------------------------------------
@@ -513,6 +564,18 @@ def test_classify_dimension_checks():
         classify14(_f("<1,t1>"))
     with pytest.raises(ValueError):
         classify16(_f("<1,t1>"))
+
+
+def test_classify_rejects_forms_outside_I3():
+    rng = random.Random(1416)
+    for dim, classify in ((14, classify14), (16, classify16)):
+        while True:
+            phi = DiagonalForm(F5, tuple(
+                F5.random_class(rng) for _ in range(dim)))
+            if is_anisotropic(phi) and in_In(phi, 2) and not in_In(phi, 3):
+                break
+        with pytest.raises(NotInIdealError):
+            classify(phi)
 
 
 # --- unscaled -------------------------------------------------------------
