@@ -9,6 +9,7 @@ four-base model family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import (
     FieldMismatchError,
@@ -17,7 +18,14 @@ from .errors import (
     UnitClassError,
 )
 from .qform import DiagonalForm, neg, orth_sum, scale
-from .sqclass import Base, FieldDesc, SquareClass, find_basis_change
+from .sqclass import (
+    Base,
+    ClassAutomorphism,
+    FieldDesc,
+    SquareClass,
+    class_map,
+    find_basis_change,
+)
 from .witt import (
     anisotropic_part,
     is_hyperbolic,
@@ -137,12 +145,15 @@ def rigid_decompose(phi: DiagonalForm, a: SquareClass) -> UnimodularSplit:
         raise UnitClassError("class has no Laurent variable part")
     if not represents(phi, phi.field.one()):
         raise ValueError("phi must represent 1")
-    m = find_basis_change(a)
+    field = phi.field
     from .qform import apply_automorphism
 
-    moved = apply_automorphism(m, phi)
-    split = decompose_unimodular(moved, phi.field.nvars)
-    inv = m.inverse()
+    moved = apply_automorphism(find_basis_change(a), phi)
+    split = decompose_unimodular(moved, field.nvars)
+    # the inverse basis change: t_n goes back to a, the rest via lift
+    _, lift = class_map(a.bits)
+    inv = ClassAutomorphism(field, tuple(
+        lift(1 << j) for j in range(field.nvars)) + (a.bits,))
     return UnimodularSplit(
         inv.apply(split.t),
         apply_automorphism(inv, split.sigma),
@@ -159,36 +170,43 @@ def lift_form(phi: DiagonalForm, field: FieldDesc) -> DiagonalForm:
         field, tuple(SquareClass(field, e.bits) for e in phi))
 
 
+_UNIT_EXTENSION = {
+    Base.F3: Base.SQUARE_MINUS_ONE,
+    Base.R: Base.C,
+    Base.SQUARE_MINUS_ONE: Base.SQUARE_MINUS_ONE,
+}
+
+
+def _extension_bits(
+    field: FieldDesc, bits: Iterable[int], a: int
+) -> tuple[FieldDesc, list[int]]:
+    """extend_scalars_quadratic on raw bits: the field over F(sqrt a)
+    and the images of the classes `bits`."""
+    if a >> 1:
+        project, _ = class_map(a)
+        return field, [project(b) for b in bits]
+    return (FieldDesc(_UNIT_EXTENSION[field.base], field.nvars),
+            [b & ~1 for b in bits])
+
+
 def extend_scalars_quadratic(
     phi: DiagonalForm, a: SquareClass
 ) -> tuple[FieldDesc, DiagonalForm]:
     """Image of phi over the quadratic extension by the square root of a.
 
-    A class with a Laurent part is moved onto the last variable, whose
-    exponent bit then collapses; extension by the nontrivial unit class
-    changes the base field (F3 to the level-1 two-unit base, R to C).
+    A class with a Laurent part keeps the field model and sends each
+    entry to its project image under `sqclass.class_map(a)`, so the last
+    variable's bit of every image is 0.  Extension by the nontrivial
+    unit class changes the base field (F3 to the level-1 two-unit base,
+    R to C) and clears the unit bit of every entry.
     """
     if a.field != phi.field:
         raise FieldMismatchError(f"{a.field} vs {phi.field}")
-    field = phi.field
     if a.is_one():
         raise SquareClassIsOneError("extension requires a nonsquare class")
-    if not a.is_unit_class():
-        from .qform import apply_automorphism
-
-        moved = apply_automorphism(find_basis_change(a), phi)
-        bit = 1 << field.nvars
-        entries = tuple(SquareClass(field, e.bits & ~bit) for e in moved)
-        return field, DiagonalForm(field, entries)
-    # nontrivial unit class: sqrt makes every unit a square
-    new_base = {
-        Base.F3: Base.SQUARE_MINUS_ONE,
-        Base.R: Base.C,
-        Base.SQUARE_MINUS_ONE: Base.SQUARE_MINUS_ONE,
-    }[field.base]
-    target = FieldDesc(new_base, field.nvars)
-    entries = tuple(SquareClass(target, e.bits & ~1) for e in phi)
-    return target, DiagonalForm(target, entries)
+    target, bits = _extension_bits(phi.field, (e.bits for e in phi), a.bits)
+    return target, DiagonalForm(
+        target, tuple(SquareClass(target, b) for b in bits))
 
 
 def extend_fresh_variable(phi: DiagonalForm, k: int) -> DiagonalForm:

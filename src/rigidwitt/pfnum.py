@@ -23,11 +23,12 @@ import numpy as np
 
 from .errors import (
     DepthCapExceededError,
+    FieldMismatchError,
     InternalContradictionError,
     IsotropicInputError,
     NotInIdealError,
 )
-from .ideals import extend_scalars_quadratic, in_In
+from .ideals import _extension_bits, in_In
 from .qform import (
     DiagonalForm,
     PfisterSpec,
@@ -41,7 +42,7 @@ from .qform import (
     scale,
     tensor,
 )
-from .sqclass import FieldDesc, SquareClass, _apply_cols, find_basis_change
+from .sqclass import FieldDesc, SquareClass, class_map
 from .witt import (
     anisotropic_part,
     is_hyperbolic,
@@ -337,10 +338,11 @@ def find_GP2_subform(
 
 # --- divisibility ---------------------------------------------------------
 
-def _splits(phi: DiagonalForm, a: SquareClass) -> bool:
-    """Whether phi becomes hyperbolic over F(sqrt a), i.e. phi lies in
-    <<a>>W(F), the kernel of W(F) -> W(F(sqrt a))."""
-    return is_hyperbolic(extend_scalars_quadratic(phi, a)[1])
+def _splits(field: FieldDesc, bits: Sequence[int], a: int) -> bool:
+    """Whether the form with entries `bits` becomes hyperbolic over
+    F(sqrt a), i.e. lies in <<a>>W(F), the kernel of W(F) -> W(F(sqrt a))."""
+    target, image = _extension_bits(field, bits, a)
+    return not _an_bits(target, tuple(sorted(image)))
 
 
 def divisible_by_pfister(
@@ -360,12 +362,16 @@ def divisible_by_pfister(
     if is_isotropic(phi):
         raise IsotropicInputError("divisibility is tested on anisotropic forms")
     field = phi.field
+    for a in slots:
+        if a.field != field:
+            raise FieldMismatchError(f"{a.field} vs {field}")
     pi = pfister(tuple(slots))
     if is_hyperbolic(pi):
         if phi.dim == 0:
             return True, DiagonalForm(field, ())
         return False, None
-    if not all(_splits(phi, a) for a in slots):
+    bits = [e.bits for e in phi]
+    if not all(_splits(field, bits, a.bits) for a in slots):
         return False, None
     remaining = phi
     quotient: list[SquareClass] = []
@@ -393,9 +399,12 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
     A form is a multiple of <<d>> in W(F) exactly when it splits over
     F(sqrt d); the first nontrivial d that splits both is returned.
     """
-    forms = (pi1.expand(), pi2.expand())
-    for d in pi1.scalar.field.classes():
-        if not d.is_one() and all(_splits(f, d) for f in forms):
+    field = pi1.scalar.field
+    if pi2.scalar.field != field:
+        raise FieldMismatchError(f"{field} vs {pi2.scalar.field}")
+    forms = [[e.bits for e in pi.expand()] for pi in (pi1, pi2)]
+    for d in field.classes():
+        if not d.is_one() and all(_splits(field, f, d.bits) for f in forms):
             return d
     return None
 
@@ -652,25 +661,12 @@ def _tensor_reduction(
         for b in _values(odd, flex):
             u = a ^ b
             if _canon_bits(field, [u ^ x for x in odd]) == target:
-                t = SquareClass(field, u ^ bit)
-                cols = find_basis_change(t).cols
-                top = 1 << field.nvars
+                project, _ = class_map(u ^ bit)
                 res = field.residue()
                 tau = DiagonalForm(res, tuple(
-                    SquareClass(res, _apply_cols(cols, u ^ x) & ~top)
-                    for x in odd))
-                return t, tau
+                    SquareClass(res, project(u ^ x)) for x in odd))
+                return SquareClass(field, u ^ bit), tau
     return None
-
-
-def _lift_spec_through(
-    spec: PfisterSpec, field: FieldDesc, inverse_map, extra_slot: SquareClass
-) -> PfisterSpec:
-    lifted_scalar = inverse_map.apply(SquareClass(field, spec.scalar.bits))
-    lifted_slots = tuple(
-        inverse_map.apply(SquareClass(field, s.bits)) for s in spec.slots)
-    return PfisterSpec(lifted_scalar,
-                       lifted_slots + (inverse_map.apply(extra_slot),))
 
 
 # --- bounds ---------------------------------------------------------------
@@ -855,12 +851,16 @@ def _pfister_number_impl(
                 raise DepthCapExceededError(depth_cap)
             if k == 0:
                 return 0, []
-            inv = find_basis_change(t).inverse()
-            terms = [
-                _lift_spec_through(s, field, inv, -field.var(field.nvars))
-                for s in sub_terms
-            ]
-            return k, terms
+            # s*<<slots>> over the residue field lifts to
+            # s*<<slots, -t>> over the field
+            _, lift = class_map(t.bits)
+
+            def up(c: SquareClass) -> SquareClass:
+                return SquareClass(field, lift(c.bits))
+
+            return k, [PfisterSpec(up(s.scalar),
+                                   tuple(map(up, s.slots)) + (-t,))
+                       for s in sub_terms]
     if n == 1 and not unscaled:
         if cap < d // 2:
             raise DepthCapExceededError(cap)
@@ -1018,33 +1018,24 @@ def _gp2_decomposition(phi: DiagonalForm) -> list[PfisterSpec] | None:
     return split([e.bits for e in phi.entries])
 
 
-def _extension_image(
-    cls: SquareClass, a: SquareClass, target: FieldDesc
-) -> SquareClass:
-    """Image of a square class under the extension by the root of a,
-    matching the convention of extend_scalars_quadratic."""
-    field = a.field
-    if a.is_unit_class():
-        return SquareClass(target, cls.bits & ~1)
-    m = find_basis_change(a)
-    return SquareClass(target, m.apply(cls).bits & ~(1 << field.nvars))
-
-
 def _biquadratic_splitting(
     phi: DiagonalForm,
 ) -> tuple[SquareClass, SquareClass] | None:
+    """The first pair (a, b) in the class order, b outside {1, a}, such
+    that phi is hyperbolic over F(sqrt a, sqrt b).
+
+    b is carried to F(sqrt a) by the same class map as phi's entries;
+    it is trivial there exactly when b is 1 or a.
+    """
     field = phi.field
-    for a in field.classes():
-        if a.is_one():
-            continue
-        mid_field, mid = extend_scalars_quadratic(phi, a)
-        for b_raw in field.classes():
-            b = _extension_image(b_raw, a, mid_field)
-            if b.is_one():
-                continue
-            _, final = extend_scalars_quadratic(mid, b)
-            if is_hyperbolic(final):
-                return a, b_raw
+    classes = [c.bits for c in field.classes()]
+    bits = [e.bits for e in phi]
+    for a in classes[1:]:
+        mid_field, mid = _extension_bits(field, bits, a)
+        images = _extension_bits(field, classes, a)[1]
+        for b, b_mid in zip(classes, images):
+            if b_mid and _splits(mid_field, mid, b_mid):
+                return SquareClass(field, a), SquareClass(field, b)
     return None
 
 

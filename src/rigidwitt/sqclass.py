@@ -5,6 +5,10 @@ F3, R, C (or the 2-square-class level-1 base obtained from F3 by
 adjoining a square root of -1).  A square class is a sign bit together
 with an F2 exponent vector over the Laurent variables; the group law is
 bitwise XOR.
+
+Moving a class a onto a Laurent variable (over F(sqrt a), or by a change
+of uniformizer) has a closed form on these bits: `class_map` defines it
+once, and `find_basis_change` is built from it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import FieldMismatchError, ParseError, UnitClassError
 
@@ -181,53 +185,46 @@ class ClassAutomorphism:
         return ClassAutomorphism(self.field, _invert_cols(self.cols))
 
 
-def _extend_to_basis(field: FieldDesc, a_bits: int) -> list[int]:
-    """Basis (e0, v_1, ..., v_{n-1}, a) of the class bit space over F2."""
-    n = field.nvars + 1
-    pivots: dict[int, int] = {}  # pivot bit -> reduced vector
+def class_map(a: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """(project, lift) on raw bits for a class a with a Laurent part.
 
-    def add(v: int) -> bool:
-        while v:
-            low = v & -v
-            if low not in pivots:
-                pivots[low] = v
-                return True
-            v ^= pivots[low]
-        return False
+    With t_p the highest variable of a, project sends b to b*a when b
+    has t_p and to b otherwise, then removes the t_p bit and shifts the
+    higher bits down.  It is a homomorphism with kernel {1, a}: the map
+    of square classes to F(sqrt a), written on one variable fewer (for
+    a = t_i it is the residue map of t_i).  lift is its section: it
+    inserts a zero t_p bit.
+    """
+    p = a.bit_length() - 1
+    top = 1 << p
+    low = top - 1
 
-    add(1)
-    add(a_bits)
-    basis = [1, a_bits]
-    for i in range(1, n):
-        cand = 1 << i
-        if add(cand):
-            basis.insert(len(basis) - 1, cand)
-    assert len(basis) == n
-    return basis  # order: e0, extensions..., a
+    def project(b: int) -> int:
+        if b & top:
+            b ^= a
+        return (b & low) | ((b >> (p + 1)) << p)
+
+    def lift(c: int) -> int:
+        return (c & low) | ((c >> p) << (p + 1))
+
+    return project, lift
 
 
 def find_basis_change(a: SquareClass) -> ClassAutomorphism:
     """An automorphism fixing -1 and sending a to the class of t_n.
 
     Models the paper's two moves: reordering Laurent variables and
-    replacing the uniformizer t_n by a unit multiple.
+    replacing the uniformizer t_n by a unit multiple.  In closed form,
+    with t_p the highest variable of a: t_i stays for i < p, t_i goes
+    to t_(i-1) for i > p, and t_p goes to (a without t_p) * t_n; that
+    is b -> project(b) * (t_n if b has t_p) with project from class_map.
     """
     field = a.field
     if a.is_unit_class():
         raise UnitClassError("class has no Laurent variable part")
-    n = field.nvars + 1
-    source = _extend_to_basis(field, a.bits)
-    targets = [1] + [1 << i for i in range(1, n)]
-    # M maps source[i] to targets[i]: M = T * S^{-1} on raw bit vectors.
-    src_inv_cols = _invert_cols(tuple(source))
-    cols = []
-    for j in range(n):
-        coords = _apply_cols(src_inv_cols, 1 << j)
-        out = 0
-        for i in range(n):
-            if (coords >> i) & 1:
-                out ^= targets[i]
-        cols.append(out)
+    project, _ = class_map(a.bits)
+    cols = [project(1 << j) for j in range(field.nvars + 1)]
+    cols[a.bits.bit_length() - 1] |= 1 << field.nvars
     return ClassAutomorphism(field, tuple(cols))
 
 
@@ -252,15 +249,6 @@ def _invert_cols(cols: tuple[int, ...]) -> tuple[int, ...]:
             if (inv_rows[i] >> j) & 1:
                 inv_cols[j] |= 1 << i
     return tuple(inv_cols)
-
-
-def _apply_cols(cols: tuple[int, ...], bits: int) -> int:
-    out = 0
-    for col in cols:
-        if bits & 1:
-            out ^= col
-        bits >>= 1
-    return out
 
 
 # --- textual syntax -------------------------------------------------------

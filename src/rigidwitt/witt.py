@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import FieldMismatchError
 from .qform import DiagonalForm, _canon_bits, neg, orth_sum
-from .sqclass import Base, FieldDesc, SquareClass
+from .sqclass import Base, FieldDesc, SquareClass, class_map
 
 __all__ = [
     "anisotropic_part",
@@ -52,10 +52,10 @@ def residue_forms(
         raise ValueError(f"variable index {i} out of range 1..{field.nvars}")
     bit = 1 << i
     target = field.residue()
-    low_mask = bit - 1
+    project, _ = class_map(bit)
 
     def drop(bits: int) -> SquareClass:
-        return SquareClass(target, (bits & low_mask) | ((bits >> (i + 1)) << i))
+        return SquareClass(target, project(bits))
 
     even = [drop(e.bits) for e in phi if not e.bits & bit]
     odd = [drop(e.bits) for e in phi if e.bits & bit]

@@ -14,6 +14,7 @@ the form constructors, to hand forms to the library), so they share no
 code with the library's Witt engine or Pfister search.
 """
 
+import collections
 import functools
 import itertools
 
@@ -90,6 +91,30 @@ class RawField:
         """Witt vector of a library PfisterSpec, re-expanded here."""
         return self.vector(self.pfister_bits(
             spec.scalar.bits, [s.bits for s in spec.slots]))
+
+    def hyperbolic_over(self, bits, roots):
+        """Whether the form with these entries is hyperbolic over
+        F(sqrt r : r in roots).  The classes there that come from F are
+        the classes modulo the span S of the roots, so the form is
+        hyperbolic when in the group ring on the cosets y + S the
+        coefficients of y and -y cancel: mod 4 over F3, exactly over
+        R, and each coset's count is even once -1 lies in S (then F3
+        becomes F3(i) and R becomes C) or the level is 1."""
+        span = {0}
+        for r in roots:
+            span |= {s ^ r for s in span}
+
+        def coset(b):
+            return min(b ^ s for s in span)
+
+        count = collections.Counter(coset(b) for b in bits)
+        if coset(self.minus_one) == 0:
+            return all(c % 2 == 0 for c in count.values())
+        for y, c in count.items():
+            diff = c - count[coset(y ^ self.minus_one)]
+            if (diff % self.m if self.m else diff) != 0:
+                return False
+        return True
 
     def witt_classes(self, box=2):
         """(vector, anisotropic form) for every Witt class; over R

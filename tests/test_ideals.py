@@ -179,6 +179,25 @@ def test_extend_by_unit_changes_base():
     assert new_field.base is Base.C
 
 
+@pytest.mark.parametrize("field", [
+    F2, FieldDesc(Base.C, 3), FieldDesc(Base.SQUARE_MINUS_ONE, 2),
+    FieldDesc(Base.R, 2)], ids=str)
+def test_extension_matches_splitting_oracle(field, raw_field):
+    # every anisotropic class (over R those with |c| <= 2) and every
+    # nontrivial a, the unit classes included: the image is hyperbolic
+    # exactly when the group-ring oracle on the classes modulo a says so
+    raw = raw_field(field)
+    for _v, phi in raw.witt_classes():
+        bits = [e.bits for e in phi]
+        for a in field.classes():
+            if a.is_one():
+                continue
+            new_field, ext = extend_scalars_quadratic(phi, a)
+            assert new_field.nvars == field.nvars
+            assert is_hyperbolic(ext) == raw.hyperbolic_over(
+                bits, (a.bits,)), (format_form(phi), str(a))
+
+
 def test_extend_rejects_trivial_class():
     with pytest.raises(SquareClassIsOneError):
         extend_scalars_quadratic(_f("<1,t1>"), F2.one())

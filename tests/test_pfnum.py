@@ -9,6 +9,7 @@ import pytest
 
 from rigidwitt.errors import (
     DepthCapExceededError,
+    FieldMismatchError,
     IsotropicInputError,
     NotInIdealError,
 )
@@ -462,6 +463,23 @@ def test_divisible_two_slots_split_but_not_divisible():
     assert divisible_by_pfister(phi, slots) == (False, None)
 
 
+def test_divisibility_over_R_matches_splitting_oracle(raw_field):
+    # one slot: phi is a multiple of <<a>> exactly when it splits over
+    # F(sqrt a); every box class of R[t1,t2] and every slot, a = -1
+    # (the extension to C) and a = 1 (pi hyperbolic) included
+    raw = raw_field(R2)
+    for v, phi in raw.witt_classes():
+        bits = [e.bits for e in phi]
+        for a in R2.classes():
+            ok, quotient = divisible_by_pfister(phi, (a,))
+            assert ok == raw.hyperbolic_over(bits, (a.bits,)), \
+                (format_form(phi), str(a))
+            if ok:
+                pi = raw.pfister_bits(0, [a.bits])
+                assert raw.vector([q.bits ^ p for q in quotient
+                                   for p in pi]) == v
+
+
 def test_divisibility_three_way_agreement_exhaustive(pfister_multiples,
                                                     raw_field):
     # brute-force membership in pi*W(F) == peeling == hyperbolicity
@@ -483,6 +501,14 @@ def test_divisibility_three_way_agreement_exhaustive(pfister_multiples,
             # third way: split over the quadratic extension by a
             _, ext = extend_scalars_quadratic(phi, a)
             assert ok == is_hyperbolic(ext), (format_form(phi), str(a))
+
+
+def test_divisibility_rejects_classes_of_another_field():
+    with pytest.raises(FieldMismatchError):
+        divisible_by_pfister(_f("<1,t1>"), (F3V.var(1),))
+    with pytest.raises(FieldMismatchError):
+        common_slot(PfisterSpec(F2.one(), (F2.var(1),)),
+                    PfisterSpec(F3V.one(), (F3V.var(1),)))
 
 
 def test_common_slot():
@@ -543,7 +569,7 @@ def test_classify14_report():
     assert rep["conditions_i_iii"]
 
 
-def test_classify16_report():
+def test_classify16_report(raw_field):
     phi = _sample(16, 4)
     rep = classify16(phi)
     assert rep["gp3"] <= 3
@@ -551,12 +577,23 @@ def test_classify16_report():
     for spec in rep["gp2_decomposition"]:
         total = orth_sum(total, spec.expand())
     assert is_isometric(total, phi)
-    a, b = rep["splitting_pair"]
-    mid_field, mid = extend_scalars_quadratic(phi, a)
-    from rigidwitt.pfnum import _extension_image
+    a, b = (c.bits for c in rep["splitting_pair"])
+    assert b not in (0, a)
+    assert raw_field(F5).hyperbolic_over([e.bits for e in phi], (a, b))
 
-    _, final = extend_scalars_quadratic(mid, _extension_image(b, a, mid_field))
-    assert is_hyperbolic(final)
+
+def test_splitting_pair_is_the_first_oracle_pair(raw_field):
+    # the reported pair is the first (a, b) in field.classes() order,
+    # b outside {1, a}, over whose biquadratic extension the oracle
+    # finds phi hyperbolic; this pins the order the CLI prints
+    raw = raw_field(F5)
+    for seed in range(100, 120):
+        phi = _sample(16, seed)
+        bits = [e.bits for e in phi]
+        first = next((a, b) for a in raw.classes[1:] for b in raw.classes
+                     if b not in (0, a) and raw.hyperbolic_over(bits, (a, b)))
+        pair = classify16(phi)["splitting_pair"]
+        assert tuple(c.bits for c in pair) == first, format_form(phi)
 
 
 def test_classify_dimension_checks():

@@ -8,6 +8,7 @@ from rigidwitt.sqclass import (
     Base,
     FieldDesc,
     SquareClass,
+    class_map,
     find_basis_change,
     format_square_class,
     parse_field,
@@ -97,14 +98,26 @@ def test_parse_square_class_examples():
 
 
 def test_basis_change_moves_class_to_last_variable():
-    f = FieldDesc(Base.F3, 3)
-    a = -(f.var(1) * f.var(3))
-    m = find_basis_change(a)
-    assert m.apply(a) == f.var(3)
-    inv = m.inverse()
-    for bits in range(f.square_class_count()):
-        c = SquareClass(f, bits)
-        assert inv.apply(m.apply(c)) == c
+    # for every class a with a Laurent part over every base: a goes to
+    # t_n, -1 is fixed, the inverse undoes the map, and clearing t_n
+    # after the map is the projection of class_map(a), whose section is
+    # lift
+    for base in Base:
+        f = FieldDesc(base, 3)
+        top = 1 << f.nvars
+        for a in f.classes():
+            if a.is_unit_class():
+                continue
+            m = find_basis_change(a)
+            assert m.apply(a) == f.var(3)
+            assert m.apply(f.minus_one()) == f.minus_one()
+            inv = m.inverse()
+            project, lift = class_map(a.bits)
+            for c in f.classes():
+                assert inv.apply(m.apply(c)) == c
+                assert m.apply(c).bits & ~top == project(c.bits)
+                if not c.bits & top:
+                    assert project(lift(c.bits)) == c.bits
 
 
 def test_basis_change_is_multiplicative():
