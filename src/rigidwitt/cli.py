@@ -217,7 +217,12 @@ def _cmd_bounds(args, out) -> int:
 def _cmd_tabulate(args, out) -> int:
     field = parse_field(args.field)
     rng = random.Random(args.seed)
-    dims = [int(x) for x in args.dims.split(",")]
+    try:
+        dims = [int(x) for x in args.dims.split(",")]
+    except ValueError:
+        raise _UsageError("--dims must be comma-separated integers") from None
+    if min(dims) < 0 or args.samples < 1:
+        raise _UsageError("--dims must be nonnegative, --samples positive")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["dim", "samples", "max_gp"])

@@ -18,14 +18,7 @@ from .errors import (
     UnitClassError,
 )
 from .qform import DiagonalForm, neg, orth_sum, scale
-from .sqclass import (
-    Base,
-    ClassAutomorphism,
-    FieldDesc,
-    SquareClass,
-    class_map,
-    find_basis_change,
-)
+from .sqclass import Base, FieldDesc, SquareClass, basis_change_map, class_map
 from .witt import (
     anisotropic_part,
     is_hyperbolic,
@@ -136,8 +129,9 @@ def rigid_decompose(phi: DiagonalForm, a: SquareClass) -> UnimodularSplit:
     """decompose_unimodular along the class a instead of a plain variable.
 
     Requires 1 in D(phi) and a with a nonzero exponent part; a is moved
-    onto the last variable by a basis change, the split is computed
-    there, and the result is pulled back.
+    onto the last variable by the basis change of `find_basis_change`,
+    the split is computed there, and the result is pulled back.  Both
+    maps act on raw bits through `basis_change_map`.
     """
     if a.field != phi.field:
         raise FieldMismatchError(f"{a.field} vs {phi.field}")
@@ -146,19 +140,15 @@ def rigid_decompose(phi: DiagonalForm, a: SquareClass) -> UnimodularSplit:
     if not represents(phi, phi.field.one()):
         raise ValueError("phi must represent 1")
     field = phi.field
-    from .qform import apply_automorphism
+    moved, back = basis_change_map(a.bits, field.nvars)
 
-    moved = apply_automorphism(find_basis_change(a), phi)
-    split = decompose_unimodular(moved, field.nvars)
-    # the inverse basis change: t_n goes back to a, the rest via lift
-    _, lift = class_map(a.bits)
-    inv = ClassAutomorphism(field, tuple(
-        lift(1 << j) for j in range(field.nvars)) + (a.bits,))
-    return UnimodularSplit(
-        inv.apply(split.t),
-        apply_automorphism(inv, split.sigma),
-        apply_automorphism(inv, split.tau),
-    )
+    def image(f, psi: DiagonalForm) -> DiagonalForm:
+        return DiagonalForm(field, tuple(
+            SquareClass(field, f(e.bits)) for e in psi))
+
+    split = decompose_unimodular(image(moved, phi), field.nvars)
+    return UnimodularSplit(SquareClass(field, back(split.t.bits)),
+                           image(back, split.sigma), image(back, split.tau))
 
 
 def lift_form(phi: DiagonalForm, field: FieldDesc) -> DiagonalForm:

@@ -34,9 +34,6 @@ from .qform import (
     PfisterSpec,
     _canon_bits,
     format_form,
-    is_isometric,
-    is_subform,
-    neg,
     orth_sum,
     pfister,
     scale,
@@ -45,15 +42,16 @@ from .qform import (
 from .sqclass import FieldDesc, SquareClass, class_map
 from .witt import (
     anisotropic_part,
-    is_hyperbolic,
+    form_from_witt_vector,
     is_isotropic,
-    value_set,
-    witt_vector,
     _an_bits,
     _class_order,
+    _counts,
     _flex,
+    _form,
     _ring_params,
     _values,
+    _vector,
 )
 
 __all__ = [
@@ -95,11 +93,12 @@ class PfisterCertificate:
     target: DiagonalForm  # canonical anisotropic representative
 
     def verify(self) -> bool:
+        """Whether the terms, expanded on raw bits, sum to the target's
+        Witt class."""
         field = self.target.field
-        total = DiagonalForm(field, ())
-        for t in self.terms:
-            total = orth_sum(total, t.expand())
-        return witt_vector(total) == witt_vector(self.target)
+        terms = [b for t in self.terms for b in _expand(t)]
+        return _counts(field, terms) == _counts(
+            field, (e.bits for e in self.target))
 
     def to_json_dict(self) -> dict:
         from .sqclass import format_square_class
@@ -124,6 +123,26 @@ class PfisterCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _expand(spec: PfisterSpec) -> list[int]:
+    """The entries of spec.expand() on raw bits: the scalar times the
+    products of the <1, -a>."""
+    minus_one = spec.scalar.field.minus_one().bits
+    out = [spec.scalar.bits]
+    for a in spec.slots:
+        out += [e ^ a.bits ^ minus_one for e in out]
+    return out
+
+
+def _minus(field: FieldDesc, bits: Sequence[int],
+           spec: PfisterSpec) -> list[int]:
+    """The canonical anisotropic part of <bits> - spec, in the class
+    order."""
+    minus_one = field.minus_one().bits
+    total = list(bits) + [b ^ minus_one for b in _expand(spec)]
+    an = _an_bits(field, tuple(sorted(total)))
+    return sorted(_canon_bits(field, an), key=_class_order)
 
 
 def _certificate(n: int, terms: Sequence[PfisterSpec],
@@ -190,10 +209,8 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
         scalars = list(field.classes())
     out: dict[tuple[int, ...], PfisterSpec] = {}
     for bits, slots in sets[n - 1].items():
-        base = DiagonalForm(
-            field, tuple(SquareClass(field, b) for b in bits))
         for c in scalars:
-            v = witt_vector(scale(c, base))
+            v = _vector(field, [c.bits ^ b for b in bits])
             out.setdefault(v, PfisterSpec(c, slots))
     _GEN_CACHE[("G", key)] = out
     return out
@@ -206,9 +223,8 @@ def enumerate_GPn_classes(
     if n < 1:
         raise ValueError("fold must be at least 1")
     gens = _generators(field, n, unscaled)
-    out = []
-    for spec in gens.values():
-        out.append((anisotropic_part(spec.expand()), spec))
+    out = [(form_from_witt_vector(field, v), spec)
+           for v, spec in gens.items()]
     out.sort(key=lambda pair: tuple(e.bits for e in pair[0].entries))
     return out
 
@@ -331,8 +347,7 @@ def find_GP2_subform(
     bits = [e.bits for e in phi.entries]
     anchors = _values(bits, _flex(field))
     for e, slots, comp in _pfister_subforms(field, bits, 2, anchors):
-        return _spec(field, e, slots), DiagonalForm(field, tuple(
-            SquareClass(field, b) for b in _canon_bits(field, comp)))
+        return _spec(field, e, slots), _form(field, comp)
     return None
 
 
@@ -357,7 +372,8 @@ def divisible_by_pfister(
     pi, so peeling a multiple of pi never gets stuck.  For one slot the
     splitting test is exact and a stuck peeling is a contradiction; for
     more slots splitting is only necessary, and a stuck peeling means
-    phi is not divisible.  rho is verified by isometry.
+    phi is not divisible.  Peeling splits entries off on raw bits, and
+    pi * rho is checked against phi's Witt vector.
     """
     if is_isotropic(phi):
         raise IsotropicInputError("divisibility is tested on anisotropic forms")
@@ -365,21 +381,24 @@ def divisible_by_pfister(
     for a in slots:
         if a.field != field:
             raise FieldMismatchError(f"{a.field} vs {field}")
-    pi = pfister(tuple(slots))
-    if is_hyperbolic(pi):
+    if not slots:
+        raise ValueError("need at least one slot")
+    pi = _expand(PfisterSpec(field.one(), tuple(slots)))
+    if not _an_bits(field, tuple(sorted(pi))):
         if phi.dim == 0:
             return True, DiagonalForm(field, ())
         return False, None
     bits = [e.bits for e in phi]
     if not all(_splits(field, bits, a.bits) for a in slots):
         return False, None
-    remaining = phi
-    quotient: list[SquareClass] = []
-    while remaining.dim:
-        for x in sorted(value_set(remaining), key=SquareClass.sort_key):
-            if is_subform(scale(x, pi), remaining):
-                remaining = anisotropic_part(
-                    orth_sum(remaining, neg(scale(x, pi))))
+    flex = _flex(field)
+    rest = list(bits)
+    quotient: list[int] = []
+    while rest:
+        for x in _values(rest, flex):
+            left = list(rest)
+            if all(_split_off(left, x ^ p, flex) for p in pi):
+                rest = left
                 quotient.append(x)
                 break
         else:
@@ -387,10 +406,11 @@ def divisible_by_pfister(
                 return False, None
             raise InternalContradictionError(
                 "form splits over the extension but peeling found no factor")
-    rho = DiagonalForm(field, tuple(quotient))
-    if not is_isometric(tensor(pi, rho), phi):
+    product = [x ^ p for x in quotient for p in pi]
+    if _counts(field, product) != _counts(field, bits):
         raise InternalContradictionError("peeled quotient fails to verify")
-    return True, rho
+    return True, DiagonalForm(field, tuple(
+        SquareClass(field, x) for x in quotient))
 
 
 def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
@@ -402,7 +422,7 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
     field = pi1.scalar.field
     if pi2.scalar.field != field:
         raise FieldMismatchError(f"{field} vs {pi2.scalar.field}")
-    forms = [[e.bits for e in pi.expand()] for pi in (pi1, pi2)]
+    forms = [_expand(pi1), _expand(pi2)]
     for d in field.classes():
         if not d.is_one() and all(_splits(field, f, d.bits) for f in forms):
             return d
@@ -498,21 +518,19 @@ def _gp2_peeling_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     """The dim/2 - 1 construction for I^2 forms: peel three entries at
     a time via <a,b,c,abc> = a<<-ab,-ac>>."""
     field = phi.field
+    minus_one = field.minus_one().bits
     terms: list[PfisterSpec] = []
-    cur = phi
-    while cur.dim > 4:
-        a, b, c = cur.entries[:3]
-        spec = PfisterSpec(a, (-(a * b), -(a * c)))
+    cur = [e.bits for e in phi.entries]
+    while len(cur) >= 4:
+        a, b, c = cur[:3]
+        spec = _spec(field, a, (a ^ b ^ minus_one, a ^ c ^ minus_one))
         terms.append(spec)
-        cur = anisotropic_part(orth_sum(cur, neg(spec.expand())))
-    if cur.dim == 4:
-        a, b, c = cur.entries[:3]
-        spec = PfisterSpec(a, (-(a * b), -(a * c)))
-        if not is_isometric(spec.expand(), cur):
+        last = len(cur) == 4
+        cur = _minus(field, cur, spec)
+        if last and cur:
             raise InternalContradictionError(
                 "final quaternary I^2 class is not similar to a Pfister form")
-        terms.append(spec)
-    elif cur.dim:
+    if cur:
         raise InternalContradictionError("I^2 peeling left an odd remainder")
     return terms
 
@@ -533,14 +551,8 @@ def _gp3_dim12_terms(phi: DiagonalForm) -> list[PfisterSpec]:
             continue
         r = rho.entries
         first = PfisterSpec(r[0], (a, -(r[0] * r[1]), -(r[0] * r[2])))
-        rest = anisotropic_part(orth_sum(phi, neg(first.expand())))
-        if rest.dim == 0:
-            return [first]
-        second = _as_scaled_pfister(rest, 3)
-        if second is None:
-            raise InternalContradictionError(
-                "8-dimensional I^3 remainder not similar to a Pfister form")
-        return [first, second]
+        rest = _minus(field, [e.bits for e in phi.entries], first)
+        return [first] + _gp3_small_terms(_form(field, rest))
     raise InternalContradictionError(
         "12-dimensional I^3 form without a binary divisor")
 
@@ -611,8 +623,8 @@ def _gp3_dim16_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     c = sigma.scalar
     w = comp.entries[0]
     spec = PfisterSpec(c, sigma.slots + (-(c * w),))
-    rest = anisotropic_part(orth_sum(phi, neg(spec.expand())))
-    return [spec] + _gp3_small_terms(rest)
+    rest = _minus(phi.field, [e.bits for e in phi.entries], spec)
+    return [spec] + _gp3_small_terms(_form(phi.field, rest))
 
 
 def _gp3_small_terms(phi: DiagonalForm) -> list[PfisterSpec]:
@@ -641,11 +653,11 @@ def _tensor_reduction(
 ) -> tuple[SquareClass, DiagonalForm] | None:
     """A factorization phi = <1,t> (x) tau with tau free of t's variable.
 
-    phi must be anisotropic.  Returns (t, tau over the residue field
-    after moving t onto the last variable) or None.  Pfister numbers are
-    preserved: GP_n of the product equals GP_{n-1} of tau.  The residue
-    forms are anisotropic, so they are isometric exactly when their
-    canonical diagonalizations agree.
+    phi must be anisotropic.  Returns (t, tau) or None, with tau the
+    anisotropic part over the residue field after moving t onto the
+    last variable.  Pfister numbers are preserved: GP_n of the product
+    equals GP_{n-1} of tau.  The residue forms are anisotropic, so they
+    are isometric exactly when their canonical diagonalizations agree.
     """
     field = phi.field
     flex = _flex(field)
@@ -663,9 +675,9 @@ def _tensor_reduction(
             if _canon_bits(field, [u ^ x for x in odd]) == target:
                 project, _ = class_map(u ^ bit)
                 res = field.residue()
-                tau = DiagonalForm(res, tuple(
-                    SquareClass(res, project(u ^ x)) for x in odd))
-                return SquareClass(field, u ^ bit), tau
+                tau = sorted(project(u ^ x) for x in odd)
+                return (SquareClass(field, u ^ bit),
+                        _form(res, _an_bits(res, tuple(tau))))
     return None
 
 
@@ -845,8 +857,7 @@ def _pfister_number_impl(
         red = _tensor_reduction(an)
         if red is not None:
             t, tau = red
-            k, sub_terms = _pfister_number_impl(
-                anisotropic_part(tau), n - 1, unscaled, None)
+            k, sub_terms = _pfister_number_impl(tau, n - 1, unscaled, None)
             if depth_cap is not None and k > depth_cap:
                 raise DepthCapExceededError(depth_cap)
             if k == 0:
@@ -870,10 +881,9 @@ def _pfister_number_impl(
         if cap < 1:
             raise DepthCapExceededError(cap)
         return 1, [spec]
-    v = witt_vector(an)
     enum_ok = _enum_feasible(field, n)
     for k in range(2, cap + 1):
-        terms = _decide_k(an, v, n, k, unscaled, enum_ok, cap)
+        terms = _decide_k(an, n, k, unscaled, enum_ok, cap)
         if terms is not None:
             if len(terms) != k:
                 raise InternalContradictionError(
@@ -887,7 +897,6 @@ def _pfister_number_impl(
 
 def _decide_k(
     an: DiagonalForm,
-    v: tuple[int, ...],
     n: int,
     k: int,
     unscaled: bool,
@@ -927,6 +936,7 @@ def _decide_k(
         gens = _generators(field, n, unscaled)
         cost = len(gens) if k == 2 else len(gens) ** (k - 1)
         if cost <= _MAX_SEARCH_ROWS:
+            v = _vector(field, (e.bits for e in an.entries))
             return _search_sum(field, v, n, k, unscaled)
     raise DepthCapExceededError(cap)
 

@@ -1,8 +1,8 @@
 """Diagonal quadratic forms over rigid-field models.
 
 Forms are multisets of square classes stored as sorted tuples.  Isometry
-testing, canonicalization and subform machinery delegate to the Witt
-module for anisotropic parts.
+and subform tests and complements go through anisotropic parts, which
+the Witt module reads off the form's Witt vector.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
 )
 from .sqclass import (
-    ClassAutomorphism,
     FieldDesc,
     SquareClass,
     format_square_class,
@@ -158,9 +157,7 @@ def canonicalize(phi: DiagonalForm) -> DiagonalForm:
 
     if witt.is_isotropic(phi):
         raise IsotropicInputError("canonicalize requires an anisotropic form")
-    field = phi.field
-    bits = _canon_bits(field, [e.bits for e in phi])
-    return DiagonalForm(field, tuple(SquareClass(field, b) for b in bits))
+    return witt._form(phi.field, [e.bits for e in phi])
 
 
 def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
@@ -252,10 +249,6 @@ def decompose_over_split(
         DiagonalForm(fld, tuple(parts2)),
         cur_psi,
     )
-
-
-def apply_automorphism(m: ClassAutomorphism, phi: DiagonalForm) -> DiagonalForm:
-    return DiagonalForm(phi.field, tuple(m.apply(e) for e in phi))
 
 
 # --- textual syntax -------------------------------------------------------

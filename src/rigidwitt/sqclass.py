@@ -32,6 +32,7 @@ class Base(enum.Enum):
 
 
 _LEVELS = {Base.F3: 2, Base.R: None, Base.C: 1, Base.SQUARE_MINUS_ONE: 1}
+_BitMap = Callable[[int], int]  # a map of square classes on raw bits
 
 
 @dataclass(frozen=True)
@@ -174,18 +175,16 @@ class ClassAutomorphism:
         if a.field != self.field:
             raise FieldMismatchError(f"{a.field} vs {self.field}")
         out = 0
-        bits = a.bits
-        for col in self.cols:
-            if bits & 1:
+        for j, col in enumerate(self.cols):
+            if a.bits >> j & 1:
                 out ^= col
-            bits >>= 1
         return SquareClass(self.field, out)
 
     def inverse(self) -> "ClassAutomorphism":
         return ClassAutomorphism(self.field, _invert_cols(self.cols))
 
 
-def class_map(a: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
+def class_map(a: int) -> tuple[_BitMap, _BitMap]:
     """(project, lift) on raw bits for a class a with a Laurent part.
 
     With t_p the highest variable of a, project sends b to b*a when b
@@ -210,45 +209,59 @@ def class_map(a: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
     return project, lift
 
 
+def basis_change_map(a: int, nvars: int) -> tuple[_BitMap, _BitMap]:
+    """(moved, back) on raw bits: find_basis_change(a) and its inverse.
+
+    moved sends b to project(b), times t_n when b has a's highest
+    variable; back sends t_n to a and everything else through lift.
+    """
+    project, lift = class_map(a)
+    top = 1 << (a.bit_length() - 1)
+    t_n = 1 << nvars
+
+    def moved(b: int) -> int:
+        return project(b) | (t_n if b & top else 0)
+
+    def back(b: int) -> int:
+        return lift(b & ~t_n) ^ (a if b & t_n else 0)
+
+    return moved, back
+
+
 def find_basis_change(a: SquareClass) -> ClassAutomorphism:
     """An automorphism fixing -1 and sending a to the class of t_n.
 
     Models the paper's two moves: reordering Laurent variables and
     replacing the uniformizer t_n by a unit multiple.  In closed form,
     with t_p the highest variable of a: t_i stays for i < p, t_i goes
-    to t_(i-1) for i > p, and t_p goes to (a without t_p) * t_n; that
-    is b -> project(b) * (t_n if b has t_p) with project from class_map.
+    to t_(i-1) for i > p, and t_p goes to (a without t_p) * t_n; its
+    columns are the images under basis_change_map's moved.
     """
     field = a.field
     if a.is_unit_class():
         raise UnitClassError("class has no Laurent variable part")
-    project, _ = class_map(a.bits)
-    cols = [project(1 << j) for j in range(field.nvars + 1)]
-    cols[a.bits.bit_length() - 1] |= 1 << field.nvars
-    return ClassAutomorphism(field, tuple(cols))
+    moved, _ = basis_change_map(a.bits, field.nvars)
+    return ClassAutomorphism(field, tuple(
+        moved(1 << j) for j in range(field.nvars + 1)))
 
 
 def _invert_cols(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """Columns of the inverse of the GF(2) matrix M with these columns.
+
+    Gauss-Jordan on pairs (M x, x), starting from (cols[j], e_j); once
+    the first halves are the unit vectors, the second halves are the
+    columns of M^-1.
+    """
     n = len(cols)
-    rows = [0] * n
-    for j, col in enumerate(cols):
-        for i in range(n):
-            if (col >> i) & 1:
-                rows[i] |= 1 << j
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if (aug[r] >> c) & 1)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        for r in range(n):
-            if r != c and (aug[r] >> c) & 1:
-                aug[r] ^= aug[c]
-    inv_rows = [aug[i] >> n for i in range(n)]
-    inv_cols = [0] * n
+    pairs = [(c, 1 << j) for j, c in enumerate(cols)]
     for i in range(n):
-        for j in range(n):
-            if (inv_rows[i] >> j) & 1:
-                inv_cols[j] |= 1 << i
-    return tuple(inv_cols)
+        k = next(k for k in range(i, n) if pairs[k][0] >> i & 1)
+        pairs[i], pairs[k] = pairs[k], pairs[i]
+        for r in range(n):
+            if r != i and pairs[r][0] >> i & 1:
+                pairs[r] = (pairs[r][0] ^ pairs[i][0],
+                            pairs[r][1] ^ pairs[i][1])
+    return tuple(x for _, x in pairs)
 
 
 # --- textual syntax -------------------------------------------------------

@@ -1,19 +1,21 @@
 """Witt-ring computations for rigid-field models.
 
-Two equivalent engines are provided: a Springer-style recursion on the
-highest Laurent variable, and a group-ring picture in which the Witt
-ring is (Z/nZ)[H] for a subgroup H of the square-class group.  Both
-compute anisotropic parts; agreement between them is a test invariant.
+The Witt ring of every model is the group ring (Z/nZ)[H] for a subgroup
+H of the square-class group, so a form's Witt class is a coefficient
+vector and its anisotropic part is read off that vector.  One raw-bit
+helper counts the vector's nonzero coefficients; anisotropic parts,
+Witt indices, value sets and Witt-class equality all come from it, and
+the dense vector is built from it only where it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
-from .qform import DiagonalForm, _canon_bits, neg, orth_sum
+from .qform import DiagonalForm, _canon_bits, orth_sum
 from .sqclass import Base, FieldDesc, SquareClass, class_map
 
 __all__ = [
@@ -46,64 +48,102 @@ def residue_forms(
     residue model (variables above t_i are renumbered down by one).
     """
     field = phi.field
-    if i is None:
-        i = field.nvars
+    i = field.nvars if i is None else i
     if not 1 <= i <= field.nvars:
         raise ValueError(f"variable index {i} out of range 1..{field.nvars}")
     bit = 1 << i
     target = field.residue()
     project, _ = class_map(bit)
+    parts: tuple[list, list] = ([], [])
+    for e in phi:
+        parts[bool(e.bits & bit)].append(SquareClass(target, project(e.bits)))
+    return DiagonalForm(target, tuple(parts[0])), DiagonalForm(
+        target, tuple(parts[1]))
 
-    def drop(bits: int) -> SquareClass:
-        return SquareClass(target, project(bits))
 
-    even = [drop(e.bits) for e in phi if not e.bits & bit]
-    odd = [drop(e.bits) for e in phi if e.bits & bit]
-    return DiagonalForm(target, tuple(even)), DiagonalForm(target, tuple(odd))
+# --- the group ring -------------------------------------------------------
+
+def _ring_params(field: FieldDesc) -> tuple[int, int, int]:
+    """(modulus, index-bit-count, whether H is the unit-bit-0 subgroup).
+
+    modulus 0 means Z.  For F3 and R the subgroup H consists of classes
+    with unit bit 0, indexed by the exponent bits; for the level-1 bases
+    H is the whole class group.
+    """
+    base = field.base
+    if base is Base.F3:
+        return 4, field.nvars, 1
+    if base is Base.R:
+        return 0, field.nvars, 1
+    if base is Base.C:
+        return 2, field.nvars, 0
+    return 2, field.nvars + 1, 0
+
+
+def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
+    """Nonzero Witt coefficients of the form with these entries, by H-index.
+
+    <x> adds 1 at x's index; when H is the unit-bit-0 subgroup, an x
+    with the unit bit is -(-x) and adds -1 at the index of -x.
+    """
+    modulus, m, split_units = _ring_params(field)
+    shift = field.nvars + 1 - m
+    counts: dict[int, int] = {}
+    for b in bits:
+        counts[b >> shift] = counts.get(b >> shift, 0) + 1 - 2 * (
+            b & split_units)
+    return {i: r for i, c in counts.items()
+            if (r := c % modulus if modulus else c)}
+
+
+def _vector(field: FieldDesc, bits: Iterable[int]) -> tuple[int, ...]:
+    """Witt vector of the form with these entries, indexed by H."""
+    coeffs = [0] * (1 << _ring_params(field)[1])
+    for i, c in _counts(field, bits).items():
+        coeffs[i] = c
+    return tuple(coeffs)
+
+
+def _read_off(field: FieldDesc,
+              items: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The anisotropic representative of the Witt class with these
+    (H-index, coefficient) pairs."""
+    modulus, m, split_units = _ring_params(field)
+    out: list[int] = []
+    for idx, c in items:
+        c = c % modulus if modulus else c
+        h = idx << (field.nvars + 1 - m)
+        if not split_units:  # Z/2 coefficients
+            out += [h] * c
+        elif modulus:  # Z/4 over F3: 2 is <h,h>, 3 = -1 is <-h>
+            out += ((), (h,), (h, h), (h | 1,))[c]
+        else:  # Z coefficients over R
+            out += [h | (c < 0)] * abs(c)
+    return tuple(sorted(out))
+
+
+def anisotropic_bits_from_vector(field: FieldDesc,
+                                 coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Read the anisotropic representative off a Witt-class vector."""
+    return _read_off(field, enumerate(coeffs))
 
 
 @lru_cache(maxsize=1 << 18)
 def _an_bits(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Anisotropic part on raw bit tuples (Springer recursion)."""
-    if not entries:
-        return ()
-    if field.nvars == 0:
-        return _an_base(field, entries)
-    bit = 1 << field.nvars
-    res = field.residue()
-    even = tuple(sorted(b & ~bit for b in entries if not b & bit))
-    odd = tuple(sorted(b & ~bit for b in entries if b & bit))
-    out = _an_bits(res, even)
-    out += tuple(b | bit for b in _an_bits(res, odd))
-    return tuple(sorted(out))
+    """Anisotropic part on raw bits, read off the nonzero Witt coefficients."""
+    return _read_off(field, _counts(field, entries).items())
 
 
-def _an_base(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
-    base = field.base
-    if base is Base.C:
-        return (0,) if len(entries) % 2 else ()
-    if base is Base.R:
-        p = sum(1 for b in entries if not b)
-        q = len(entries) - p
-        return (0,) * (p - q) if p >= q else (1,) * (q - p)
-    if base is Base.F3:
-        p = sum(1 for b in entries if not b)
-        q = len(entries) - p
-        v = (p - q) % 4
-        return {0: (), 1: (0,), 2: (0, 0), 3: (1,)}[v]
-    # level-1 base with two unit classes: each class survives mod 2
-    out = []
-    for b in (0, 1):
-        if sum(1 for e in entries if e == b) % 2:
-            out.append(b)
-    return tuple(out)
+def _form(field: FieldDesc, an: Sequence[int]) -> DiagonalForm:
+    """The canonical diagonalization of the anisotropic form with these
+    entries."""
+    return DiagonalForm(field, tuple(
+        SquareClass(field, b) for b in _canon_bits(field, an)))
 
 
 def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
     field = phi.field
-    raw = _an_bits(field, tuple(sorted(e.bits for e in phi)))
-    bits = _canon_bits(field, raw)
-    return DiagonalForm(field, tuple(SquareClass(field, b) for b in bits))
+    return _form(field, _an_bits(field, tuple(sorted(e.bits for e in phi))))
 
 
 def witt_index(phi: DiagonalForm) -> int:
@@ -175,24 +215,7 @@ def value_set(phi: DiagonalForm) -> frozenset[SquareClass]:
     return frozenset(SquareClass(field, b) for b in vals)
 
 
-# --- group-ring picture ---------------------------------------------------
-
-def _ring_params(field: FieldDesc) -> tuple[int, int, int]:
-    """(modulus, index-bit-count, whether H is the unit-bit-0 subgroup).
-
-    modulus 0 means Z.  For F3 and R the subgroup H consists of classes
-    with unit bit 0, indexed by the exponent bits; for the level-1 bases
-    H is the whole class group.
-    """
-    base = field.base
-    if base is Base.F3:
-        return 4, field.nvars, 1
-    if base is Base.R:
-        return 0, field.nvars, 1
-    if base is Base.C:
-        return 2, field.nvars, 0
-    return 2, field.nvars + 1, 0
-
+# --- group-ring elements --------------------------------------------------
 
 @dataclass(frozen=True)
 class GroupRingElt:
@@ -200,6 +223,12 @@ class GroupRingElt:
 
     field: FieldDesc
     coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        size = 1 << _ring_params(self.field)[1]
+        if len(self.coeffs) != size:
+            raise ValueError(f"a Witt vector over {self.field} has {size} "
+                             f"coefficients, got {len(self.coeffs)}")
 
     @property
     def modulus(self) -> int:
@@ -228,20 +257,7 @@ class GroupRingElt:
 
 def witt_vector(phi: DiagonalForm) -> tuple[int, ...]:
     """Raw coefficient tuple of phi's Witt class, indexed by H."""
-    field = phi.field
-    modulus, m, split_units = _ring_params(field)
-    coeffs = [0] * (1 << m)
-    for e in phi:
-        if split_units:
-            if e.unit:
-                coeffs[(-e).exps] -= 1
-            else:
-                coeffs[e.exps] += 1
-        else:
-            coeffs[e.bits if field.base is not Base.C else e.exps] += 1
-    if modulus:
-        coeffs = [c % modulus for c in coeffs]
-    return tuple(coeffs)
+    return _vector(phi.field, (e.bits for e in phi))
 
 
 def to_group_ring(phi: DiagonalForm) -> GroupRingElt:
@@ -251,41 +267,13 @@ def to_group_ring(phi: DiagonalForm) -> GroupRingElt:
 def group_ring_equal(phi: DiagonalForm, psi: DiagonalForm) -> bool:
     if phi.field != psi.field:
         raise FieldMismatchError(f"{phi.field} vs {psi.field}")
-    return witt_vector(phi) == witt_vector(psi)
-
-
-def anisotropic_bits_from_vector(
-    field: FieldDesc, coeffs: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Read the anisotropic representative off a Witt-class vector."""
-    modulus, m, split_units = _ring_params(field)
-    out: list[int] = []
-    for idx, c in enumerate(coeffs):
-        if not c:
-            continue
-        if split_units:
-            h = idx << 1
-            if modulus == 4:
-                c %= 4
-                if c == 1:
-                    out.append(h)
-                elif c == 2:
-                    out.extend((h, h))
-                else:
-                    out.append(h | 1)
-            else:  # Z coefficients (real base)
-                out.extend([h if c > 0 else h | 1] * abs(c))
-        else:
-            h = idx if field.base is not Base.C else idx << 1
-            if c % 2:
-                out.append(h)
-    return tuple(sorted(out))
+    return _counts(phi.field, (e.bits for e in phi)) == _counts(
+        psi.field, (e.bits for e in psi))
 
 
 def anisotropic_from_group_ring(elt: GroupRingElt) -> DiagonalForm:
     field = elt.field
-    bits = _canon_bits(field, anisotropic_bits_from_vector(field, elt.coeffs))
-    return DiagonalForm(field, tuple(SquareClass(field, b) for b in bits))
+    return _form(field, anisotropic_bits_from_vector(field, elt.coeffs))
 
 
 def form_from_witt_vector(

@@ -11,7 +11,10 @@ t_i.  The Witt ring of every field model is the group ring (Z/m)[H]:
 
 The oracles below use that table and `FieldDesc.classes()` only (and
 the form constructors, to hand forms to the library), so they share no
-code with the library's Witt engine or Pfister search.
+code with the library's Witt engine or Pfister search.  The `springer`
+oracle reaches anisotropic parts another way, by Springer's theorem on
+the residue forms of the top Laurent variable; the library reads them
+off the group ring.
 """
 
 import collections
@@ -55,6 +58,15 @@ class RawField:
 
     def add(self, u, w):
         return self.reduce([a + b for a, b in zip(u, w)])
+
+    def mul(self, u, w):
+        """The product in the group ring: e_h * e_k = e_(h xor k), so an
+        XOR convolution of the coefficients."""
+        out = [0] * self.size
+        for i, a in enumerate(u):
+            for j, b in enumerate(w):
+                out[i ^ j] += a * b
+        return self.reduce(out)
 
     def an_dim(self, v):
         """Dimension of the anisotropic forms in the Witt class v."""
@@ -181,6 +193,41 @@ class GPLookup(RawField):
         return None if members.isdisjoint(map(tuple, diff.tolist())) else 2
 
 
+def _springer(base, nvars, entries):
+    """Anisotropic entries of the form over base[t1..t_nvars].  By
+    Springer's theorem they are the anisotropic part of the first
+    residue form of t = t_nvars (the entries with an even t exponent)
+    plus t times that of the second (odd exponent, t divided out), both
+    over the residue field; at the base W(F3) = Z/4, W(R) = Z,
+    W(C) = Z/2 and W(F3(i)) = Z/2 x Z/2."""
+    if not entries:
+        return []
+    if nvars == 0:
+        p = entries.count(0)
+        q = len(entries) - p
+        if base is Base.C:
+            return [0] * (len(entries) % 2)
+        if base is Base.R:
+            return [0] * (p - q) if p >= q else [1] * (q - p)
+        if base is Base.F3:
+            return {0: [], 1: [0], 2: [0, 0], 3: [1]}[(p - q) % 4]
+        return [b for b in (0, 1) if entries.count(b) % 2]
+    bit = 1 << nvars
+    even = [b for b in entries if not b & bit]
+    odd = [b ^ bit for b in entries if b & bit]
+    return (_springer(base, nvars - 1, even)
+            + [b | bit for b in _springer(base, nvars - 1, odd)])
+
+
+@pytest.fixture(scope="session")
+def springer():
+    """springer(field, bits): the sorted anisotropic entries of the form
+    with these entries, by the Springer recursion.  A doubled F3 class
+    comes out without the unit bit, as in the library's canonical form."""
+    return lambda field, bits: sorted(
+        _springer(field.base, field.nvars, list(bits)))
+
+
 @functools.lru_cache(maxsize=None)
 def _raw_field(field):
     return RawField(field)
@@ -191,7 +238,7 @@ def _gp_lookup(field, n):
     return GPLookup(field, n)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def raw_field():
     """raw_field(field): the group-ring model of W(field) on raw bits."""
     return _raw_field

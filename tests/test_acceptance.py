@@ -240,9 +240,11 @@ def test_criterion_6_tensor_lift_identities():
             f"on 50 random I^2 forms ({failures} failures)")
 
 
-def test_criterion_7_oracle_equivalences(pfister_multiples, raw_field):
+def test_criterion_7_oracle_equivalences(pfister_multiples, raw_field,
+                                         springer):
     discrepancies = 0
-    # (a) group-ring equality vs Springer anisotropic parts, 10^4 pairs
+    # (a) anisotropic parts and group-ring equality vs the Springer
+    # recursion of conftest, 10^4 pairs
     rng = random.Random(707)
     for _ in range(10_000):
         base = rng.choice(list(Base))
@@ -253,8 +255,11 @@ def test_criterion_7_oracle_equivalences(pfister_multiples, raw_field):
                 field.random_class(rng) for _ in range(rng.randrange(0, 7))))
 
         phi, psi = rand_form(), rand_form()
-        if group_ring_equal(phi, psi) != \
-                (anisotropic_part(phi) == anisotropic_part(psi)):
+        an_phi, an_psi = (springer(field, [e.bits for e in f])
+                          for f in (phi, psi))
+        if sorted(e.bits for e in anisotropic_part(phi).entries) != an_phi:
+            discrepancies += 1
+        if group_ring_equal(phi, psi) != (an_phi == an_psi):
             discrepancies += 1
     # (b) value_set vs represents, exhaustive dims <= 4 (the zero form
     # and isotropic forms included); the independent oracle reads the

@@ -66,6 +66,17 @@ def test_tabulate_csv(capsys):
     assert rows[1] == "4,5,1"
 
 
+@pytest.mark.parametrize("bad", [("--dims=-2", "--samples", "1"),
+                                 ("--dims", "4,x", "--samples", "1"),
+                                 ("--dims", "4", "--samples", "-3"),
+                                 ("--dims", "4", "--samples", "0")])
+def test_tabulate_rejects_bad_counts(capsys, bad):
+    code, out, err = run(capsys, "tabulate", "--field", "F3[t1]",
+                         "--n", "2", *bad)
+    assert code == 1
+    assert err.startswith("usage error:") and not out
+
+
 def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", "--field", "F3[t1,t2]",
                        "--form", "<1,t1,t2,t1*t2>", "--at", "t1")

@@ -1,4 +1,4 @@
-"""Witt ring: Springer recursion vs the group-ring picture."""
+"""Witt ring: the group-ring read-off vs the Springer recursion oracle."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidwitt.errors import IsotropicInputError, IsotropicSumError
+from rigidwitt.ideals import extend_scalars_quadratic, lift_form
 from rigidwitt.qform import (
     DiagonalForm,
     format_form,
@@ -15,9 +16,11 @@ from rigidwitt.qform import (
     parse_form,
     pfister,
     scale,
+    tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 from rigidwitt.witt import (
+    GroupRingElt,
     anisotropic_from_group_ring,
     anisotropic_part,
     form_from_witt_vector,
@@ -103,9 +106,27 @@ def forms(draw, max_dim=6, max_vars=3):
 
 
 @given(forms())
-def test_group_ring_readout_matches_springer(phi):
-    assert anisotropic_from_group_ring(to_group_ring(phi)) == \
-        anisotropic_part(phi)
+def test_group_ring_readout_matches_springer(springer, phi):
+    an = anisotropic_part(phi)
+    assert sorted(e.bits for e in an.entries) == springer(
+        phi.field, [e.bits for e in phi])
+    assert anisotropic_from_group_ring(to_group_ring(phi)) == an
+
+
+@pytest.mark.parametrize("base", list(Base))
+def test_readout_over_many_variables(springer, base):
+    # |H| is 2^40 here, so the read-off must not build the dense vector
+    field = FieldDesc(base, 40)
+    rng = random.Random(40)
+    for _ in range(200):
+        x = SquareClass(field, rng.getrandbits(41))
+        y = rng.choice([x, -x, SquareClass(field, rng.getrandbits(41))])
+        entries = [x, y] + [SquareClass(field, rng.getrandbits(41))
+                            for _ in range(rng.randint(0, 1))]
+        phi = DiagonalForm(field, tuple(entries))
+        expect = springer(field, [e.bits for e in phi])
+        assert sorted(e.bits for e in anisotropic_part(phi)) == expect
+        assert is_isotropic(phi) == (len(expect) < phi.dim)
 
 
 @given(forms(), forms())
@@ -138,6 +159,94 @@ def _modulus(field):
 def test_witt_vector_roundtrip(phi):
     an = anisotropic_part(phi)
     assert form_from_witt_vector(phi.field, witt_vector(phi)) == an
+
+
+def test_group_ring_rejects_wrong_length():
+    # a third coefficient over F3[t1] would wrap onto the class of t1
+    with pytest.raises(ValueError):
+        form_from_witt_vector(F1, (0, 0, 1))
+    with pytest.raises(ValueError):
+        to_group_ring(_f("<1>", F1)) + GroupRingElt(F1, (1,))
+
+
+def test_readoff_reduces_coefficients():
+    f0 = FieldDesc(Base.F3, 0)
+    assert form_from_witt_vector(f0, (4,)).dim == 0  # 4 = 0 in W(F3)
+    assert format_form(form_from_witt_vector(f0, (-1,))) == "<-1>"
+
+
+# --- ring maps on Witt vectors, against the conftest group ring ------------
+
+@st.composite
+def field_forms(draw, max_dim=5, max_vars=3, unit=None):
+    """Two forms and a square class over one field; with `unit` set, the
+    class is the nonsquare unit class (True) or has a Laurent part
+    (False)."""
+    bases = [b for b in Base if not (unit and b is Base.C)]
+    min_vars = 1 if unit is False else 0
+    field = FieldDesc(draw(st.sampled_from(bases)),
+                      draw(st.integers(min_vars, max_vars)))
+    classes = list(field.classes())
+    phi, psi = (DiagonalForm(field, tuple(draw(st.lists(
+        st.sampled_from(classes), max_size=max_dim)))) for _ in range(2))
+    if unit is not None:
+        classes = [c for c in classes
+                   if not c.is_one() and c.is_unit_class() == unit]
+    return phi, psi, draw(st.sampled_from(classes))
+
+
+def _bits(phi):
+    return [e.bits for e in phi.entries]
+
+
+@given(field_forms())
+def test_scale_permutes_the_vector(raw_field, args):
+    phi, _, c = args
+    raw = raw_field(phi.field)
+    v = raw.vector(_bits(phi))
+    if raw.full_index:
+        shift, sign = c.bits, 1
+    else:
+        shift, sign = c.bits >> 1, -1 if c.bits & 1 else 1
+    assert witt_vector(scale(c, phi)) == raw.reduce(
+        [sign * v[i ^ shift] for i in range(raw.size)])
+
+
+@given(field_forms())
+def test_tensor_is_the_group_ring_product(raw_field, args):
+    phi, psi, _ = args
+    raw = raw_field(phi.field)
+    assert witt_vector(tensor(phi, psi)) == raw.mul(
+        raw.vector(_bits(phi)), raw.vector(_bits(psi)))
+
+
+def _check_ring_map(raw, target, f, phi, psi):
+    """f, applied to the forms the oracle reads off Witt vectors, is
+    additive and multiplicative on the vectors over `target`."""
+    def image(v):
+        return target.vector(_bits(f(raw.form(v))))
+
+    v, w = raw.vector(_bits(phi)), raw.vector(_bits(psi))
+    assert image(raw.add(v, w)) == target.add(image(v), image(w))
+    assert image(raw.mul(v, w)) == target.mul(image(v), image(w))
+
+
+@given(field_forms(), st.integers(0, 2))
+def test_lift_form_is_a_ring_map(raw_field, args, extra):
+    phi, psi, _ = args
+    big = phi.field.extended(extra)
+    _check_ring_map(raw_field(phi.field), raw_field(big),
+                    lambda form: lift_form(form, big), phi, psi)
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["non-unit", "unit"])
+@given(data=st.data())
+def test_quadratic_extension_is_a_ring_map(raw_field, unit, data):
+    phi, psi, a = data.draw(field_forms(unit=unit))
+    target, _ = extend_scalars_quadratic(phi, a)
+    _check_ring_map(raw_field(phi.field), raw_field(target),
+                    lambda form: extend_scalars_quadratic(form, a)[1],
+                    phi, psi)
 
 
 def test_pfister_forms_are_round_or_hyperbolic():
