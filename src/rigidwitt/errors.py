@@ -38,10 +38,15 @@ class NotInIdealError(RigidWittError):
 
 
 class DepthCapExceededError(RigidWittError):
-    """The search exceeded its depth cap; no value is reported."""
+    """The search exceeded its depth cap; no value is reported.
 
-    def __init__(self, cap: int, message: str = ""):
+    k is the number of terms that could not be decided, when known; the
+    message says why.
+    """
+
+    def __init__(self, cap: int, message: str = "", k: int | None = None):
         self.cap = cap
+        self.k = k
         super().__init__(message or f"search depth cap {cap} exceeded")
 
 

@@ -4,8 +4,11 @@ Minimal representations are found by layered exact methods: tensor
 reduction, an anchored search for scaled Pfister subforms on raw class
 bits (it recognizes similar-to-Pfister forms and decides two-term
 splittings), constructive certificates mandated by the classification
-theorems, and a generator-set search on Witt-class vectors for small
-fields.  Every certificate re-verifies before it is returned.
+theorems, and, for small fields, a complete search over the generator
+classes on Witt vectors packed into Python ints (with the 2-sumset of
+the generators when it is small enough to store), refused when it would
+take more than a fixed number of steps.  Every certificate re-verifies
+before it is returned.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DepthCapExceededError,
@@ -27,6 +29,7 @@ from .errors import (
     InternalContradictionError,
     IsotropicInputError,
     NotInIdealError,
+    RigidWittError,
 )
 from .ideals import _extension_bits, in_In
 from .qform import (
@@ -42,16 +45,15 @@ from .qform import (
 from .sqclass import FieldDesc, SquareClass, class_map
 from .witt import (
     anisotropic_part,
-    form_from_witt_vector,
     is_isotropic,
     _an_bits,
     _class_order,
     _counts,
     _flex,
     _form,
+    _read_off,
     _ring_params,
     _values,
-    _vector,
 )
 
 __all__ = [
@@ -79,7 +81,8 @@ __all__ = [
 RESULT_LOG: deque[dict] = deque(maxlen=4096)
 
 _MAX_ENUM_CLASSES = 1 << 20  # square_class_count ** (n+1) gate
-_MAX_SEARCH_ROWS = 1 << 23  # generator-pass row budget for deep search
+_MAX_SUMSET = 1 << 16  # generator pairs behind a stored 2-sumset
+_MAX_SEARCH_COST = 1 << 23  # packed differences one exact search may take
 
 
 # --- certificates ---------------------------------------------------------
@@ -154,6 +157,72 @@ def _certificate(n: int, terms: Sequence[PfisterSpec],
     return cert
 
 
+# --- packed Witt vectors ---------------------------------------------------
+
+class _Packed:
+    """Witt vectors of one field as values that hash and subtract fast.
+
+    Over a finite Witt ring (Z/m)[H], m = 4 or 2, a vector is an int with
+    one lane of m.bit_length() bits per H-index: the coefficient in the
+    low bits and a guard bit above them, zero at rest.  A difference sets
+    every guard before subtracting, so no lane borrows from the next,
+    and masks the guards off again.  Over R (coefficients in Z, with no
+    bound on their size) a vector is the dense tuple.
+    """
+
+    def __init__(self, field: FieldDesc):
+        self.field = field
+        self.modulus, m, _ = _ring_params(field)
+        self.size = 1 << m
+        if self.modulus:
+            self.width = self.modulus.bit_length()
+            self.lo = sum(1 << self.width * i for i in range(self.size))
+            self.guard = self.lo * self.modulus
+            self.mask = self.lo * (self.modulus - 1)
+            self.zero = 0
+        else:
+            self.zero = (0,) * self.size
+
+    def pack(self, bits: Iterable[int]):
+        """The vector of the form with these entries."""
+        counts = _counts(self.field, bits)
+        if not self.modulus:
+            return tuple(counts.get(i, 0) for i in range(self.size))
+        return sum(c << self.width * i for i, c in counts.items())
+
+    def items(self, w) -> Iterable[tuple[int, int]]:
+        """(H-index, coefficient) pairs of w."""
+        if not self.modulus:
+            return enumerate(w)
+        top = self.modulus - 1
+        return ((i, w >> self.width * i & top) for i in range(self.size))
+
+    def diffs(self, w, xs: Iterable) -> Iterator:
+        """w - x for each x in xs, lazily."""
+        if not self.modulus:
+            return (tuple(map(operator.sub, w, x)) for x in xs)
+        top, mask = w | self.guard, self.mask
+        return ((top - x) & mask for x in xs)
+
+    def neg(self, w):
+        if not self.modulus:
+            return tuple(map(operator.neg, w))
+        return (self.guard - w) & self.mask
+
+    def unsigned(self, w):
+        """The lesser of w and -w."""
+        return min(w, self.neg(w))
+
+    def dims(self, ws: Iterable) -> list[int]:
+        """Dimensions of the anisotropic forms in the classes ws: 1 for a
+        coefficient 1 or -1, 2 for a coefficient 2 mod 4, |c| over Z."""
+        if not self.modulus:
+            return [sum(map(abs, w)) for w in ws]
+        lo = self.lo
+        return [(w & lo).bit_count() + 2 * ((w >> 1) & lo & ~w).bit_count()
+                for w in ws]
+
+
 # --- generator enumeration ------------------------------------------------
 
 _GEN_CACHE: dict = {}
@@ -196,7 +265,7 @@ def _pfister_sets(field: FieldDesc, n: int) -> list[dict]:
 def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
     """All nonzero Witt classes of (un)scaled n-fold Pfister forms.
 
-    Maps the Witt coefficient vector (as a tuple) to a PfisterSpec.
+    Maps the packed Witt vector (see _Packed) to a PfisterSpec.
     """
     key = (field, n, unscaled)
     cached = _GEN_CACHE.get(("G", key))
@@ -207,13 +276,40 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
         scalars = [field.one(), -field.one()]
     else:
         scalars = list(field.classes())
-    out: dict[tuple[int, ...], PfisterSpec] = {}
+    pack = _Packed(field).pack
+    out: dict = {}
     for bits, slots in sets[n - 1].items():
         for c in scalars:
-            v = _vector(field, [c.bits ^ b for b in bits])
-            out.setdefault(v, PfisterSpec(c, slots))
+            out.setdefault(pack([c.bits ^ b for b in bits]),
+                           PfisterSpec(c, slots))
     _GEN_CACHE[("G", key)] = out
     return out
+
+
+def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
+    """S2, the packed sums of at most two generator classes (zero, every
+    generator and every pair, a class doubled included), up to sign;
+    None when there are more than _MAX_SUMSET pairs.
+
+    Scaling by -1 keeps a generator a generator, so S2 = -S2, and only
+    the lesser of s and -s is stored (see _Packed.unsigned).
+    """
+    size = len(_generators(field, n, unscaled))
+    if size * (size + 1) // 2 > _MAX_SUMSET:
+        return None
+    key = ("S2", field, n, unscaled)
+    cached = _GEN_CACHE.get(key)
+    if cached is None:
+        gens = list(_generators(field, n, unscaled))
+        pk = _Packed(field)
+        negs = [pk.neg(g) for g in gens]
+        cached = {pk.unsigned(pk.zero), *map(pk.unsigned, gens)}
+        for i, g in enumerate(gens):
+            # g - (-h) = g + h and -g - h = -(g + h), for h from g on
+            cached.update(map(min, pk.diffs(g, negs[i:]),
+                              pk.diffs(negs[i], gens[i:])))
+        _GEN_CACHE[key] = cached
+    return cached
 
 
 def enumerate_GPn_classes(
@@ -223,7 +319,8 @@ def enumerate_GPn_classes(
     if n < 1:
         raise ValueError("fold must be at least 1")
     gens = _generators(field, n, unscaled)
-    out = [(form_from_witt_vector(field, v), spec)
+    items = _Packed(field).items
+    out = [(_form(field, _read_off(field, items(v))), spec)
            for v, spec in gens.items()]
     out.sort(key=lambda pair: tuple(e.bits for e in pair[0].entries))
     return out
@@ -431,76 +528,77 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
 
 # --- the exact search -----------------------------------------------------
 
-def _np_generators(field: FieldDesc, n: int, unscaled: bool):
-    key = ("M", field, n, unscaled)
-    cached = _GEN_CACHE.get(key)
-    if cached is None:
-        gens = _generators(field, n, unscaled)
-        vecs = list(gens.keys())
-        mat = np.array(vecs, dtype=np.int64)
-        cached = (gens, vecs, mat)
-        _GEN_CACHE[key] = cached
-    return cached
-
-
-def _an_dims_np(field: FieldDesc, mat: np.ndarray) -> np.ndarray:
-    m = _ring_params(field)[0]
-    if m == 4:
-        lut = np.array([0, 1, 2, 1], dtype=np.int64)
-        return lut[mat & 3].sum(axis=1)
-    if m == 2:
-        return (mat & 1).sum(axis=1)
-    return np.abs(mat).sum(axis=1)
-
-
 def _search_sum(
     field: FieldDesc,
-    v: tuple[int, ...],
+    bits: Sequence[int],
     n: int,
     k: int,
     unscaled: bool,
-    _fail: set | None = None,
 ) -> list[PfisterSpec] | None:
-    """Exact test: is v a sum of exactly <= k generator classes?
+    """Exact test: is the form with these entries a sum of at most k
+    generator classes?
 
-    Returns a term list or None.  Complete over the cached generator
-    set; callers must ensure enumeration feasibility first.
+    Returns a term list or None.  Complete over the cached generator set
+    G: k = 2 is one pass over G asking whether v - g lies in G; with S2
+    (the sums of at most two generators, see _sumset) stored, k = 3 asks
+    whether v - g lies in S2 and k = 4 whether v - s does for some s in
+    S2, and witnesses are recovered by k = 2 passes; any other k recurses
+    on v - g, the candidates ordered by anisotropic dimension and bounded
+    by 2^n (k - 1).  Callers must ensure enumeration feasibility and
+    keep to _MAX_SEARCH_COST (see _search_cost) first.
     """
-    gens, vecs, mat = _np_generators(field, n, unscaled)
-    if _fail is None:
-        _fail = set()
-    if not any(v):
-        return []
-    if k <= 0:
+    pk = _Packed(field)
+    gens = _generators(field, n, unscaled)
+    sums = _sumset(field, n, unscaled) if k >= 3 else None
+
+    def search(w, j: int) -> list[PfisterSpec] | None:
+        if w == pk.zero:
+            return []
+        if w in gens:
+            return [gens[w]]
+        if j <= 1:
+            return None
+        if j == 2:
+            for spec, r in zip(gens.values(), pk.diffs(w, gens)):
+                hit = gens.get(r)
+                if hit is not None:
+                    return [spec, hit]
+            return None
+        if sums is not None and j == 3:
+            for spec, r in zip(gens.values(), pk.diffs(w, gens)):
+                if pk.unsigned(r) in sums:
+                    return [spec] + search(r, 2)
+            return None
+        if sums is not None and j == 4:
+            for s in sums:
+                signed = (s, pk.neg(s))
+                for t, r in zip(signed, pk.diffs(w, signed)):
+                    if pk.unsigned(r) in sums:
+                        return search(t, 2) + search(r, 2)
+            return None
+        bound = (1 << n) * (j - 1)
+        rs = list(pk.diffs(w, gens))
+        cands = sorted(
+            (c for c in zip(pk.dims(rs), rs, gens.values()) if c[0] <= bound),
+            key=operator.itemgetter(0))
+        for _dim, r, spec in cands:
+            rest = search(r, j - 1)
+            if rest is not None:
+                return [spec] + rest
         return None
-    if v in gens:
-        return [gens[v]]
-    if k == 1:
-        return None
-    if (v, k) in _fail:
-        return None
-    m = _ring_params(field)[0]
-    diff = np.array(v, dtype=np.int64)[None, :] - mat
-    if m:
-        diff %= m
-    dims = _an_dims_np(field, diff)
-    keep = np.nonzero(dims <= (1 << n) * (k - 1))[0]
-    if k == 2:
-        for i in keep:
-            w = tuple(int(x) for x in diff[i])
-            hit = gens.get(w)
-            if hit is not None:
-                return [gens[vecs[i]], hit]
-        _fail.add((v, k))
-        return None
-    order = keep[np.argsort(dims[keep])]
-    for i in order:
-        w = tuple(int(x) for x in diff[i])
-        rest = _search_sum(field, w, n, k - 1, unscaled, _fail)
-        if rest is not None:
-            return [gens[vecs[i]]] + rest
-    _fail.add((v, k))
-    return None
+
+    return search(pk.pack(bits), k)
+
+
+def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
+    """About how many packed differences _search_sum may take for k."""
+    size = len(_generators(field, n, unscaled))
+    sums = _sumset(field, n, unscaled) if k >= 3 else None
+    if k <= 2 or (k == 3 and sums is not None):
+        return size
+    if sums is None:
+        return size ** (k - 1)
+    return size ** (k - 4) * 2 * len(sums)
 
 
 # --- constructive certificate routes --------------------------------------
@@ -859,7 +957,7 @@ def _pfister_number_impl(
             t, tau = red
             k, sub_terms = _pfister_number_impl(tau, n - 1, unscaled, None)
             if depth_cap is not None and k > depth_cap:
-                raise DepthCapExceededError(depth_cap)
+                raise _over_cap(depth_cap)
             if k == 0:
                 return 0, []
             # s*<<slots>> over the residue field lifts to
@@ -874,12 +972,12 @@ def _pfister_number_impl(
                        for s in sub_terms]
     if n == 1 and not unscaled:
         if cap < d // 2:
-            raise DepthCapExceededError(cap)
+            raise _over_cap(cap)
         return d // 2, _gp1_terms(an)
     spec = _as_scaled_pfister(an, n, unscaled)
     if spec is not None:
         if cap < 1:
-            raise DepthCapExceededError(cap)
+            raise _over_cap(cap)
         return 1, [spec]
     enum_ok = _enum_feasible(field, n)
     for k in range(2, cap + 1):
@@ -890,9 +988,15 @@ def _pfister_number_impl(
                     f"{len(terms)}-term list where {k} was proved minimal")
             return k, terms
     if depth_cap is not None and depth_cap < theorem_cap:
-        raise DepthCapExceededError(cap)
+        raise _over_cap(cap)
     raise InternalContradictionError(
         f"no representation within the theorem bound {theorem_cap}")
+
+
+def _over_cap(cap: int) -> DepthCapExceededError:
+    """The refusal when the caller's depth_cap is below the exact value."""
+    return DepthCapExceededError(
+        cap, f"the Pfister number exceeds depth_cap = {cap}", k=cap + 1)
 
 
 def _decide_k(
@@ -932,13 +1036,17 @@ def _decide_k(
             raise InternalContradictionError(
                 "dimension-16 route produced a non-3-term certificate")
         return terms
-    if enum_ok:
-        gens = _generators(field, n, unscaled)
-        cost = len(gens) if k == 2 else len(gens) ** (k - 1)
-        if cost <= _MAX_SEARCH_ROWS:
-            v = _vector(field, (e.bits for e in an.entries))
-            return _search_sum(field, v, n, k, unscaled)
-    raise DepthCapExceededError(cap)
+    if not enum_ok:
+        why = f"the generator search is off for {field} at n = {n}"
+    else:
+        cost = _search_cost(field, n, k, unscaled)
+        if cost <= _MAX_SEARCH_COST:
+            return _search_sum(field, [e.bits for e in an.entries], n, k,
+                               unscaled)
+        why = (f"the generator search would take about {cost} steps,"
+               f" over its budget of {_MAX_SEARCH_COST}")
+    raise DepthCapExceededError(
+        cap, f"no exact route decides whether {k} terms suffice: {why}", k=k)
 
 
 # --- generic forms and the lower bound ------------------------------------
@@ -1096,7 +1204,16 @@ def random_In_form(
     max_tries: int = 20000,
 ) -> DiagonalForm:
     """Anisotropic part of a random sum of n-fold Pfister specs with the
-    requested dimension (or at most it, with allow_smaller)."""
+    requested dimension (or at most it, with allow_smaller).
+
+    A dimension no anisotropic I^n form has is rejected before the first
+    draw: an odd one, a nonzero one below 2^n (Arason-Pfister
+    Hauptsatz), and 10 for n = 3 (below 16 such forms have dimension 8,
+    12 or 14).
+    """
+    if not allow_smaller and (
+            dim % 2 or (dim < 1 << n and dim != 0) or (n == 3 and dim == 10)):
+        raise ValueError(f"no anisotropic I^{n} form has dimension {dim}")
     for attempt in range(max_tries):
         r = rng.randrange(1, 4)
         total = DiagonalForm(field, ())
@@ -1107,5 +1224,5 @@ def random_In_form(
         an = anisotropic_part(total)
         if an.dim == dim or (allow_smaller and an.dim <= dim):
             return an
-    raise RuntimeError(
+    raise RigidWittError(
         f"no random I^{n} form of dimension {dim} found in {max_tries} tries")

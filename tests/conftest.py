@@ -141,7 +141,8 @@ class GPLookup(RawField):
     scaled by any class, unscaled (scalar 1 or -1), and plain (scalar 1).
 
     Built by expanding every slot tuple with numpy.  `terms` looks a
-    class up: the exact number of terms when it is at most 2.
+    class up: the exact number of terms when it is at most 2; `sumset`
+    holds every sum of two classes, for exact answers up to 4.
     """
 
     def __init__(self, field, n):
@@ -180,6 +181,13 @@ class GPLookup(RawField):
     def _set(rows):
         return frozenset(map(tuple, rows.tolist()))
 
+    def differences(self, v, unscaled=False):
+        """v - g for every (un)scaled class g, as tuples."""
+        diff = np.array(v, dtype=np.int64)[None, :] - self._rows[unscaled]
+        if self.m:
+            diff %= self.m
+        return map(tuple, diff.tolist())
+
     def terms(self, v, unscaled=False):
         """The least k <= 2 with v a sum of k (un)scaled classes, else None."""
         members = self.unscaled if unscaled else self.scaled
@@ -187,10 +195,17 @@ class GPLookup(RawField):
             return 0
         if tuple(v) in members:
             return 1
-        diff = np.array(v, dtype=np.int64)[None, :] - self._rows[unscaled]
+        return None if members.isdisjoint(self.differences(v, unscaled)) \
+            else 2
+
+    def sumset(self, unscaled=False):
+        """Every sum of two (un)scaled classes (a class doubled included)."""
+        rows = self._rows[unscaled]
+        i, j = np.triu_indices(len(rows))
+        total = rows[i] + rows[j]
         if self.m:
-            diff %= self.m
-        return None if members.isdisjoint(map(tuple, diff.tolist())) else 2
+            total %= self.m
+        return self._set(np.unique(total, axis=0))
 
 
 def _springer(base, nvars, entries):

@@ -122,6 +122,8 @@ def test_exit_code_depth_cap(capsys):
                        "--form", "<1,t1,t2,t3,t4,-t1*t2*t3*t4>", "--n", "2",
                        "--depth-cap", "1")
     assert code == 4
+    assert "depth cap exceeded: the Pfister number exceeds depth_cap = 1" \
+        in err
 
 
 def test_verify_suites(capsys):

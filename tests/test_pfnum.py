@@ -2,16 +2,26 @@
 
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+import rigidwitt
 
 from rigidwitt.errors import (
     DepthCapExceededError,
     FieldMismatchError,
     IsotropicInputError,
     NotInIdealError,
+    RigidWittError,
 )
 from rigidwitt.ideals import extend_scalars_quadratic, in_In, lift_form
 from rigidwitt.pfnum import (
@@ -31,10 +41,13 @@ from rigidwitt.pfnum import (
     random_In_form,
     three_pfister_bound,
     two_pfister_bound,
+    _Packed,
     _anchors,
     _as_scaled_pfister,
     _gp2_decomposition,
     _pfister_subforms,
+    _search_sum,
+    _sumset,
     _tensor_reduction,
 )
 from rigidwitt.qform import (
@@ -258,6 +271,130 @@ def test_two_term_decisions_match_lookup(gp_lookup):
                 (str(field), format_form(phi))
 
 
+# --- the generator search on packed Witt vectors --------------------------
+
+def _spec_sum(look, terms):
+    total = (0,) * look.size
+    for t in terms:
+        total = look.add(total, look.spec_vector(t))
+    return total
+
+
+@given(st.sampled_from([FieldDesc(b, nv) for b in Base for nv in (0, 1, 3)]),
+       st.data())
+def test_packed_vectors_follow_the_group_ring(raw_field, field, data):
+    # packing, difference, negation and anisotropic dimension of packed
+    # vectors against the group-ring oracle, on every base
+    raw = raw_field(field)
+    pk = _Packed(field)
+    a, b = (data.draw(st.lists(st.sampled_from(raw.classes), max_size=10))
+            for _ in range(2))
+    u, w = raw.vector(a), raw.vector(b)
+    minus_w = raw.reduce([-c for c in w])
+
+    def coeffs(x):
+        return tuple(c for _, c in pk.items(x))
+
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert coeffs(pa) == u and coeffs(pb) == w
+    (diff,) = pk.diffs(pa, [pb])
+    assert coeffs(diff) == raw.add(u, minus_w)
+    assert coeffs(pk.neg(pb)) == minus_w
+    assert pk.unsigned(pb) == pk.unsigned(pk.neg(pb))
+    assert coeffs(pk.unsigned(pb)) in (w, minus_w)
+    assert pk.dims([diff, pa]) == [raw.an_dim(raw.add(u, minus_w)),
+                                   raw.an_dim(u)]
+
+
+@pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3),
+                                   FieldDesc(Base.SQUARE_MINUS_ONE, 2), R2],
+                         ids=str)
+def test_generator_search_matches_lookup_on_every_class(field, gp_lookup):
+    # every Witt class in I^2 (over R those with |c| <= 2): the search at
+    # k = 2 and the scaled and unscaled P_2 agree with the lookup wherever
+    # it is exact, and P_2 is at least 3 where it finds no two terms
+    look = gp_lookup(field, 2)
+    signs = (field.one(), -field.one())
+    checked = 0
+    for v, phi in look.witt_classes():
+        if not in_In(phi, 2):
+            continue
+        bits = [e.bits for e in phi.entries]
+        for unscaled in (False, True):
+            expected = look.terms(v, unscaled)
+            found = _search_sum(field, bits, 2, 2, unscaled)
+            assert (found is None) == (expected is None), format_form(phi)
+            if found is not None:
+                assert len(found) == expected
+                assert _spec_sum(look, found) == v
+            k, cert = pfister_number(phi, 2, unscaled=unscaled)
+            assert k == expected if expected is not None else k >= 3
+            assert _spec_sum(look, cert.terms) == v
+            assert not unscaled or all(t.scalar in signs for t in cert.terms)
+            checked += 1
+    assert checked
+
+
+def test_search_decides_unscaled_four_term_forms(gp_lookup):
+    # unscaled dim-8 I^2 forms over F3[t1..t4] with P_2 = 4, which a
+    # search that recursed three levels over the 295 generators would
+    # have to try 295^3 rows for; the lookup's 2-sumset proves k >= 4
+    field = FieldDesc(Base.F3, 4)
+    look = gp_lookup(field, 2)
+    gens, pairs = look.unscaled, look.sumset(unscaled=True)
+    signs = (field.one(), -field.one())
+
+    def at_most_three(v):
+        return v in gens or v in pairs or not pairs.isdisjoint(
+            look.differences(v, unscaled=True))
+
+    def decided_as_four(v, phi):
+        k, cert = pfister_number(phi, 2, unscaled=True)
+        assert k == 4, format_form(phi)
+        assert all(t.scalar in signs for t in cert.terms)
+        assert _spec_sum(look, cert.terms) == v
+
+    rng = random.Random(408)
+    decided = 0
+    while decided < 20:
+        v, phi = _random_class(look, rng, 2, 8, (2, 3))
+        if not at_most_three(v):
+            decided_as_four(v, phi)
+            decided += 1
+    # every split of these into two sums of two classes takes both sums
+    # from the part of S2 that the library stores only as negatives
+    for text in ("<t3,t2*t3,-t1*t3,-t1*t2*t3,-t3*t4,-t1*t3*t4,-t2*t3*t4,"
+                 "-t1*t2*t3*t4>",
+                 "<-t3,-t1*t3,-t4,-t1*t4,-t3*t4,-t1*t3*t4,-t2*t3*t4,"
+                 "-t1*t2*t3*t4>"):
+        phi = parse_form(text, field)
+        v = look.vector([e.bits for e in phi.entries])
+        assert not at_most_three(v)
+        decided_as_four(v, phi)
+
+
+def test_library_runs_without_numpy():
+    # numpy is a test dependency only: importing the library and the
+    # CLI and running the generator search must not load it
+    code = textwrap.dedent("""
+        import sys
+        import rigidwitt, rigidwitt.cli
+        from rigidwitt.pfnum import _GEN_CACHE, pfister_number
+        from rigidwitt.qform import parse_form
+        from rigidwitt.sqclass import parse_field
+        phi = parse_form("<1,1,t1,t1,t2,t2,t1*t2,t1*t2>",
+                         parse_field("F3[t1,t2]"))
+        k, _ = pfister_number(phi, 2, unscaled=True)
+        assert k == 2 and any(key[0] == "G" for key in _GEN_CACHE), k
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)
+    src = pathlib.Path(rigidwitt.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_pfister_subforms_leaves_an_cache_alone():
     from rigidwitt.witt import _an_bits
 
@@ -370,8 +507,78 @@ def test_not_in_ideal():
 def test_depth_cap_exceeded():
     f4 = FieldDesc(Base.F3, 4)
     g6 = generic_I2_form(f4, 4)
-    with pytest.raises(DepthCapExceededError):
+    with pytest.raises(DepthCapExceededError) as info:
         pfister_number(g6, 2, depth_cap=1)
+    assert info.value.k == 2
+    assert "exceeds depth_cap = 1" in str(info.value)
+
+
+# an I^2 form over F3[t1..t4] with scaled P_2 above 3
+_DIM14_T4 = ("<t2,t2,t1*t2,t1*t2,t3,t1*t3,t2*t4,t2*t4,t1*t2*t4,t1*t2*t3*t4,"
+             "t1*t2*t3*t4,-t4,-t3*t4,-t2*t3*t4>")
+
+
+@pytest.mark.parametrize("field,text,n,k,why", [
+    # GP_3 at dim 18 over F3[t1..t5]: no route, and no search there
+    (F5, "<1,t1,t1*t2*t3,t1*t2*t3,t3*t4,t1*t5,t1*t2*t5,t2*t3*t5,t4*t5,"
+         "-t1*t2,-t3,-t1*t2*t4,-t2*t3*t4,-t1*t2*t3*t4,-t2*t5,-t2*t4*t5,"
+         "-t1*t2*t4*t5,-t1*t2*t3*t4*t5>", 3, 2, "generator search is off"),
+    # GP_2 at dim 14 over F3[t1..t4] is above 3, and four terms over the
+    # 1240 scaled generators, with no stored 2-sumset, cost 1240^3 steps
+    (FieldDesc(Base.F3, 4), _DIM14_T4, 2, 4, "over its budget"),
+], ids=["gated-off", "over-budget"])
+def test_depth_cap_reasons(field, text, n, k, why):
+    with pytest.raises(DepthCapExceededError) as info:
+        pfister_number(parse_form(text, field), n)
+    assert info.value.k == k
+    assert why in str(info.value)
+
+
+def test_search_stays_within_its_budget():
+    # deep searches refuse at once instead of running for minutes: the
+    # unscaled dim-14 form over F3[t1..t4] (295 generators, S2 stored)
+    # rules out 4 terms and refuses 5, which would take 295 passes over
+    # S2; scaled P_2 >= 3 at dim 10 over F3[t1..t5] refuses 3 terms,
+    # which would take 10416^2 steps with no stored S2
+    start = time.perf_counter()
+    with pytest.raises(DepthCapExceededError) as info:
+        pfister_number(parse_form(_DIM14_T4, FieldDesc(Base.F3, 4)), 2,
+                       unscaled=True)
+    assert info.value.k == 5 and "over its budget" in str(info.value)
+    rng = random.Random(3)
+    refused = 0
+    for _ in range(3):
+        phi = random_In_form(F5, 2, 10, rng)
+        try:
+            k, _ = pfister_number(phi, 2)
+        except DepthCapExceededError as err:
+            assert err.k == 3 and "over its budget" in str(err)
+            refused += 1
+        else:
+            assert k == 2
+    assert refused
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)], ids=str)
+@pytest.mark.parametrize("unscaled", [False, True])
+def test_search_sum_allows_fewer_terms(gp_lookup, field, unscaled):
+    # _search_sum answers "at most k" on its own: every generator and
+    # every sum of two is found at each k from its length up, through
+    # the stored S2 at k = 3 and 4 as well as the recursion at k = 5
+    # (over C the unscaled generators are no sums of two generators)
+    look = gp_lookup(field, 2)
+    assert _sumset(field, 2, unscaled) is not None
+    members = look.unscaled if unscaled else look.scaled
+    for v in sorted(members | look.sumset(unscaled)):
+        if not any(v):
+            continue
+        bits = [e.bits for e in look.form(v).entries]
+        least = look.terms(v, unscaled)
+        for k in range(least, 6):
+            found = _search_sum(field, bits, 2, k, unscaled)
+            assert found is not None and least <= len(found) <= k
+            assert _spec_sum(look, found) == v
 
 
 def test_hyperbolic_input_is_zero():
@@ -685,6 +892,23 @@ def test_random_In_form_hits_requested_dimension():
         assert in_In(phi, 3)
 
 
+class _NoDraws(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("a draw was made")
+
+
 def test_random_In_form_impossible_dimension():
-    with pytest.raises(RuntimeError):
-        random_In_form(F5, 3, 10, random.Random(0), max_tries=300)
+    # rejected before the first draw: no anisotropic I^n form has this
+    # dimension (odd, nonzero below 2^n, or 10 at n = 3)
+    for n, dim in ((3, 10), (3, 9), (3, 6), (2, 2), (2, -2)):
+        with pytest.raises(ValueError):
+            random_In_form(F5, n, dim, _NoDraws())
+
+
+def test_random_In_form_admissible_dimensions_still_draw():
+    # allow_smaller never rejects (0 qualifies); running out of tries on
+    # an admissible dimension is a library error
+    assert random_In_form(F5, 3, 10, random.Random(0),
+                          allow_smaller=True).dim in (0, 8)
+    with pytest.raises(RigidWittError):
+        random_In_form(F5, 3, 8, random.Random(0), max_tries=0)
