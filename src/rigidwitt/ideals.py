@@ -45,8 +45,8 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
     minus_one = field.minus_one().bits
 
     def member(bits: list[int], nvars: int, n: int) -> bool:
-        if n == 0:
-            return True
+        if n <= 1:  # I is the ideal of even-dimensional forms
+            return n == 0 or len(bits) % 2 == 0
         if nvars == 0:
             return _in_In_base(field.base, bits, n)
         # residue forms wrt the top variable: phi = (phi1 - phi2) +
@@ -61,7 +61,7 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
 
 
 def _in_In_base(base: Base, bits: list[int], n: int) -> bool:
-    if base is Base.C or n == 1:
+    if base is Base.C:
         return len(bits) % 2 == 0
     p = bits.count(0)
     if base is Base.R:

@@ -457,6 +457,29 @@ def _splits(field: FieldDesc, bits: Sequence[int], a: int) -> bool:
     return not _an_bits(target, tuple(sorted(image)))
 
 
+def _peel(field: FieldDesc, bits: Sequence[int], pi: Sequence[int],
+          exact: bool) -> list[int] | None:
+    """The quotient of the anisotropic form `bits` by the Pfister form
+    `pi`, peeled off as scaled copies x*pi on raw bits.  If peeling gets
+    stuck: None, or a contradiction when `exact` (bits is a multiple)."""
+    flex = _flex(field)
+    rest = list(bits)
+    quotient: list[int] = []
+    while rest:
+        for x in _values(rest, flex):
+            left = list(rest)
+            if all(_split_off(left, x ^ p, flex) for p in pi):
+                rest = left
+                quotient.append(x)
+                break
+        else:
+            if exact:
+                raise InternalContradictionError(
+                    "form splits over the extension but peeling got stuck")
+            return None
+    return quotient
+
+
 def divisible_by_pfister(
     phi: DiagonalForm, slots: Sequence[SquareClass]
 ) -> tuple[bool, DiagonalForm | None]:
@@ -464,13 +487,12 @@ def divisible_by_pfister(
 
     phi must be anisotropic.  Every multiple of pi = <<slots>> splits
     over F(sqrt a) for each slot a, so a form that some slot leaves
-    non-hyperbolic is rejected.  The rest is decided by peeling scaled
-    copies x*pi off phi: an anisotropic form in pi*W(F) is divisible by
-    pi, so peeling a multiple of pi never gets stuck.  For one slot the
-    splitting test is exact and a stuck peeling is a contradiction; for
-    more slots splitting is only necessary, and a stuck peeling means
-    phi is not divisible.  Peeling splits entries off on raw bits, and
-    pi * rho is checked against phi's Witt vector.
+    non-hyperbolic is rejected.  The rest is decided by _peel: an
+    anisotropic form in pi*W(F) is divisible by pi, so peeling a
+    multiple of pi never gets stuck.  For one slot the splitting test is
+    exact and a stuck peeling is a contradiction; for more slots
+    splitting is only necessary, and a stuck peeling means phi is not
+    divisible.  pi * rho is checked against phi's Witt vector.
     """
     if is_isotropic(phi):
         raise IsotropicInputError("divisibility is tested on anisotropic forms")
@@ -488,21 +510,9 @@ def divisible_by_pfister(
     bits = [e.bits for e in phi]
     if not all(_splits(field, bits, a.bits) for a in slots):
         return False, None
-    flex = _flex(field)
-    rest = list(bits)
-    quotient: list[int] = []
-    while rest:
-        for x in _values(rest, flex):
-            left = list(rest)
-            if all(_split_off(left, x ^ p, flex) for p in pi):
-                rest = left
-                quotient.append(x)
-                break
-        else:
-            if len(slots) > 1:
-                return False, None
-            raise InternalContradictionError(
-                "form splits over the extension but peeling found no factor")
+    quotient = _peel(field, bits, pi, len(slots) == 1)
+    if quotient is None:
+        return False, None
     product = [x ^ p for x in quotient for p in pi]
     if _counts(field, product) != _counts(field, bits):
         raise InternalContradictionError("peeled quotient fails to verify")
@@ -605,11 +615,9 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
 
 def _gp1_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     """phi as dim/2 scaled 1-fold Pfister forms: <a,b> = a<<-ab>>."""
-    terms = []
-    entries = list(phi.entries)
-    for a, b in zip(entries[0::2], entries[1::2]):
-        terms.append(PfisterSpec(a, (-(a * b),)))
-    return terms
+    entries = phi.entries
+    return [PfisterSpec(a, (-(a * b),))
+            for a, b in zip(entries[0::2], entries[1::2])]
 
 
 def _gp2_peeling_terms(phi: DiagonalForm) -> list[PfisterSpec]:
@@ -633,39 +641,43 @@ def _gp2_peeling_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     return terms
 
 
-def _gp3_dim12_terms(phi: DiagonalForm) -> list[PfisterSpec]:
-    """Two GP_3 terms for an anisotropic 12-dimensional I^3 form.
+def _gp3_dim12_terms(field: FieldDesc,
+                     bits: Sequence[int]) -> list[PfisterSpec]:
+    """Two GP_3 terms for the anisotropic 12-dimensional I^3 form with
+    these entries, on raw bits.
 
-    Such a form is divisible by a binary Pfister form; splitting the
-    6-dimensional quotient leaves an 8-dimensional I^3 class, which is
-    itself similar to a Pfister form.
+    Such a form is divisible by <<a>> for the first a != 1 in the class
+    order over whose F(sqrt a) it splits (splitting is exact for one
+    slot), and only that slot is peeled.  Splitting the 6-dimensional
+    quotient r leaves an 8-dimensional I^3 class, similar to a Pfister
+    form.
     """
-    field = phi.field
-    for a in field.classes():
-        if a.is_one():
-            continue
-        ok, rho = divisible_by_pfister(phi, (a,))
-        if not ok:
-            continue
-        r = rho.entries
-        first = PfisterSpec(r[0], (a, -(r[0] * r[1]), -(r[0] * r[2])))
-        rest = _minus(field, [e.bits for e in phi.entries], first)
-        return [first] + _gp3_small_terms(_form(field, rest))
-    raise InternalContradictionError(
-        "12-dimensional I^3 form without a binary divisor")
+    minus_one = field.minus_one().bits
+    a = next((a for a in field.class_bits()[1:] if _splits(field, bits, a)),
+             None)
+    if a is None:
+        raise InternalContradictionError(
+            "12-dimensional I^3 form without a binary divisor")
+    r = _peel(field, bits, (0, a ^ minus_one), True)
+    r.sort(key=_class_order)
+    first = _spec(field, r[0], (a, r[0] ^ r[1] ^ minus_one,
+                                r[0] ^ r[2] ^ minus_one))
+    return [first] + _gp3_small_terms(field, _minus(field, bits, first))
 
 
-def _gp3_dim14_terms(phi: DiagonalForm) -> list[PfisterSpec]:
-    """Two GP_3 terms for an anisotropic 14-dimensional I^3 form.
+def _gp3_dim14_terms(field: FieldDesc,
+                     bits: Sequence[int]) -> list[PfisterSpec]:
+    """Two GP_3 terms for the anisotropic 14-dimensional I^3 form with
+    these entries, on raw bits.
 
     Searches the normal form s(tau1' + -tau2') with tau_i in P_3: the
     pure part tau1' must appear inside s*phi, and the complement must be
-    the negated pure part of another Pfister form.
+    the negated pure part of another Pfister form.  Splitting s*y off
+    s*phi is splitting y off phi, so tau1' is split off phi, its entries
+    free of s once per (y1, y2, y3), before the anisotropy lookup.
     """
-    field = phi.field
     flex = _flex(field)
     minus_one = field.minus_one().bits
-    bits = [e.bits for e in phi.entries]
     # subform entry candidates: entries, plus flips of doubled classes,
     # plus negatives (the scaled pure part sits inside phi up to signs
     # that a chosen z-entry pins down)
@@ -673,13 +685,13 @@ def _gp3_dim14_terms(phi: DiagonalForm) -> list[PfisterSpec]:
                                if bits.count(b) == 2},
                   key=_class_order)
     allowed = set(cand)
-    seen: set = set()
     for y1, y2, y3 in itertools.combinations_with_replacement(cand, 3):
-        y12 = y1 ^ y2
-        y13 = y1 ^ y3
-        y23 = y2 ^ y3
+        y12, y13, y23 = y1 ^ y2, y1 ^ y3, y2 ^ y3
         y123 = y12 ^ y3
         if y123 not in allowed:
+            continue
+        rest = list(bits)
+        if not all(_split_off(rest, y, flex) for y in (y1, y2, y3)):
             continue
         for z in cand:
             # s * phi contains the pure part of tau1 = <<a,b,c>> with
@@ -687,19 +699,18 @@ def _gp3_dim14_terms(phi: DiagonalForm) -> list[PfisterSpec]:
             s = z ^ y12
             if (s ^ y13) not in allowed or (s ^ y23) not in allowed:
                 continue
-            slots = tuple(sorted((s ^ y ^ minus_one for y in (y1, y2, y3)),
-                                 key=_class_order))
-            if (s, slots) in seen:
+            comp = list(rest)
+            if not all(_split_off(comp, y, flex)
+                       for y in (z, s ^ y13, s ^ y23, y123)):
                 continue
-            seen.add((s, slots))
             pure1 = (s ^ y1, s ^ y2, s ^ y3, y12, y13, y23, s ^ y123)
             if len(_an_bits(field, tuple(sorted((0,) + pure1)))) < 8:
                 continue  # tau1 is isotropic
-            comp = [s ^ b for b in bits]
-            if not all(_split_off(comp, y, flex) for y in pure1):
-                continue
-            tau2 = [0] + [b ^ minus_one for b in _canon_bits(field, comp)]
+            tau2 = [0] + [b ^ minus_one for b in
+                          _canon_bits(field, [s ^ x for x in comp])]
             for _e, slots2, _ in _pfister_subforms(field, tau2, 3, (0,)):
+                slots = sorted((s ^ y ^ minus_one for y in (y1, y2, y3)),
+                               key=_class_order)
                 return [_spec(field, s, slots),
                         _spec(field, s ^ minus_one, slots2)]
     raise InternalContradictionError(
@@ -722,24 +733,25 @@ def _gp3_dim16_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     w = comp.entries[0]
     spec = PfisterSpec(c, sigma.slots + (-(c * w),))
     rest = _minus(phi.field, [e.bits for e in phi.entries], spec)
-    return [spec] + _gp3_small_terms(_form(phi.field, rest))
+    return [spec] + _gp3_small_terms(phi.field, rest)
 
 
-def _gp3_small_terms(phi: DiagonalForm) -> list[PfisterSpec]:
-    """GP_3 terms for anisotropic I^3 classes of dimension at most 14."""
-    d = phi.dim
+def _gp3_small_terms(field: FieldDesc,
+                     bits: Sequence[int]) -> list[PfisterSpec]:
+    """GP_3 terms for the anisotropic I^3 class of dimension at most 14
+    with these canonical entries, in the class order."""
+    d = len(bits)
     if d == 0:
         return []
     if d == 8:
-        spec = _as_scaled_pfister(phi, 3)
-        if spec is None:
-            raise InternalContradictionError(
-                "8-dimensional I^3 form not similar to a Pfister form")
-        return [spec]
+        for e, slots, _ in _pfister_subforms(field, bits, 3, bits[:1]):
+            return [_spec(field, e, slots)]
+        raise InternalContradictionError(
+            "8-dimensional I^3 form not similar to a Pfister form")
     if d == 12:
-        return _gp3_dim12_terms(phi)
+        return _gp3_dim12_terms(field, bits)
     if d == 14:
-        return _gp3_dim14_terms(phi)
+        return _gp3_dim14_terms(field, bits)
     raise InternalContradictionError(
         f"I^3 class of unexpected anisotropic dimension {d}")
 
@@ -1016,7 +1028,7 @@ def _decide_k(
     d = an.dim
     if not unscaled and n == 3 and k == 2 and d in (12, 14):
         # guaranteed two-term dimensions: D(14) and the binary-divisor route
-        return _gp3_dim12_terms(an) if d == 12 else _gp3_dim14_terms(an)
+        return _gp3_small_terms(field, [e.bits for e in an.entries])
     if not unscaled and k == 2 and d == 1 << (n + 1):
         # two terms of total dimension d are an isometric splitting
         # an = sigma1 + sigma2; one sigma_i represents an anchor e, so it
@@ -1146,7 +1158,7 @@ def _biquadratic_splitting(
     it is trivial there exactly when b is 1 or a.
     """
     field = phi.field
-    classes = [c.bits for c in field.classes()]
+    classes = field.class_bits()
     bits = [e.bits for e in phi]
     for a in classes[1:]:
         mid_field, mid = _extension_bits(field, bits, a)
@@ -1209,11 +1221,14 @@ def random_In_form(
     A dimension no anisotropic I^n form has is rejected before the first
     draw: an odd one, a nonzero one below 2^n (Arason-Pfister
     Hauptsatz), and 10 for n = 3 (below 16 such forms have dimension 8,
-    12 or 14).
+    12 or 14).  So is one above 3 * 2^n, which a sum of at most three
+    terms cannot reach.
     """
     if not allow_smaller and (
-            dim % 2 or (dim < 1 << n and dim != 0) or (n == 3 and dim == 10)):
-        raise ValueError(f"no anisotropic I^{n} form has dimension {dim}")
+            dim % 2 or (dim < 1 << n and dim != 0) or (n == 3 and dim == 10)
+            or dim > 3 << n):
+        raise ValueError(f"no anisotropic I^{n} form of dimension {dim} "
+                         f"can be drawn")
     for attempt in range(max_tries):
         r = rng.randrange(1, 4)
         total = DiagonalForm(field, ())

@@ -125,10 +125,7 @@ def pfister(slots: Iterable[SquareClass]) -> DiagonalForm:
 def pure_part(spec: PfisterSpec) -> DiagonalForm:
     """Orthogonal complement of <1> in the (unscaled) Pfister form."""
     full = pfister(spec.slots)
-    one = full.field.one()
-    entries = list(full.entries)
-    entries.remove(one)
-    return DiagonalForm(full.field, tuple(entries))
+    return DiagonalForm(full.field, full.entries[1:])  # <1> sorts first
 
 
 def determinant(phi: DiagonalForm) -> SquareClass:
@@ -139,11 +136,8 @@ def determinant(phi: DiagonalForm) -> SquareClass:
 
 
 def discriminant(phi: DiagonalForm) -> SquareClass:
-    d = phi.dim
     det = determinant(phi)
-    if (d * (d - 1) // 2) % 2:
-        return -det
-    return det
+    return -det if phi.dim * (phi.dim - 1) // 2 % 2 else det
 
 
 def canonicalize(phi: DiagonalForm) -> DiagonalForm:
@@ -164,16 +158,7 @@ def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     """Canonical sorted bit tuple with the level-2 doubled-pair move."""
     if field.level() != 2:
         return tuple(sorted(bits))
-    counts: dict[int, int] = {}
-    for b in bits:
-        counts[b] = counts.get(b, 0) + 1
-    out: list[int] = []
-    for b, c in counts.items():
-        if c == 2:
-            out += [min(b, b ^ 1)] * 2
-        else:
-            out += [b] * c
-    return tuple(sorted(out))
+    return tuple(sorted(b & ~1 if bits.count(b) == 2 else b for b in bits))
 
 
 def is_isometric(phi: DiagonalForm, psi: DiagonalForm) -> bool:

@@ -30,6 +30,8 @@ class Base(enum.Enum):
     # quadratic extensions only.
     SQUARE_MINUS_ONE = "F3(i)"
 
+    __hash__ = object.__hash__  # members are singletons; hashes in C
+
 
 _LEVELS = {Base.F3: 2, Base.R: None, Base.C: 1, Base.SQUARE_MINUS_ONE: 1}
 _BitMap = Callable[[int], int]  # a map of square classes on raw bits
@@ -82,13 +84,15 @@ class FieldDesc:
             raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
         return SquareClass(self, 1 << i)
 
+    def class_bits(self) -> list[int]:
+        """Raw bits of all square classes, in the global tie-break order."""
+        size = 2 << self.nvars
+        units = range(1, size, 2) if self.unit_class_count() == 2 else ()
+        return [*range(0, size, 2), *units]
+
     def classes(self) -> Iterator["SquareClass"]:
         """All square classes, in the global tie-break order."""
-        for exps in range(1 << self.nvars):
-            yield SquareClass(self, exps << 1)
-        if self.unit_class_count() == 2:
-            for exps in range(1 << self.nvars):
-                yield SquareClass(self, (exps << 1) | 1)
+        return (SquareClass(self, b) for b in self.class_bits())
 
     def residue(self) -> "FieldDesc":
         """The residue field model (one Laurent variable fewer)."""

@@ -96,14 +96,6 @@ def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
             if (r := c % modulus if modulus else c)}
 
 
-def _vector(field: FieldDesc, bits: Iterable[int]) -> tuple[int, ...]:
-    """Witt vector of the form with these entries, indexed by H."""
-    coeffs = [0] * (1 << _ring_params(field)[1])
-    for i, c in _counts(field, bits).items():
-        coeffs[i] = c
-    return tuple(coeffs)
-
-
 def _read_off(field: FieldDesc,
               items: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The anisotropic representative of the Witt class with these
@@ -120,12 +112,6 @@ def _read_off(field: FieldDesc,
         else:  # Z coefficients over R
             out += [h | (c < 0)] * abs(c)
     return tuple(sorted(out))
-
-
-def anisotropic_bits_from_vector(field: FieldDesc,
-                                 coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Read the anisotropic representative off a Witt-class vector."""
-    return _read_off(field, enumerate(coeffs))
 
 
 @lru_cache(maxsize=1 << 18)
@@ -146,12 +132,18 @@ def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
     return _form(field, _an_bits(field, tuple(sorted(e.bits for e in phi))))
 
 
+def _an_dim(phi: DiagonalForm) -> int:
+    """phi's anisotropic dimension, on raw bits: witt_index and the
+    isotropy tests read it and build no form."""
+    return len(_an_bits(phi.field, tuple(sorted(e.bits for e in phi))))
+
+
 def witt_index(phi: DiagonalForm) -> int:
-    return (phi.dim - anisotropic_part(phi).dim) // 2
+    return (phi.dim - _an_dim(phi)) // 2
 
 
 def is_isotropic(phi: DiagonalForm) -> bool:
-    return anisotropic_part(phi).dim < phi.dim
+    return _an_dim(phi) < phi.dim
 
 
 def is_anisotropic(phi: DiagonalForm) -> bool:
@@ -159,7 +151,7 @@ def is_anisotropic(phi: DiagonalForm) -> bool:
 
 
 def is_hyperbolic(phi: DiagonalForm) -> bool:
-    return anisotropic_part(phi).dim == 0
+    return not _an_dim(phi)
 
 
 # --- value sets ------------------------------------------------------------
@@ -257,7 +249,10 @@ class GroupRingElt:
 
 def witt_vector(phi: DiagonalForm) -> tuple[int, ...]:
     """Raw coefficient tuple of phi's Witt class, indexed by H."""
-    return _vector(phi.field, (e.bits for e in phi))
+    coeffs = [0] * (1 << _ring_params(phi.field)[1])
+    for i, c in _counts(phi.field, (e.bits for e in phi)).items():
+        coeffs[i] = c
+    return tuple(coeffs)
 
 
 def to_group_ring(phi: DiagonalForm) -> GroupRingElt:
@@ -273,7 +268,7 @@ def group_ring_equal(phi: DiagonalForm, psi: DiagonalForm) -> bool:
 
 def anisotropic_from_group_ring(elt: GroupRingElt) -> DiagonalForm:
     field = elt.field
-    return _form(field, anisotropic_bits_from_vector(field, elt.coeffs))
+    return _form(field, _read_off(field, enumerate(elt.coeffs)))
 
 
 def form_from_witt_vector(

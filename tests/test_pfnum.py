@@ -45,6 +45,7 @@ from rigidwitt.pfnum import (
     _anchors,
     _as_scaled_pfister,
     _gp2_decomposition,
+    _gp3_dim12_terms,
     _pfister_subforms,
     _search_sum,
     _sumset,
@@ -760,6 +761,93 @@ def test_gp3_small_dimensions(dim, expected):
         assert cert.verify()
 
 
+def _first_splitting_slot(raw, bits):
+    """The first a != 1 in the class order over whose F(sqrt a) the form
+    is hyperbolic, by the oracle."""
+    return next(a for a in raw.classes[1:] if raw.hyperbolic_over(bits, (a,)))
+
+
+def _check_dim12_terms(raw, v, bits, terms):
+    assert len(terms) == 2 and all(t.fold == 3 for t in terms)
+    assert _spec_sum(raw, terms) == v
+    assert terms[0].slots[0].bits == _first_splitting_slot(raw, bits)
+
+
+def test_gp3_dim12_route_minus_one_divisor(raw_field):
+    # sums of two 3-fold forms sharing the slot -1: the tensor reduction
+    # passes them on, and the route splits them over F3(i)
+    raw = raw_field(F5)
+    rng = random.Random(1212)
+    for _ in range(20):
+        v, phi = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
+        assert _tensor_reduction(phi) is None, format_form(phi)
+        k, cert = pfister_number(phi, 3)
+        assert k == 2
+        _check_dim12_terms(raw, v, [e.bits for e in phi], cert.terms)
+
+
+def test_gp3_dim12_route_non_unit_divisor(raw_field):
+    # a multiple of <<a>> with a non-unit a is always tensor-reduced
+    # along a's top variable, so pfister_number never brings these to
+    # the route; the dim-16 route hands its 12-dimensional remainders
+    # to it directly, as here
+    raw = raw_field(F5)
+    rng = random.Random(1213)
+    non_units = [c for c in raw.classes if c >> 1]
+    for _ in range(20):
+        a = rng.choice(non_units)
+        v, phi = _random_class(raw, rng, 3, 12, (2,), (a,))
+        assert _tensor_reduction(phi) is not None
+        bits = [e.bits for e in phi]
+        _check_dim12_terms(raw, v, bits, _gp3_dim12_terms(F5, bits))
+
+
+def test_gp3_dim14_route_shape(raw_field):
+    # the normal form s(tau1' + -tau2'): scalars s and -s, two
+    # anisotropic 8-dimensional terms that re-expand to phi
+    raw = raw_field(F5)
+    rng = random.Random(1414)
+    for _ in range(40):
+        v, phi = _random_class(raw, rng, 3, 14, (2, 3))
+        assert _tensor_reduction(phi) is None, format_form(phi)
+        k, cert = pfister_number(phi, 3)
+        t1, t2 = cert.terms
+        assert k == 2 and t2.scalar == -t1.scalar
+        assert all(raw.an_dim(raw.spec_vector(t)) == 8 for t in cert.terms)
+        assert _spec_sum(raw, cert.terms) == v
+        assert classify14(phi)["shape_ii"]
+
+
+def _square_classes_built(monkeypatch, run):
+    """How many SquareClass objects run() constructs."""
+    built = [0]
+    post_init = SquareClass.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(SquareClass, "__post_init__", counted)
+        run()
+    return built[0]
+
+
+def test_gp3_routes_build_few_square_classes(raw_field, monkeypatch):
+    # the dim-12 and dim-14 routes run on raw bits and build objects
+    # only for what they return (bounds: the counts measured when the
+    # routes moved to raw bits, plus 25 %; the object-level routes built
+    # 523 and 71)
+    raw = raw_field(F5)
+    rng = random.Random(77)
+    _, phi12 = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
+    _, phi14 = _random_class(raw, rng, 3, 14, (2, 3))
+    assert _square_classes_built(
+        monkeypatch, lambda: pfister_number(phi12, 3)) <= 32
+    assert _square_classes_built(
+        monkeypatch, lambda: classify14(phi14)) <= 53
+
+
 def test_gp3_dim16_at_most_three():
     for seed in range(3):
         phi = _sample(16, seed)
@@ -901,6 +989,14 @@ def test_random_In_form_impossible_dimension():
     # rejected before the first draw: no anisotropic I^n form has this
     # dimension (odd, nonzero below 2^n, or 10 at n = 3)
     for n, dim in ((3, 10), (3, 9), (3, 6), (2, 2), (2, -2)):
+        with pytest.raises(ValueError):
+            random_In_form(F5, n, dim, _NoDraws())
+
+
+def test_random_In_form_unreachable_dimension():
+    # the sampler adds at most three n-fold terms, so a dimension above
+    # 3 * 2^n is rejected before the first draw
+    for n, dim in ((2, 14), (3, 26)):
         with pytest.raises(ValueError):
             random_In_form(F5, n, dim, _NoDraws())
 
