@@ -24,6 +24,7 @@ from .witt import (
     is_hyperbolic,
     represents,
     value_set,
+    _minus_one,
 )
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "rigid_decompose",
     "lift_form",
     "extend_scalars_quadratic",
-    "extend_fresh_variable",
 ]
 
 
@@ -42,7 +42,7 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
     if n < 0:
         raise ValueError("n must be nonnegative")
     field = phi.field
-    minus_one = field.minus_one().bits
+    minus_one = _minus_one(field)
 
     def member(bits: list[int], nvars: int, n: int) -> bool:
         if n <= 1:  # I is the ideal of even-dimensional forms
@@ -197,10 +197,3 @@ def extend_scalars_quadratic(
     target, bits = _extension_bits(phi.field, (e.bits for e in phi), a.bits)
     return target, DiagonalForm(
         target, tuple(SquareClass(target, b) for b in bits))
-
-
-def extend_fresh_variable(phi: DiagonalForm, k: int) -> DiagonalForm:
-    """phi viewed over the model with k additional Laurent variables."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return lift_form(phi, phi.field.extended(k))

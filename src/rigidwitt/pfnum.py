@@ -1,14 +1,18 @@
 """Exact Pfister numbers, bounds, and the dimension-14/16 classifications.
 
 Minimal representations are found by layered exact methods: tensor
-reduction, an anchored search for scaled Pfister subforms on raw class
-bits (it recognizes similar-to-Pfister forms and decides two-term
-splittings), constructive certificates mandated by the classification
-theorems, and, for small fields, a complete search over the generator
-classes on Witt vectors packed into Python ints (with the 2-sumset of
-the generators when it is small enough to store), refused when it would
-take more than a fixed number of steps.  Every certificate re-verifies
-before it is returned.
+reduction, an anchored search for scaled Pfister subforms (it recognizes
+similar-to-Pfister forms and decides two-term splittings), constructive
+certificates mandated by the classification theorems, and, for small
+fields, a complete search over the generator classes on Witt vectors
+packed into Python ints (with the 2-sumset of the generators when it is
+small enough to store), refused when it would take more than a fixed
+number of steps.  Every certificate re-verifies before it is returned.
+
+Every route takes the field and the canonical entry bits of an
+anisotropic form, in the class order, and returns raw terms: (scalar,
+slots) pairs of class bits.  PfisterSpec and SquareClass objects are
+built only for the certificate and the public outputs.
 """
 
 from __future__ import annotations
@@ -51,8 +55,10 @@ from .witt import (
     _counts,
     _flex,
     _form,
+    _minus_one,
     _read_off,
     _ring_params,
+    _split_off,
     _values,
 )
 
@@ -99,7 +105,7 @@ class PfisterCertificate:
         """Whether the terms, expanded on raw bits, sum to the target's
         Witt class."""
         field = self.target.field
-        terms = [b for t in self.terms for b in _expand(t)]
+        terms = [b for t in self.terms for b in _expand(field, _raw(t))]
         return _counts(field, terms) == _counts(
             field, (e.bits for e in self.target))
 
@@ -128,29 +134,46 @@ class PfisterCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _expand(spec: PfisterSpec) -> list[int]:
-    """The entries of spec.expand() on raw bits: the scalar times the
-    products of the <1, -a>."""
-    minus_one = spec.scalar.field.minus_one().bits
-    out = [spec.scalar.bits]
-    for a in spec.slots:
-        out += [e ^ a.bits ^ minus_one for e in out]
+def _expand(field: FieldDesc, term: tuple) -> list[int]:
+    """The entries of the scaled Pfister form term = (scalar, slots) on
+    raw bits: the scalar times the products of the <1, -a>."""
+    minus_one = _minus_one(field)
+    scalar, slots = term
+    out = [scalar]
+    for a in slots:
+        out += [e ^ a ^ minus_one for e in out]
     return out
 
 
-def _minus(field: FieldDesc, bits: Sequence[int],
-           spec: PfisterSpec) -> list[int]:
-    """The canonical anisotropic part of <bits> - spec, in the class
-    order."""
-    minus_one = field.minus_one().bits
-    total = list(bits) + [b ^ minus_one for b in _expand(spec)]
-    an = _an_bits(field, tuple(sorted(total)))
+def _raw(spec: PfisterSpec) -> tuple:
+    """A PfisterSpec as a raw term (scalar, slots)."""
+    return spec.scalar.bits, tuple(s.bits for s in spec.slots)
+
+
+def _spec(field: FieldDesc, term: tuple) -> PfisterSpec:
+    """The PfisterSpec of a raw term (scalar, slots)."""
+    scalar, slots = term
+    return PfisterSpec(SquareClass(field, scalar),
+                       tuple(SquareClass(field, s) for s in slots))
+
+
+def _canon(field: FieldDesc, an: Sequence[int]) -> list[int]:
+    """The canonical entries of an anisotropic form, in the class order."""
     return sorted(_canon_bits(field, an), key=_class_order)
 
 
-def _certificate(n: int, terms: Sequence[PfisterSpec],
+def _minus(field: FieldDesc, bits: Sequence[int], term: tuple) -> list[int]:
+    """The canonical anisotropic part of <bits> - term, in the class
+    order."""
+    minus_one = _minus_one(field)
+    total = list(bits) + [b ^ minus_one for b in _expand(field, term)]
+    return _canon(field, _an_bits(field, tuple(sorted(total))))
+
+
+def _certificate(n: int, terms: Sequence[tuple],
                  target: DiagonalForm) -> PfisterCertificate:
-    cert = PfisterCertificate(n, tuple(terms), target)
+    cert = PfisterCertificate(
+        n, tuple(_spec(target.field, t) for t in terms), target)
     if not cert.verify():
         raise InternalContradictionError(
             f"certificate failed verification for {format_form(target)}")
@@ -235,23 +258,23 @@ def _enum_feasible(field: FieldDesc, n: int) -> bool:
 def _pfister_sets(field: FieldDesc, n: int) -> list[dict]:
     """S_k for k = 1..n: anisotropic k-fold Pfister classes.
 
-    Each S_k maps the canonical entry-bit tuple to a slot witness.
+    Each S_k maps the canonical entry-bit tuple to a tuple of slot bits.
     """
     key = (field, n)
     cached = _GEN_CACHE.get(("S", key))
     if cached is not None:
         return cached
-    classes = [c for c in field.classes() if not c.is_one()]
-    level: dict[tuple[int, ...], tuple[SquareClass, ...]] = {}
+    classes = field.class_bits()[1:]
+    minus_one = _minus_one(field)
+    level: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in classes:
-        bits = _canon_bits(field, (0, (-a).bits))
-        level.setdefault(bits, (a,))
+        level.setdefault(_canon_bits(field, (0, a ^ minus_one)), (a,))
     sets = [level]
     for fold in range(2, n + 1):
-        nxt: dict[tuple[int, ...], tuple[SquareClass, ...]] = {}
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         target = 1 << fold
         for a in classes:
-            na = (-a).bits
+            na = a ^ minus_one
             for bits, slots in sets[-1].items():
                 prod = bits + tuple(b ^ na for b in bits)
                 an = _an_bits(field, tuple(sorted(prod)))
@@ -265,7 +288,7 @@ def _pfister_sets(field: FieldDesc, n: int) -> list[dict]:
 def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
     """All nonzero Witt classes of (un)scaled n-fold Pfister forms.
 
-    Maps the packed Witt vector (see _Packed) to a PfisterSpec.
+    Maps the packed Witt vector (see _Packed) to a raw term.
     """
     key = (field, n, unscaled)
     cached = _GEN_CACHE.get(("G", key))
@@ -273,15 +296,14 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
         return cached
     sets = _pfister_sets(field, n)
     if unscaled:
-        scalars = [field.one(), -field.one()]
+        scalars = (0, _minus_one(field))
     else:
-        scalars = list(field.classes())
+        scalars = field.class_bits()
     pack = _Packed(field).pack
     out: dict = {}
     for bits, slots in sets[n - 1].items():
         for c in scalars:
-            out.setdefault(pack([c.bits ^ b for b in bits]),
-                           PfisterSpec(c, slots))
+            out.setdefault(pack([c ^ b for b in bits]), (c, slots))
     _GEN_CACHE[("G", key)] = out
     return out
 
@@ -320,8 +342,8 @@ def enumerate_GPn_classes(
         raise ValueError("fold must be at least 1")
     gens = _generators(field, n, unscaled)
     items = _Packed(field).items
-    out = [(_form(field, _read_off(field, items(v))), spec)
-           for v, spec in gens.items()]
+    out = [(_form(field, _read_off(field, items(v))), _spec(field, term))
+           for v, term in gens.items()]
     out.sort(key=lambda pair: tuple(e.bits for e in pair[0].entries))
     return out
 
@@ -330,23 +352,8 @@ def enumerate_GPn_classes(
 #
 # D(psi) of an anisotropic psi is read off its entries (witt._values).
 # By Witt cancellation a form embeds in psi exactly when its entries can
-# be split off one at a time, so subforms are found by removing entries
-# from a list; no anisotropic part is computed.
-
-def _split_off(rest: list[int], y: int, flex: int) -> bool:
-    """Replace the anisotropic rest by its complement of <y>, in place;
-    False if rest does not represent y."""
-    if y in rest:
-        rest.remove(y)
-        return True
-    z = y ^ flex
-    if flex and rest.count(z) > 1:
-        rest.remove(z)
-        rest.remove(z)
-        rest.append(y)
-        return True
-    return False
-
+# be split off one at a time (witt._split_off), so subforms are found by
+# removing entries from a list; no anisotropic part is computed.
 
 def _pfister_subforms(
     field: FieldDesc, bits: Sequence[int], n: int, anchors: Sequence[int]
@@ -361,7 +368,7 @@ def _pfister_subforms(
     the complement of pi, and x then lies in its value set.
     """
     flex = _flex(field)
-    minus_one = field.minus_one().bits
+    minus_one = _minus_one(field)
     for e in anchors:
         psi = [e ^ b for b in bits]
         if not _split_off(psi, 0, flex):
@@ -399,35 +406,19 @@ def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(dict.fromkeys((bits[0], bits[0] ^ _flex(field))))
 
 
-def _spec(field: FieldDesc, e: int, slots: Sequence[int]) -> PfisterSpec:
-    return PfisterSpec(SquareClass(field, e),
-                       tuple(SquareClass(field, s) for s in slots))
+def _as_scaled_pfister(field: FieldDesc, bits: Sequence[int], n: int,
+                       unscaled: bool = False) -> tuple | None:
+    """A raw term whose scaled Pfister form is isometric to the
+    anisotropic form with these entries, if one exists.
 
-
-def _as_scaled_pfister(
-    phi: DiagonalForm,
-    n: int,
-    unscaled: bool = False,
-    scalars: Sequence[SquareClass] | None = None,
-) -> PfisterSpec | None:
-    """A PfisterSpec with expand() isometric to phi, if one exists.
-
-    phi must be anisotropic.  A scaled Pfister form represents each of
-    its entries, so without restrictions on the scalar it is anchored at
-    an entry of phi; with unscaled or scalars, at the allowed scalars.
+    A scaled Pfister form represents each of its entries, so it is
+    anchored at an entry of the form; an unscaled one at 1 or -1.
     """
-    field = phi.field
-    if phi.dim != 1 << n:
+    if len(bits) != 1 << n:
         return None
-    bits = [e.bits for e in phi.entries]
-    if scalars is None and not unscaled:
-        anchors = bits[:1]
-    else:
-        if scalars is None:
-            scalars = (field.one(), -field.one())
-        anchors = list(dict.fromkeys(c.bits for c in scalars))
+    anchors = dict.fromkeys((0, _minus_one(field))) if unscaled else bits[:1]
     for e, slots, _comp in _pfister_subforms(field, bits, n, anchors):
-        return _spec(field, e, slots)
+        return e, slots
     return None
 
 
@@ -444,7 +435,7 @@ def find_GP2_subform(
     bits = [e.bits for e in phi.entries]
     anchors = _values(bits, _flex(field))
     for e, slots, comp in _pfister_subforms(field, bits, 2, anchors):
-        return _spec(field, e, slots), _form(field, comp)
+        return _spec(field, (e, slots)), _form(field, comp)
     return None
 
 
@@ -455,6 +446,19 @@ def _splits(field: FieldDesc, bits: Sequence[int], a: int) -> bool:
     F(sqrt a), i.e. lies in <<a>>W(F), the kernel of W(F) -> W(F(sqrt a))."""
     target, image = _extension_bits(field, bits, a)
     return not _an_bits(target, tuple(sorted(image)))
+
+
+def _split_candidates(field: FieldDesc, bits: Sequence[int]) -> list[int]:
+    """The b != 1 over whose F(sqrt b) the anisotropic form with these
+    entries may split, in the class order: a multiple <<b>> rho = rho +
+    -b*rho has entries x and -bx in D(phi), so b = -xy for values x, y.
+    Every b != 1 for the zero form."""
+    if not bits:
+        return field.class_bits()[1:]
+    minus_one = _minus_one(field)
+    vals = _values(bits, _flex(field))
+    cands = {x ^ y ^ minus_one for i, x in enumerate(vals) for y in vals[i:]}
+    return sorted(cands - {0}, key=_class_order)
 
 
 def _peel(field: FieldDesc, bits: Sequence[int], pi: Sequence[int],
@@ -502,7 +506,7 @@ def divisible_by_pfister(
             raise FieldMismatchError(f"{a.field} vs {field}")
     if not slots:
         raise ValueError("need at least one slot")
-    pi = _expand(PfisterSpec(field.one(), tuple(slots)))
+    pi = _expand(field, (0, tuple(a.bits for a in slots)))
     if not _an_bits(field, tuple(sorted(pi))):
         if phi.dim == 0:
             return True, DiagonalForm(field, ())
@@ -524,15 +528,17 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
     """A class d with both Pfister forms divisible by the binary <<d>>.
 
     A form is a multiple of <<d>> in W(F) exactly when it splits over
-    F(sqrt d); the first nontrivial d that splits both is returned.
+    F(sqrt d); the first nontrivial d that splits both is returned,
+    tried among the split candidates of the first.
     """
     field = pi1.scalar.field
     if pi2.scalar.field != field:
         raise FieldMismatchError(f"{field} vs {pi2.scalar.field}")
-    forms = [_expand(pi1), _expand(pi2)]
-    for d in field.classes():
-        if not d.is_one() and all(_splits(field, f, d.bits) for f in forms):
-            return d
+    forms = [_expand(field, _raw(pi1)), _expand(field, _raw(pi2))]
+    an = _an_bits(field, tuple(sorted(forms[0])))
+    for d in _split_candidates(field, an):
+        if all(_splits(field, f, d) for f in forms):
+            return SquareClass(field, d)
     return None
 
 
@@ -544,11 +550,11 @@ def _search_sum(
     n: int,
     k: int,
     unscaled: bool,
-) -> list[PfisterSpec] | None:
+) -> list[tuple] | None:
     """Exact test: is the form with these entries a sum of at most k
     generator classes?
 
-    Returns a term list or None.  Complete over the cached generator set
+    Returns raw terms or None.  Complete over the cached generator set
     G: k = 2 is one pass over G asking whether v - g lies in G; with S2
     (the sums of at most two generators, see _sumset) stored, k = 3 asks
     whether v - g lies in S2 and k = 4 whether v - s does for some s in
@@ -561,7 +567,7 @@ def _search_sum(
     gens = _generators(field, n, unscaled)
     sums = _sumset(field, n, unscaled) if k >= 3 else None
 
-    def search(w, j: int) -> list[PfisterSpec] | None:
+    def search(w, j: int) -> list[tuple] | None:
         if w == pk.zero:
             return []
         if w in gens:
@@ -569,15 +575,15 @@ def _search_sum(
         if j <= 1:
             return None
         if j == 2:
-            for spec, r in zip(gens.values(), pk.diffs(w, gens)):
+            for term, r in zip(gens.values(), pk.diffs(w, gens)):
                 hit = gens.get(r)
                 if hit is not None:
-                    return [spec, hit]
+                    return [term, hit]
             return None
         if sums is not None and j == 3:
-            for spec, r in zip(gens.values(), pk.diffs(w, gens)):
+            for term, r in zip(gens.values(), pk.diffs(w, gens)):
                 if pk.unsigned(r) in sums:
-                    return [spec] + search(r, 2)
+                    return [term] + search(r, 2)
             return None
         if sums is not None and j == 4:
             for s in sums:
@@ -591,10 +597,10 @@ def _search_sum(
         cands = sorted(
             (c for c in zip(pk.dims(rs), rs, gens.values()) if c[0] <= bound),
             key=operator.itemgetter(0))
-        for _dim, r, spec in cands:
+        for _dim, r, term in cands:
             rest = search(r, j - 1)
             if rest is not None:
-                return [spec] + rest
+                return [term] + rest
         return None
 
     return search(pk.pack(bits), k)
@@ -613,26 +619,24 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
 
 # --- constructive certificate routes --------------------------------------
 
-def _gp1_terms(phi: DiagonalForm) -> list[PfisterSpec]:
-    """phi as dim/2 scaled 1-fold Pfister forms: <a,b> = a<<-ab>>."""
-    entries = phi.entries
-    return [PfisterSpec(a, (-(a * b),))
-            for a, b in zip(entries[0::2], entries[1::2])]
+def _gp1_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
+    """The form as dim/2 scaled 1-fold Pfister forms: <a,b> = a<<-ab>>."""
+    minus_one = _minus_one(field)
+    return [(a, (a ^ b ^ minus_one,)) for a, b in zip(bits[0::2], bits[1::2])]
 
 
-def _gp2_peeling_terms(phi: DiagonalForm) -> list[PfisterSpec]:
+def _gp2_peeling_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     """The dim/2 - 1 construction for I^2 forms: peel three entries at
     a time via <a,b,c,abc> = a<<-ab,-ac>>."""
-    field = phi.field
-    minus_one = field.minus_one().bits
-    terms: list[PfisterSpec] = []
-    cur = [e.bits for e in phi.entries]
+    minus_one = _minus_one(field)
+    terms: list[tuple] = []
+    cur = list(bits)
     while len(cur) >= 4:
         a, b, c = cur[:3]
-        spec = _spec(field, a, (a ^ b ^ minus_one, a ^ c ^ minus_one))
-        terms.append(spec)
+        term = (a, (a ^ b ^ minus_one, a ^ c ^ minus_one))
+        terms.append(term)
         last = len(cur) == 4
-        cur = _minus(field, cur, spec)
+        cur = _minus(field, cur, term)
         if last and cur:
             raise InternalContradictionError(
                 "final quaternary I^2 class is not similar to a Pfister form")
@@ -641,32 +645,29 @@ def _gp2_peeling_terms(phi: DiagonalForm) -> list[PfisterSpec]:
     return terms
 
 
-def _gp3_dim12_terms(field: FieldDesc,
-                     bits: Sequence[int]) -> list[PfisterSpec]:
+def _gp3_dim12_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     """Two GP_3 terms for the anisotropic 12-dimensional I^3 form with
     these entries, on raw bits.
 
     Such a form is divisible by <<a>> for the first a != 1 in the class
     order over whose F(sqrt a) it splits (splitting is exact for one
-    slot), and only that slot is peeled.  Splitting the 6-dimensional
-    quotient r leaves an 8-dimensional I^3 class, similar to a Pfister
-    form.
+    slot; only split candidates are tried), and only that slot is peeled.
+    Splitting the 6-dimensional quotient r leaves an 8-dimensional I^3
+    class, similar to a Pfister form.
     """
-    minus_one = field.minus_one().bits
-    a = next((a for a in field.class_bits()[1:] if _splits(field, bits, a)),
-             None)
+    minus_one = _minus_one(field)
+    a = next((a for a in _split_candidates(field, bits)
+              if _splits(field, bits, a)), None)
     if a is None:
         raise InternalContradictionError(
             "12-dimensional I^3 form without a binary divisor")
     r = _peel(field, bits, (0, a ^ minus_one), True)
     r.sort(key=_class_order)
-    first = _spec(field, r[0], (a, r[0] ^ r[1] ^ minus_one,
-                                r[0] ^ r[2] ^ minus_one))
+    first = (r[0], (a, r[0] ^ r[1] ^ minus_one, r[0] ^ r[2] ^ minus_one))
     return [first] + _gp3_small_terms(field, _minus(field, bits, first))
 
 
-def _gp3_dim14_terms(field: FieldDesc,
-                     bits: Sequence[int]) -> list[PfisterSpec]:
+def _gp3_dim14_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     """Two GP_3 terms for the anisotropic 14-dimensional I^3 form with
     these entries, on raw bits.
 
@@ -677,7 +678,7 @@ def _gp3_dim14_terms(field: FieldDesc,
     free of s once per (y1, y2, y3), before the anisotropy lookup.
     """
     flex = _flex(field)
-    minus_one = field.minus_one().bits
+    minus_one = _minus_one(field)
     # subform entry candidates: entries, plus flips of doubled classes,
     # plus negatives (the scaled pure part sits inside phi up to signs
     # that a chosen z-entry pins down)
@@ -711,33 +712,31 @@ def _gp3_dim14_terms(field: FieldDesc,
             for _e, slots2, _ in _pfister_subforms(field, tau2, 3, (0,)):
                 slots = sorted((s ^ y ^ minus_one for y in (y1, y2, y3)),
                                key=_class_order)
-                return [_spec(field, s, slots),
-                        _spec(field, s ^ minus_one, slots2)]
+                return [(s, tuple(slots)), (s ^ minus_one, slots2)]
     raise InternalContradictionError(
         "14-dimensional I^3 form without a two-term representation")
 
 
-def _gp3_dim16_terms(phi: DiagonalForm) -> list[PfisterSpec]:
-    """At most three GP_3 terms for an anisotropic 16-dimensional I^3 form.
+def _gp3_dim16_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
+    """At most three GP_3 terms for the anisotropic 16-dimensional I^3
+    form with these entries.
 
-    Extends a GP_2 subform c<<a,b>> through an entry w of its complement
-    to the 3-fold c<<a,b,-cw>>; the remainder has dimension at most 14
-    and is handled by the smaller-dimension routes.
+    Extends the first GP_2 subform c<<a,b>> through the first canonical
+    entry w of its complement to the 3-fold c<<a,b,-cw>>; the remainder
+    has dimension at most 14 and is handled by the smaller-dimension
+    routes.
     """
-    found = find_GP2_subform(phi)
-    if found is None:
-        raise InternalContradictionError(
-            "16-dimensional I^3 form without a GP_2 subform")
-    sigma, comp = found
-    c = sigma.scalar
-    w = comp.entries[0]
-    spec = PfisterSpec(c, sigma.slots + (-(c * w),))
-    rest = _minus(phi.field, [e.bits for e in phi.entries], spec)
-    return [spec] + _gp3_small_terms(phi.field, rest)
+    minus_one = _minus_one(field)
+    for c, slots, comp in _pfister_subforms(
+            field, bits, 2, _values(bits, _flex(field))):
+        w = _canon(field, comp)[0]
+        term = (c, slots + (c ^ w ^ minus_one,))
+        return [term] + _gp3_small_terms(field, _minus(field, bits, term))
+    raise InternalContradictionError(
+        "16-dimensional I^3 form without a GP_2 subform")
 
 
-def _gp3_small_terms(field: FieldDesc,
-                     bits: Sequence[int]) -> list[PfisterSpec]:
+def _gp3_small_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     """GP_3 terms for the anisotropic I^3 class of dimension at most 14
     with these canonical entries, in the class order."""
     d = len(bits)
@@ -745,7 +744,7 @@ def _gp3_small_terms(field: FieldDesc,
         return []
     if d == 8:
         for e, slots, _ in _pfister_subforms(field, bits, 3, bits[:1]):
-            return [_spec(field, e, slots)]
+            return [(e, slots)]
         raise InternalContradictionError(
             "8-dimensional I^3 form not similar to a Pfister form")
     if d == 12:
@@ -759,19 +758,18 @@ def _gp3_small_terms(field: FieldDesc,
 # --- tensor-identity reduction --------------------------------------------
 
 def _tensor_reduction(
-    phi: DiagonalForm,
-) -> tuple[SquareClass, DiagonalForm] | None:
-    """A factorization phi = <1,t> (x) tau with tau free of t's variable.
+    field: FieldDesc, bits: Sequence[int],
+) -> tuple[int, FieldDesc, list[int]] | None:
+    """A factorization <bits> = <1,t> (x) tau with tau free of t's variable.
 
-    phi must be anisotropic.  Returns (t, tau) or None, with tau the
-    anisotropic part over the residue field after moving t onto the
+    The form with these entries must be anisotropic.  Returns
+    (t, residue field, tau) or None, with tau the canonical entries of
+    the anisotropic part over the residue field after moving t onto the
     last variable.  Pfister numbers are preserved: GP_n of the product
     equals GP_{n-1} of tau.  The residue forms are anisotropic, so they
     are isometric exactly when their canonical diagonalizations agree.
     """
-    field = phi.field
     flex = _flex(field)
-    bits = [e.bits for e in phi.entries]
     for i in range(field.nvars, 0, -1):
         bit = 1 << i
         even = [b for b in bits if not b & bit]
@@ -786,8 +784,7 @@ def _tensor_reduction(
                 project, _ = class_map(u ^ bit)
                 res = field.residue()
                 tau = sorted(project(u ^ x) for x in odd)
-                return (SquareClass(field, u ^ bit),
-                        _form(res, _an_bits(res, tuple(tau))))
+                return u ^ bit, res, _canon(res, _an_bits(res, tuple(tau)))
     return None
 
 
@@ -940,7 +937,8 @@ def pfister_number(
     if not in_In(phi, n):
         raise NotInIdealError(f"form is not in I^{n}")
     an = anisotropic_part(phi)
-    k, terms = _pfister_number_impl(an, n, unscaled, depth_cap)
+    k, terms = _pfister_number_impl(
+        phi.field, [e.bits for e in an.entries], n, unscaled, depth_cap)
     cert = _certificate(n, terms, an)
     RESULT_LOG.append({
         "field": str(phi.field),
@@ -954,46 +952,42 @@ def pfister_number(
 
 
 def _pfister_number_impl(
-    an: DiagonalForm, n: int, unscaled: bool, depth_cap: int | None
-) -> tuple[int, list[PfisterSpec]]:
-    field = an.field
-    d = an.dim
+    field: FieldDesc, bits: list[int], n: int, unscaled: bool,
+    depth_cap: int | None,
+) -> tuple[int, list[tuple]]:
+    d = len(bits)
     if d == 0:
         return 0, []
     theorem_cap = _default_cap(n, d, unscaled)
     cap = theorem_cap if depth_cap is None else depth_cap
     # exact fold-reduction for products with a binary Pfister factor
     if not unscaled and n >= 2:
-        red = _tensor_reduction(an)
+        red = _tensor_reduction(field, bits)
         if red is not None:
-            t, tau = red
-            k, sub_terms = _pfister_number_impl(tau, n - 1, unscaled, None)
+            t, res, tau = red
+            k, sub = _pfister_number_impl(res, tau, n - 1, unscaled, None)
             if depth_cap is not None and k > depth_cap:
                 raise _over_cap(depth_cap)
             if k == 0:
                 return 0, []
             # s*<<slots>> over the residue field lifts to
             # s*<<slots, -t>> over the field
-            _, lift = class_map(t.bits)
-
-            def up(c: SquareClass) -> SquareClass:
-                return SquareClass(field, lift(c.bits))
-
-            return k, [PfisterSpec(up(s.scalar),
-                                   tuple(map(up, s.slots)) + (-t,))
-                       for s in sub_terms]
+            _, lift = class_map(t)
+            minus_t = t ^ _minus_one(field)
+            return k, [(lift(s), tuple(map(lift, slots)) + (minus_t,))
+                       for s, slots in sub]
     if n == 1 and not unscaled:
         if cap < d // 2:
             raise _over_cap(cap)
-        return d // 2, _gp1_terms(an)
-    spec = _as_scaled_pfister(an, n, unscaled)
-    if spec is not None:
+        return d // 2, _gp1_terms(field, bits)
+    term = _as_scaled_pfister(field, bits, n, unscaled)
+    if term is not None:
         if cap < 1:
             raise _over_cap(cap)
-        return 1, [spec]
+        return 1, [term]
     enum_ok = _enum_feasible(field, n)
     for k in range(2, cap + 1):
-        terms = _decide_k(an, n, k, unscaled, enum_ok, cap)
+        terms = _decide_k(field, bits, n, k, unscaled, enum_ok, cap)
         if terms is not None:
             if len(terms) != k:
                 raise InternalContradictionError(
@@ -1012,38 +1006,37 @@ def _over_cap(cap: int) -> DepthCapExceededError:
 
 
 def _decide_k(
-    an: DiagonalForm,
+    field: FieldDesc,
+    bits: list[int],
     n: int,
     k: int,
     unscaled: bool,
     enum_ok: bool,
     cap: int,
-) -> list[PfisterSpec] | None:
-    """Terms for a sum of exactly k generators, None if impossible.
+) -> list[tuple] | None:
+    """Raw terms for a sum of exactly k generators, None if impossible.
 
     Raises DepthCapExceededError when no complete method is available,
     so a wrong minimum can never be reported.
     """
-    field = an.field
-    d = an.dim
+    d = len(bits)
     if not unscaled and n == 3 and k == 2 and d in (12, 14):
         # guaranteed two-term dimensions: D(14) and the binary-divisor route
-        return _gp3_small_terms(field, [e.bits for e in an.entries])
+        return _gp3_small_terms(field, bits)
     if not unscaled and k == 2 and d == 1 << (n + 1):
         # two terms of total dimension d are an isometric splitting
         # an = sigma1 + sigma2; one sigma_i represents an anchor e, so it
         # is e*pi for a Pfister subform found by the anchored search, and
         # its complement must be a scaled Pfister form as well
-        bits = [e.bits for e in an.entries]
         for e, slots, comp in _pfister_subforms(
                 field, bits, n, _anchors(field, bits)):
             for c, other, _ in _pfister_subforms(field, comp, n, comp[:1]):
-                return [_spec(field, e, slots), _spec(field, c, other)]
+                return [(e, slots), (c, other)]
         return None
     if not unscaled and n == 2 and k == d // 2 - 1:
-        return _gp2_peeling_terms(an)
+        return _gp2_peeling_terms(field, bits)
     if not unscaled and n == 3 and k == 3 and d == 16:
-        terms = _gp3_dim16_terms(an)
+        terms = _gp3_dim16_terms(field, bits)
         if len(terms) != 3:  # smaller representation would contradict k=2
             raise InternalContradictionError(
                 "dimension-16 route produced a non-3-term certificate")
@@ -1053,8 +1046,7 @@ def _decide_k(
     else:
         cost = _search_cost(field, n, k, unscaled)
         if cost <= _MAX_SEARCH_COST:
-            return _search_sum(field, [e.bits for e in an.entries], n, k,
-                               unscaled)
+            return _search_sum(field, bits, n, k, unscaled)
         why = (f"the generator search would take about {cost} steps,"
                f" over its budget of {_MAX_SEARCH_COST}")
     raise DepthCapExceededError(
@@ -1127,45 +1119,49 @@ def classify14(phi: DiagonalForm) -> dict:
     }
 
 
-def _gp2_decomposition(phi: DiagonalForm) -> list[PfisterSpec] | None:
-    """phi as an isometric orthogonal sum of dim/4 GP_2 forms.
+def _gp2_decomposition(field: FieldDesc,
+                       bits: Sequence[int]) -> list[tuple] | None:
+    """The anisotropic form with these entries as an isometric orthogonal
+    sum of dim/4 GP_2 forms, in raw terms.
 
-    Some summand of any such sum represents an anchor of phi, so the
+    Some summand of any such sum represents an anchor of the form, so the
     first summand is searched among the subforms at the anchors.
     """
-    field = phi.field
-
-    def split(bits: Sequence[int]) -> list[PfisterSpec] | None:
-        if not bits:
-            return []
-        for e, slots, comp in _pfister_subforms(
-                field, bits, 2, _anchors(field, bits)):
-            rest = split(comp)
-            if rest is not None:
-                return [_spec(field, e, slots)] + rest
-        return None
-
-    return split([e.bits for e in phi.entries])
+    if not bits:
+        return []
+    for e, slots, comp in _pfister_subforms(
+            field, bits, 2, _anchors(field, bits)):
+        rest = _gp2_decomposition(field, comp)
+        if rest is not None:
+            return [(e, slots)] + rest
+    return None
 
 
-def _biquadratic_splitting(
-    phi: DiagonalForm,
-) -> tuple[SquareClass, SquareClass] | None:
+def _biquadratic_splitting(field: FieldDesc,
+                           bits: Sequence[int]) -> tuple[int, int] | None:
     """The first pair (a, b) in the class order, b outside {1, a}, such
-    that phi is hyperbolic over F(sqrt a, sqrt b).
+    that the anisotropic form with these entries is hyperbolic over
+    F(sqrt a, sqrt b).
 
-    b is carried to F(sqrt a) by the same class map as phi's entries;
-    it is trivial there exactly when b is 1 or a.
+    b is carried to F(sqrt a) by the same class map as the entries; its
+    image c is trivial exactly when b is 1 or a, and c comes from c's
+    lift and its product with a.  The lift comes first unless a has the
+    unit bit, and the first pair's a has not: else b or ab would lack
+    it, come before a and lead a pair for the same extension.  Only split
+    candidates of the image over F(sqrt a) are tried: when it is
+    hyperbolic, the images of the two classes after 1, which hold the
+    first b outside {1, a}.
     """
-    field = phi.field
     classes = field.class_bits()
-    bits = [e.bits for e in phi]
     for a in classes[1:]:
         mid_field, mid = _extension_bits(field, bits, a)
-        images = _extension_bits(field, classes, a)[1]
-        for b, b_mid in zip(classes, images):
-            if b_mid and _splits(mid_field, mid, b_mid):
-                return SquareClass(field, a), SquareClass(field, b)
+        an = _an_bits(mid_field, tuple(sorted(mid)))
+        cands = (_split_candidates(mid_field, an) if an else
+                 set(_extension_bits(field, classes[1:3], a)[1]) - {0})
+        lift = class_map(a)[1] if a >> 1 else (lambda c: c)
+        for c in sorted(cands, key=lambda c: _class_order(lift(c))):
+            if _splits(mid_field, an, c):
+                return a, lift(c)
     return None
 
 
@@ -1187,11 +1183,13 @@ def classify16(phi: DiagonalForm) -> dict:
     if subform is None:
         raise InternalContradictionError(
             "16-dimensional I^3 form without a GP_2 subform")
-    four = _gp2_decomposition(phi)
+    field = phi.field
+    bits = [e.bits for e in phi.entries]
+    four = _gp2_decomposition(field, bits)
     if four is None:
         raise InternalContradictionError(
             "no isometric decomposition into four GP_2 forms")
-    pair = _biquadratic_splitting(phi)
+    pair = _biquadratic_splitting(field, bits)
     if pair is None:
         raise InternalContradictionError("no biquadratic splitting pair")
     return {
@@ -1199,8 +1197,8 @@ def classify16(phi: DiagonalForm) -> dict:
         "certificate": cert,
         "gp2_subform": subform[0],
         "gp2_complement": subform[1],
-        "gp2_decomposition": four,
-        "splitting_pair": pair,
+        "gp2_decomposition": [_spec(field, t) for t in four],
+        "splitting_pair": tuple(SquareClass(field, b) for b in pair),
     }
 
 

@@ -1,8 +1,8 @@
 """Diagonal quadratic forms over rigid-field models.
 
 Forms are multisets of square classes stored as sorted tuples.  Isometry
-and subform tests and complements go through anisotropic parts, which
-the Witt module reads off the form's Witt vector.
+and subform tests and complements read the raw anisotropic part of
+phi + -psi; decompositions peel raw entry lists (witt._split_off).
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class DiagonalForm:
 
     def __repr__(self) -> str:
         return f"DiagonalForm({self.field}, {format_form(self)!r})"
-
-
-def form(field: FieldDesc, entries: Iterable[SquareClass]) -> DiagonalForm:
-    return DiagonalForm(field, tuple(entries))
 
 
 def zero_form(field: FieldDesc) -> DiagonalForm:
@@ -161,21 +157,25 @@ def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(b & ~1 if bits.count(b) == 2 else b for b in bits))
 
 
-def is_isometric(phi: DiagonalForm, psi: DiagonalForm) -> bool:
-    from . import witt
+def _an_difference(phi: DiagonalForm, psi: DiagonalForm) -> tuple[int, ...]:
+    """The anisotropic part of phi + -psi, on raw bits."""
+    from .witt import _an_bits, _minus_one
 
+    minus_one = _minus_one(phi.field)
+    return _an_bits(phi.field, tuple(sorted(
+        [e.bits for e in phi] + [e.bits ^ minus_one for e in psi])))
+
+
+def is_isometric(phi: DiagonalForm, psi: DiagonalForm) -> bool:
     _check_fields(phi, psi)
-    if phi.dim != psi.dim:
-        return False
-    return witt.anisotropic_part(orth_sum(phi, neg(psi))).dim == 0
+    return phi.dim == psi.dim and not _an_difference(phi, psi)
 
 
 def is_subform(psi: DiagonalForm, phi: DiagonalForm) -> bool:
-    """Witt-index criterion: psi embeds iff i_W(phi + (-psi)) >= dim psi."""
-    from . import witt
-
+    """Witt-index criterion: psi embeds iff i_W(phi + (-psi)) >= dim psi,
+    i.e. iff dim an(phi + (-psi)) <= dim phi - dim psi."""
     _check_fields(psi, phi)
-    return witt.witt_index(orth_sum(phi, neg(psi))) >= psi.dim
+    return len(_an_difference(phi, psi)) <= phi.dim - psi.dim
 
 
 def complement(psi: DiagonalForm, phi: DiagonalForm) -> DiagonalForm:
@@ -184,9 +184,11 @@ def complement(psi: DiagonalForm, phi: DiagonalForm) -> DiagonalForm:
 
     if witt.is_isotropic(phi):
         raise IsotropicInputError("complement requires an anisotropic ambient")
-    if not is_subform(psi, phi):
+    _check_fields(psi, phi)
+    an = _an_difference(phi, psi)
+    if len(an) > phi.dim - psi.dim:
         raise NotASubformError(f"{psi} is not a subform of {phi}")
-    return witt.anisotropic_part(orth_sum(phi, neg(psi)))
+    return witt._form(phi.field, an)
 
 
 def decompose_over_split(
@@ -197,7 +199,8 @@ def decompose_over_split(
     Returns (psi1, psi2, psi3) with psi isometric to their sum, psi1 a
     subform of phi1, psi2 of phi2, and psi3 representing only classes
     outside D(phi1) and D(phi2) (possible only over level-2 fields),
-    with all psi3 entries in distinct square classes.
+    with all psi3 entries in distinct square classes.  Shared values are
+    split off the entry lists of psi and of a summand, least first.
     """
     from . import witt
 
@@ -209,31 +212,23 @@ def decompose_over_split(
     if not is_subform(psi, ambient):
         raise NotASubformError("psi must be a subform of phi1 + phi2")
     fld = psi.field
-    parts1: list[SquareClass] = []
-    parts2: list[SquareClass] = []
-    cur_psi, cur_phi1, cur_phi2 = psi, phi1, phi2
-    while cur_psi.dim:
-        d1 = witt.value_set(cur_phi1)
-        d2 = witt.value_set(cur_phi2)
-        shared = sorted(
-            (x for x in witt.value_set(cur_psi) if x in d1 or x in d2),
-            key=SquareClass.sort_key,
-        )
-        if not shared:
+    flex = witt._flex(fld)
+    rest = [e.bits for e in psi]
+    summands = ([e.bits for e in phi1], [e.bits for e in phi2])
+    parts: tuple[list[int], list[int]] = ([], [])
+    while rest:
+        d1, d2 = (witt._values(s, flex) for s in summands)
+        x = next((x for x in witt._values(rest, flex) if x in d1 or x in d2),
+                 None)
+        if x is None:
             break
-        x = shared[0]
-        cur_psi = complement(DiagonalForm(fld, (x,)), cur_psi)
-        if x in d1:
-            parts1.append(x)
-            cur_phi1 = complement(DiagonalForm(fld, (x,)), cur_phi1)
-        else:
-            parts2.append(x)
-            cur_phi2 = complement(DiagonalForm(fld, (x,)), cur_phi2)
-    return (
-        DiagonalForm(fld, tuple(parts1)),
-        DiagonalForm(fld, tuple(parts2)),
-        cur_psi,
-    )
+        side = x not in d1
+        witt._split_off(rest, x, flex)
+        witt._split_off(summands[side], x, flex)
+        parts[side].append(x)
+    psi1, psi2 = (DiagonalForm(fld, tuple(SquareClass(fld, x) for x in p))
+                  for p in parts)
+    return psi1, psi2, witt._form(fld, rest)
 
 
 # --- textual syntax -------------------------------------------------------

@@ -72,12 +72,6 @@ class FieldDesc:
             return SquareClass(self, 0)
         return SquareClass(self, 1)
 
-    def nonsquare_unit(self) -> "SquareClass":
-        """The nontrivial unit class, if there is one."""
-        if self.base is Base.C:
-            raise UnitClassError("C has a single unit square class")
-        return SquareClass(self, 1)
-
     def var(self, i: int) -> "SquareClass":
         """The class of the i-th Laurent variable (1-based)."""
         if not 1 <= i <= self.nvars:

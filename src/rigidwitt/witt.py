@@ -5,7 +5,8 @@ H of the square-class group, so a form's Witt class is a coefficient
 vector and its anisotropic part is read off that vector.  One raw-bit
 helper counts the vector's nonzero coefficients; anisotropic parts,
 Witt indices, value sets and Witt-class equality all come from it, and
-the dense vector is built from it only where it is asked for.
+the dense vector is built from it only where it is asked for.  The
+raw-bit helpers are shared with qform and pfnum.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ def _flex(field: FieldDesc) -> int:
     return 1 if field.level() == 2 else 0
 
 
+def _minus_one(field: FieldDesc) -> int:
+    """The bit of -1 (0 when -1 is a square, at level 1)."""
+    return int(field.level() != 1)
+
+
 def _class_order(b: int) -> tuple[int, int]:
     """SquareClass.sort_key on raw bits."""
     return (b & 1, b >> 1)
@@ -177,6 +183,22 @@ def _values(rest: Sequence[int], flex: int) -> list[int]:
     if flex:
         vals.update(z ^ flex for z in rest if rest.count(z) > 1)
     return sorted(vals, key=_class_order)
+
+
+def _split_off(rest: list[int], y: int, flex: int) -> bool:
+    """Replace the anisotropic rest by its complement of <y>, in place;
+    False if rest does not represent y.  By Witt cancellation a form
+    embeds in rest exactly when its entries split off one at a time."""
+    if y in rest:
+        rest.remove(y)
+        return True
+    z = y ^ flex
+    if flex and rest.count(z) > 1:
+        rest.remove(z)
+        rest.remove(z)
+        rest.append(y)
+        return True
+    return False
 
 
 def _represented(phi: DiagonalForm) -> list[int] | None:
@@ -225,9 +247,6 @@ class GroupRingElt:
     @property
     def modulus(self) -> int:
         return _ring_params(self.field)[0]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
         if self.field != other.field:
@@ -304,33 +323,32 @@ def three_form_witt_index_check(
 
     Requires phi1, phi2, phi3 and phi1+phi2 anisotropic.  On success the
     witness is constructed by peeling common values of phi1+phi2 and
-    -phi3, then splitting the resulting form over the two summands.
+    -phi3 off both entry lists, then splitting the resulting form over
+    the two summands.
     """
     from .errors import IsotropicInputError, IsotropicSumError
-    from .qform import complement, decompose_over_split
+    from .qform import decompose_over_split
 
     for f in (phi1, phi2, phi3):
         if is_isotropic(f):
             raise IsotropicInputError("all three forms must be anisotropic")
     if is_isotropic(orth_sum(phi1, phi2)):
         raise IsotropicSumError("phi1 + phi2 must be anisotropic")
-    total = orth_sum(orth_sum(phi1, phi2), phi3)
-    iw = witt_index(total)
+    iw = witt_index(orth_sum(orth_sum(phi1, phi2), phi3))
     if iw < m:
         return False, None
     fld = phi1.field
+    flex, minus_one = _flex(fld), _minus_one(fld)
     # psi of dimension i_W inside phi1+phi2 with -psi inside phi3
-    psi_entries: list[SquareClass] = []
-    cur12 = orth_sum(phi1, phi2)
-    cur3 = phi3
+    rest12 = [e.bits for e in phi1] + [e.bits for e in phi2]
+    rest3 = [e.bits for e in phi3]
+    psi: list[SquareClass] = []
     for _ in range(iw):
-        x = min(
-            (x for x in value_set(cur12) if represents(cur3, -x)),
-            key=SquareClass.sort_key,
-        )
-        cur12 = complement(DiagonalForm(fld, (x,)), cur12)
-        cur3 = complement(DiagonalForm(fld, (-x,)), cur3)
-        psi_entries.append(x)
-    psi = DiagonalForm(fld, tuple(psi_entries))
-    psi1, psi2, psi3 = decompose_over_split(psi, phi1, phi2)
+        d3 = _values(rest3, flex)
+        x = next(x for x in _values(rest12, flex) if x ^ minus_one in d3)
+        _split_off(rest12, x, flex)
+        _split_off(rest3, x ^ minus_one, flex)
+        psi.append(SquareClass(fld, x))
+    psi1, psi2, psi3 = decompose_over_split(
+        DiagonalForm(fld, tuple(psi)), phi1, phi2)
     return True, ThreeFormWitness(psi1, psi2, psi3.entries)

@@ -137,8 +137,8 @@ class RawField:
 
 
 class GPLookup(RawField):
-    """Every nonzero Witt class of an n-fold Pfister form, three ways:
-    scaled by any class, unscaled (scalar 1 or -1), and plain (scalar 1).
+    """Every nonzero Witt class of an n-fold Pfister form, two ways:
+    scaled by any class and unscaled (scalar 1 or -1).
 
     Built by expanding every slot tuple with numpy.  `terms` looks a
     class up: the exact number of terms when it is at most 2; `sumset`
@@ -157,7 +157,6 @@ class GPLookup(RawField):
                                 return_index=True)
         nonzero = rows.any(axis=1)
         plain = entries[first[nonzero]]
-        self.plain = self._set(rows[nonzero])
         self._rows = {}
         for unscaled, scalars in ((True, {0, self.minus_one}),
                                   (False, self.classes)):

@@ -149,7 +149,8 @@ def _split_samples(raw, count: int) -> list:
             scalar, *slots = (rng.choice(raw.classes) for _ in range(4))
             bits += raw.pfister_bits(scalar, slots)
         v = raw.vector(bits)
-        if raw.an_dim(v) == 16 and _tensor_reduction(raw.form(v)) is None:
+        if raw.an_dim(v) == 16 and _tensor_reduction(
+                F5, raw.an_bits(v)) is None:
             out.append(raw.form(v))
     return out
 
@@ -168,7 +169,7 @@ def test_criterion_4_dim16_classification(gp_lookup, raw_field):
         bits = [e.bits for e in phi.entries]
         two = look.terms(look.vector(bits))
         oracle = 3 if two is None else two
-        if _tensor_reduction(phi) is not None:
+        if _tensor_reduction(F5, bits) is not None:
             routes["tensor reduction"] += 1
         elif oracle == 2:
             routes["two-term split"] += 1

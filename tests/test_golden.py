@@ -1,0 +1,90 @@
+"""One SHA-256 over library outputs from seeded inputs.
+
+The digest covers exact GP_3 values with their certificate terms as raw
+class bits, the classify14/classify16 reports, and scaled and unscaled
+P_2 ops on every base (most of them decided by the generator search).
+A change meant to keep every output must keep the digest; a change that
+alters an output on purpose records the new digest and says why.  The
+inputs are drawn in the conftest group ring, not by the library.
+"""
+
+import hashlib
+import json
+import random
+
+from rigidwitt.pfnum import (
+    PfisterCertificate,
+    classify14,
+    classify16,
+    pfister_number,
+)
+from rigidwitt.qform import DiagonalForm, PfisterSpec
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+
+GOLDEN = "87c45f68956a7a9077a23940527491d62ddcbc82a9fc035208d719af2bef6be6"
+
+F5 = FieldDesc(Base.F3, 5)
+SEARCH_FIELDS = (FieldDesc(Base.F3, 2), FieldDesc(Base.R, 2),
+                 FieldDesc(Base.C, 3), FieldDesc(Base.SQUARE_MINUS_ONE, 2))
+
+
+def _draw(raw, rng, n, dims, fixed=()):
+    """The anisotropic part of a random sum of one to three scaled n-fold
+    Pfister forms, each starting with the slots `fixed`, whose dimension
+    lies in dims."""
+    while True:
+        bits = []
+        for _ in range(rng.randrange(1, 4)):
+            slots = list(fixed) + [rng.choice(raw.classes)
+                                   for _ in range(n - len(fixed))]
+            bits += raw.pfister_bits(rng.choice(raw.classes), slots)
+        v = raw.vector(bits)
+        if raw.an_dim(v) in dims:
+            return raw.form(v)
+
+
+def _encode(x):
+    """x as plain JSON data, every square class as its raw bits."""
+    if isinstance(x, SquareClass):
+        return x.bits
+    if isinstance(x, DiagonalForm):
+        return [e.bits for e in x.entries]
+    if isinstance(x, PfisterSpec):
+        return [x.scalar.bits, [s.bits for s in x.slots]]
+    if isinstance(x, PfisterCertificate):
+        return [x.n, _encode(x.terms), _encode(x.target)]
+    if isinstance(x, dict):
+        return {key: _encode(val) for key, val in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_encode(val) for val in x]
+    return x
+
+
+def _outputs(raw_field):
+    raw = raw_field(F5)
+    rng = random.Random(909)
+    out = []
+    for dim, fixed in ((8, ()), (12, ()), (12, (raw.minus_one,)), (14, ()),
+                       (16, ())):
+        for _ in range(30):
+            phi = _draw(raw, rng, 3, {dim}, fixed)
+            out.append(["gp3", _encode(phi), _encode(pfister_number(phi, 3))])
+    for dim, classify in ((14, classify14), (16, classify16)):
+        for _ in range(20):
+            phi = _draw(raw, rng, 3, {dim})
+            out.append([dim, _encode(phi), _encode(classify(phi))])
+    for field in SEARCH_FIELDS:
+        raw = raw_field(field)
+        for unscaled in (False, True):
+            for _ in range(12):
+                phi = _draw(raw, rng, 2, {6, 8, 10})
+                out.append([str(field), unscaled, _encode(phi), _encode(
+                    pfister_number(phi, 2, unscaled=unscaled))])
+    return out
+
+
+def test_outputs_match_the_recorded_digest(raw_field):
+    out = _outputs(raw_field)
+    assert len(out) == 150 + 40 + 96
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN

@@ -12,7 +12,6 @@ from rigidwitt.errors import (
 )
 from rigidwitt.ideals import (
     decompose_unimodular,
-    extend_fresh_variable,
     extend_scalars_quadratic,
     in_In,
     lift_form,
@@ -148,7 +147,7 @@ def test_lift_form():
     lifted = lift_form(phi, f4)
     assert lifted.field == f4
     assert format_form(lifted) == "<1,-t1>"
-    assert extend_fresh_variable(phi, 2).field == f4
+    assert lift_form(phi, phi.field.extended(2)).field == f4
 
 
 def test_extend_by_own_slot_splits_pfister():

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import rigidwitt
 
+from rigidwitt import pfnum
 from rigidwitt.errors import (
     DepthCapExceededError,
     FieldMismatchError,
@@ -44,10 +45,12 @@ from rigidwitt.pfnum import (
     _Packed,
     _anchors,
     _as_scaled_pfister,
+    _biquadratic_splitting,
     _gp2_decomposition,
     _gp3_dim12_terms,
     _pfister_subforms,
     _search_sum,
+    _spec,
     _sumset,
     _tensor_reduction,
 )
@@ -84,16 +87,23 @@ def _f(text, field=F2):
 
 # --- recognition ----------------------------------------------------------
 
+def _recognize(phi, n, **kwargs):
+    """_as_scaled_pfister on phi's entries, as a PfisterSpec or None."""
+    term = _as_scaled_pfister(phi.field, [e.bits for e in phi.entries], n,
+                              **kwargs)
+    return None if term is None else _spec(phi.field, term)
+
+
 def test_recognizer_plain_pfister():
     phi = pfister((F2.var(1), F2.var(2)))
-    spec = _as_scaled_pfister(phi, 2)
+    spec = _recognize(phi, 2)
     assert spec is not None
     assert is_isometric(spec.expand(), phi)
 
 
 def test_recognizer_scaled():
     phi = scale(-F2.var(1), pfister((F2.var(1), F2.var(2))))
-    spec = _as_scaled_pfister(anisotropic_part(phi), 2)
+    spec = _recognize(anisotropic_part(phi), 2)
     assert spec is not None and is_isometric(spec.expand(), phi)
 
 
@@ -101,14 +111,14 @@ def test_recognizer_doubled_classes():
     # <<-1,t1>> has entry multiset {1,1,t1,t1}
     phi = pfister((-F2.one(), F2.var(1)))
     assert is_anisotropic(phi)
-    spec = _as_scaled_pfister(anisotropic_part(phi), 2)
+    spec = _recognize(anisotropic_part(phi), 2)
     assert spec is not None and is_isometric(spec.expand(), phi)
 
 
 def test_recognizer_rejects_non_pfister():
     phi = _f("<1,t1,t2,-t1*t2>")  # nontrivial discriminant
-    assert _as_scaled_pfister(phi, 2) is None
-    assert _as_scaled_pfister(_f("<1,t1>"), 2) is None  # wrong dim
+    assert _recognize(phi, 2) is None
+    assert _recognize(_f("<1,t1>"), 2) is None  # wrong dim
 
 
 def test_every_quaternary_I2_form_is_similar_to_pfister():
@@ -117,7 +127,7 @@ def test_every_quaternary_I2_form_is_similar_to_pfister():
         phi = DiagonalForm(F2, combo)
         if not is_anisotropic(phi) or not in_In(phi, 2):
             continue
-        assert _as_scaled_pfister(phi, 2) is not None, format_form(phi)
+        assert _recognize(phi, 2) is not None, format_form(phi)
 
 
 def _recognizer_cases(raw, dim):
@@ -137,9 +147,8 @@ def _recognizer_cases(raw, dim):
 
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)])
 def test_recognizer_modes_match_lookup_exhaustive(field, gp_lookup):
-    # default, unscaled and scalars=(one,) against the lookup's scaled,
-    # unscaled and plain Pfister classes, on every anisotropic 4- and
-    # 8-dimensional form
+    # default and unscaled against the lookup's scaled and unscaled
+    # Pfister classes, on every anisotropic 4- and 8-dimensional form
     one = field.one()
     outcomes = set()
     for n in (2, 3):
@@ -147,9 +156,8 @@ def test_recognizer_modes_match_lookup_exhaustive(field, gp_lookup):
         for v, phi in _recognizer_cases(look, 1 << n):
             for kwargs, members, scalars in (
                     ({}, look.scaled, None),
-                    ({"unscaled": True}, look.unscaled, (one, -one)),
-                    ({"scalars": (one,)}, look.plain, (one,))):
-                spec = _as_scaled_pfister(phi, n, **kwargs)
+                    ({"unscaled": True}, look.unscaled, (one, -one))):
+                spec = _recognize(phi, n, **kwargs)
                 assert (spec is not None) == (v in members), \
                     (format_form(phi), kwargs)
                 if spec is not None:
@@ -159,7 +167,7 @@ def test_recognizer_modes_match_lookup_exhaustive(field, gp_lookup):
                 outcomes.add((n, tuple(kwargs), spec is None))
     # each mode accepts and rejects at n = 2; at n = 3 the only
     # anisotropic 8-dimensional forms of these fields are Pfister forms
-    for mode in ((), ("unscaled",), ("scalars",)):
+    for mode in ((), ("unscaled",)):
         assert {(2, mode, True), (2, mode, False), (3, mode, False)} \
             <= outcomes
 
@@ -255,7 +263,8 @@ def test_two_term_decisions_match_lookup(gp_lookup):
         comp_v = look.vector([e.bits for e in comp.entries])
         assert comp.dim == 12 and look.an_dim(comp_v) == 12
         assert look.add(look.spec_vector(spec), comp_v) == v
-        four = _gp2_decomposition(phi)
+        four = [_spec(F5, t) for t in _gp2_decomposition(
+            F5, [e.bits for e in phi.entries])]
         assert len(four) == 4 and all(t.fold == 2 for t in four)
         total = (0,) * look.size
         for t in four:
@@ -327,7 +336,7 @@ def test_generator_search_matches_lookup_on_every_class(field, gp_lookup):
             assert (found is None) == (expected is None), format_form(phi)
             if found is not None:
                 assert len(found) == expected
-                assert _spec_sum(look, found) == v
+                assert _spec_sum(look, [_spec(field, t) for t in found]) == v
             k, cert = pfister_number(phi, 2, unscaled=unscaled)
             assert k == expected if expected is not None else k >= 3
             assert _spec_sum(look, cert.terms) == v
@@ -461,18 +470,25 @@ def test_tensor_identity_with_twisted_uniformizer():
     assert k3 == 1 and cert.verify()
 
 
+def _reduces(phi):
+    """Whether _tensor_reduction factors phi's entries."""
+    return _tensor_reduction(phi.field, [e.bits for e in phi.entries]) \
+        is not None
+
+
 def _check_tensor_reduction(raw, phi):
-    """Whether _tensor_reduction(phi) factors; asserts that a returned
-    (t, tau), mapped back, gives <1,t> (x) tau' in phi's Witt class."""
-    found = _tensor_reduction(phi)
+    """Whether _tensor_reduction factors phi's entries; asserts that a
+    returned (t, residue field, tau), mapped back, gives <1,t> (x) tau'
+    in phi's Witt class."""
+    field = phi.field
+    found = _tensor_reduction(field, [e.bits for e in phi.entries])
     if found is None:
         return False
-    t, tau = found
-    field = phi.field
-    assert tau.field == field.residue()
-    inv = find_basis_change(t).inverse()
-    back = [inv.apply(SquareClass(field, e.bits)).bits for e in tau.entries]
-    product = back + [t.bits ^ b for b in back]
+    t, res, tau = found
+    assert res == field.residue()
+    inv = find_basis_change(SquareClass(field, t)).inverse()
+    back = [inv.apply(SquareClass(field, b)).bits for b in tau]
+    product = back + [t ^ b for b in back]
     assert raw.vector(product) == raw.vector(
         [e.bits for e in phi.entries]), format_form(phi)
     return True
@@ -579,7 +595,7 @@ def test_search_sum_allows_fewer_terms(gp_lookup, field, unscaled):
         for k in range(least, 6):
             found = _search_sum(field, bits, 2, k, unscaled)
             assert found is not None and least <= len(found) <= k
-            assert _spec_sum(look, found) == v
+            assert _spec_sum(look, [_spec(field, t) for t in found]) == v
 
 
 def test_hyperbolic_input_is_zero():
@@ -780,7 +796,7 @@ def test_gp3_dim12_route_minus_one_divisor(raw_field):
     rng = random.Random(1212)
     for _ in range(20):
         v, phi = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
-        assert _tensor_reduction(phi) is None, format_form(phi)
+        assert not _reduces(phi), format_form(phi)
         k, cert = pfister_number(phi, 3)
         assert k == 2
         _check_dim12_terms(raw, v, [e.bits for e in phi], cert.terms)
@@ -797,9 +813,10 @@ def test_gp3_dim12_route_non_unit_divisor(raw_field):
     for _ in range(20):
         a = rng.choice(non_units)
         v, phi = _random_class(raw, rng, 3, 12, (2,), (a,))
-        assert _tensor_reduction(phi) is not None
+        assert _reduces(phi)
         bits = [e.bits for e in phi]
-        _check_dim12_terms(raw, v, bits, _gp3_dim12_terms(F5, bits))
+        _check_dim12_terms(raw, v, bits, [
+            _spec(F5, t) for t in _gp3_dim12_terms(F5, bits)])
 
 
 def test_gp3_dim14_route_shape(raw_field):
@@ -809,7 +826,7 @@ def test_gp3_dim14_route_shape(raw_field):
     rng = random.Random(1414)
     for _ in range(40):
         v, phi = _random_class(raw, rng, 3, 14, (2, 3))
-        assert _tensor_reduction(phi) is None, format_form(phi)
+        assert not _reduces(phi), format_form(phi)
         k, cert = pfister_number(phi, 3)
         t1, t2 = cert.terms
         assert k == 2 and t2.scalar == -t1.scalar
@@ -818,34 +835,73 @@ def test_gp3_dim14_route_shape(raw_field):
         assert classify14(phi)["shape_ii"]
 
 
-def _square_classes_built(monkeypatch, run):
-    """How many SquareClass objects run() constructs."""
-    built = [0]
-    post_init = SquareClass.__post_init__
-
-    def counted(self):
-        built[0] += 1
-        post_init(self)
-
+def _objects_built(monkeypatch, run):
+    """How many SquareClass and DiagonalForm objects run() constructs."""
+    built = {SquareClass: 0, DiagonalForm: 0}
     with monkeypatch.context() as m:
-        m.setattr(SquareClass, "__post_init__", counted)
+        for cls in built:
+            def counted(self, cls=cls, post_init=cls.__post_init__):
+                built[cls] += 1
+                post_init(self)
+
+            m.setattr(cls, "__post_init__", counted)
         run()
-    return built[0]
+    return built[SquareClass], built[DiagonalForm]
 
 
 def test_gp3_routes_build_few_square_classes(raw_field, monkeypatch):
-    # the dim-12 and dim-14 routes run on raw bits and build objects
-    # only for what they return (bounds: the counts measured when the
-    # routes moved to raw bits, plus 25 %; the object-level routes built
-    # 523 and 71)
+    # the engine runs on raw bits and builds objects only for what it
+    # returns: one DiagonalForm per pfister_number call (the certificate
+    # target), square classes for the certificate and the report.  The
+    # cases: a <<-1>>-divisible dim-12 form, classify14, a tensor-reduced
+    # dim-8 form, a dim-16 form that no tensor reduction factors, and an
+    # unscaled P_2 op of the generator search with a cold generator
+    # cache.  Bounds: the counts measured when the whole engine moved to
+    # raw bits, plus 25 % (the object-level engine built 27, 43, 30, 52
+    # and 51 square classes).
     raw = raw_field(F5)
     rng = random.Random(77)
     _, phi12 = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
     _, phi14 = _random_class(raw, rng, 3, 14, (2, 3))
-    assert _square_classes_built(
-        monkeypatch, lambda: pfister_number(phi12, 3)) <= 32
-    assert _square_classes_built(
-        monkeypatch, lambda: classify14(phi14)) <= 53
+    _, phi8 = _random_class(raw, rng, 3, 8, (1,), (F5.var(1).bits,))
+    assert _reduces(phi8)
+    phi16 = _random_class(raw, rng, 3, 16, (3,))[1]
+    while _reduces(phi16):
+        phi16 = _random_class(raw, rng, 3, 16, (3,))[1]
+    _, phi_s = _random_class(raw_field(F2), rng, 2, 8, (2, 3))
+
+    def search():
+        monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
+        return pfister_number(phi_s, 2, unscaled=True)
+
+    for run, bound in ((lambda: pfister_number(phi12, 3), 25),
+                       (lambda: pfister_number(phi8, 3), 15),
+                       (lambda: pfister_number(phi16, 3), 35),
+                       (search, 17)):
+        classes, forms = _objects_built(monkeypatch, run)
+        assert forms == 1 and classes <= bound, (classes, forms)
+    classes, _ = _objects_built(monkeypatch, lambda: classify14(phi14))
+    assert classes <= 46
+
+
+def test_split_candidates_bound_the_splitting_scans(raw_field, monkeypatch):
+    # classify16 over F3[t1..t10] tests only split candidates for the
+    # biquadratic pair (bound: the 1 407 calls
+    # measured when the scans moved to candidates, plus 25 %; the scans
+    # over every class made 36 863 for this form)
+    field = FieldDesc(Base.F3, 10)
+    _, phi = _random_class(raw_field(field), random.Random(1610), 3, 16,
+                           (2, 3))
+    calls = [0]
+    splits = pfnum._splits
+
+    def counted(*args):
+        calls[0] += 1
+        return splits(*args)
+
+    monkeypatch.setattr(pfnum, "_splits", counted)
+    classify16(phi)
+    assert 0 < calls[0] <= 1758, calls[0]
 
 
 def test_gp3_dim16_at_most_three():
@@ -889,6 +945,44 @@ def test_splitting_pair_is_the_first_oracle_pair(raw_field):
                      if b not in (0, a) and raw.hyperbolic_over(bits, (a, b)))
         pair = classify16(phi)["splitting_pair"]
         assert tuple(c.bits for c in pair) == first, format_form(phi)
+
+
+SMALL_FIELDS = [F2, R2, FieldDesc(Base.C, 3),
+                FieldDesc(Base.SQUARE_MINUS_ONE, 2)]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_biquadratic_splitting_matches_brute_force(field, raw_field):
+    # on every anisotropic form (over R those with |c| <= 2), the pair
+    # found on split candidates is the first pair in the class order,
+    # b outside {1, a}, of a scan over every pair with the oracle
+    raw = raw_field(field)
+    for _v, phi in raw.witt_classes():
+        bits = [e.bits for e in phi.entries]
+        first = next(((a, b) for a in raw.classes[1:] for b in raw.classes
+                      if b not in (0, a)
+                      and raw.hyperbolic_over(bits, (a, b))), None)
+        assert _biquadratic_splitting(field, bits) == first, format_form(phi)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_common_slot_matches_brute_force(field, raw_field):
+    # the first d != 1 over whose F(sqrt d) both scaled 1- or 2-fold
+    # Pfister forms split, by a scan over every class with the oracle
+    raw = raw_field(field)
+    rng = random.Random(523)
+    classes = list(field.classes())
+    for _ in range(200):
+        specs = [PfisterSpec(rng.choice(classes), tuple(
+            rng.choice(classes) for _ in range(rng.randrange(1, 3))))
+            for _ in range(2)]
+        forms = [raw.pfister_bits(t.scalar.bits, [s.bits for s in t.slots])
+                 for t in specs]
+        first = next((d for d in raw.classes[1:] if all(
+            raw.hyperbolic_over(f, (d,)) for f in forms)), None)
+        found = common_slot(*specs)
+        assert (None if found is None else found.bits) == first, \
+            tuple(map(str, specs))
 
 
 def test_classify_dimension_checks():
