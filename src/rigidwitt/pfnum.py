@@ -1,13 +1,15 @@
 """Exact Pfister numbers, bounds, and the dimension-14/16 classifications.
 
-Minimal representations are found by layered exact methods: tensor
-reduction, an anchored search for scaled Pfister subforms (it recognizes
-similar-to-Pfister forms and decides two-term splittings), constructive
-certificates mandated by the classification theorems, and, for small
-fields, a complete search over the generator classes on Witt vectors
-packed into Python ints (with the 2-sumset of the generators when it is
-small enough to store), refused when it would take more than a fixed
-number of steps.  Every certificate re-verifies before it is returned.
+A product with a binary Pfister factor is first reduced to one fold
+less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
+and each k is decided by one rule of an exact ladder: the recognizer
+(an anchored search for scaled Pfister subforms), constructive
+certificates mandated by the classification theorems, the anchored
+two-term split, and, for small fields, a complete search over the
+generator classes on Witt vectors packed into Python ints (with the
+2-sumset of the generators when it is small enough to store), refused
+when it would take more than a fixed number of steps.  Every
+certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
 anisotropic form, in the class order, and returns raw terms: (scalar,
@@ -41,9 +43,7 @@ from .qform import (
     PfisterSpec,
     _canon_bits,
     format_form,
-    orth_sum,
     pfister,
-    scale,
     tensor,
 )
 from .sqclass import FieldDesc, SquareClass, class_map
@@ -83,7 +83,8 @@ __all__ = [
 ]
 
 # The most recent exact Pfister numbers computed in this process, newest
-# last; older records drop off so the log stays bounded.
+# last; older records drop off so the log stays bounded.  "form" holds
+# the canonical entry bits of phi's anisotropic part over "field".
 RESULT_LOG: deque[dict] = deque(maxlen=4096)
 
 _MAX_ENUM_CLASSES = 1 << 20  # square_class_count ** (n+1) gate
@@ -251,38 +252,30 @@ class _Packed:
 _GEN_CACHE: dict = {}
 
 
-def _enum_feasible(field: FieldDesc, n: int) -> bool:
-    return field.square_class_count() ** (n + 1) <= _MAX_ENUM_CLASSES
+def _pfister_set(field: FieldDesc, n: int) -> dict:
+    """S_n, the anisotropic n-fold Pfister classes, grown from S_(n-1)
+    and cached one fold per entry; S_0 is {<1>}.
 
-
-def _pfister_sets(field: FieldDesc, n: int) -> list[dict]:
-    """S_k for k = 1..n: anisotropic k-fold Pfister classes.
-
-    Each S_k maps the canonical entry-bit tuple to a tuple of slot bits.
+    Maps the canonical entry-bit tuple to a tuple of slot bits.
     """
-    key = (field, n)
-    cached = _GEN_CACHE.get(("S", key))
+    cached = _GEN_CACHE.get(("S", field, n))
     if cached is not None:
         return cached
-    classes = field.class_bits()[1:]
-    minus_one = _minus_one(field)
-    level: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for a in classes:
-        level.setdefault(_canon_bits(field, (0, a ^ minus_one)), (a,))
-    sets = [level]
-    for fold in range(2, n + 1):
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        target = 1 << fold
-        for a in classes:
+    if n == 0:
+        out = {(0,): ()}
+    else:
+        minus_one = _minus_one(field)
+        prev = _pfister_set(field, n - 1)
+        out = {}
+        for a in field.class_bits()[1:]:
             na = a ^ minus_one
-            for bits, slots in sets[-1].items():
+            for bits, slots in prev.items():
                 prod = bits + tuple(b ^ na for b in bits)
                 an = _an_bits(field, tuple(sorted(prod)))
-                if len(an) == target:
-                    nxt.setdefault(_canon_bits(field, an), slots + (a,))
-        sets.append(nxt)
-    _GEN_CACHE[("S", key)] = sets
-    return sets
+                if len(an) == 1 << n:
+                    out.setdefault(_canon_bits(field, an), slots + (a,))
+    _GEN_CACHE[("S", field, n)] = out
+    return out
 
 
 def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
@@ -294,14 +287,13 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
     cached = _GEN_CACHE.get(("G", key))
     if cached is not None:
         return cached
-    sets = _pfister_sets(field, n)
     if unscaled:
         scalars = (0, _minus_one(field))
     else:
         scalars = field.class_bits()
     pack = _Packed(field).pack
     out: dict = {}
-    for bits, slots in sets[n - 1].items():
+    for bits, slots in _pfister_set(field, n).items():
         for c in scalars:
             out.setdefault(pack([c ^ b for b in bits]), (c, slots))
     _GEN_CACHE[("G", key)] = out
@@ -743,8 +735,9 @@ def _gp3_small_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     if d == 0:
         return []
     if d == 8:
-        for e, slots, _ in _pfister_subforms(field, bits, 3, bits[:1]):
-            return [(e, slots)]
+        term = _as_scaled_pfister(field, bits, 3)
+        if term is not None:
+            return [term]
         raise InternalContradictionError(
             "8-dimensional I^3 form not similar to a Pfister form")
     if d == 12:
@@ -937,12 +930,12 @@ def pfister_number(
     if not in_In(phi, n):
         raise NotInIdealError(f"form is not in I^{n}")
     an = anisotropic_part(phi)
-    k, terms = _pfister_number_impl(
-        phi.field, [e.bits for e in an.entries], n, unscaled, depth_cap)
+    bits = [e.bits for e in an.entries]
+    k, terms = _pfister_number_impl(phi.field, bits, n, unscaled, depth_cap)
     cert = _certificate(n, terms, an)
     RESULT_LOG.append({
-        "field": str(phi.field),
-        "form": format_form(an),
+        "field": phi.field,
+        "form": tuple(bits),
         "dim": an.dim,
         "n": n,
         "unscaled": unscaled,
@@ -968,26 +961,15 @@ def _pfister_number_impl(
             k, sub = _pfister_number_impl(res, tau, n - 1, unscaled, None)
             if depth_cap is not None and k > depth_cap:
                 raise _over_cap(depth_cap)
-            if k == 0:
-                return 0, []
             # s*<<slots>> over the residue field lifts to
             # s*<<slots, -t>> over the field
             _, lift = class_map(t)
             minus_t = t ^ _minus_one(field)
             return k, [(lift(s), tuple(map(lift, slots)) + (minus_t,))
                        for s, slots in sub]
-    if n == 1 and not unscaled:
-        if cap < d // 2:
-            raise _over_cap(cap)
-        return d // 2, _gp1_terms(field, bits)
-    term = _as_scaled_pfister(field, bits, n, unscaled)
-    if term is not None:
-        if cap < 1:
-            raise _over_cap(cap)
-        return 1, [term]
-    enum_ok = _enum_feasible(field, n)
-    for k in range(2, cap + 1):
-        terms = _decide_k(field, bits, n, k, unscaled, enum_ok, cap)
+    # a sum of k terms has dimension at most k * 2^n
+    for k in range(math.ceil(d / (1 << n)), cap + 1):
+        terms = _decide_k(field, bits, n, k, unscaled, cap)
         if terms is not None:
             if len(terms) != k:
                 raise InternalContradictionError(
@@ -1011,23 +993,33 @@ def _decide_k(
     n: int,
     k: int,
     unscaled: bool,
-    enum_ok: bool,
     cap: int,
 ) -> list[tuple] | None:
     """Raw terms for a sum of exactly k generators, None if impossible.
 
-    Raises DepthCapExceededError when no complete method is available,
-    so a wrong minimum can never be reported.
+    The caller has ruled out every k from the dimension bound up to
+    k - 1.  The first rule that applies decides, in this order: scaled
+    1-fold classes split into binary forms; k = 1 is the recognizer;
+    scaled GP_3 is 2 at dimensions 12 and 14 (D(12), D(14)); two scaled
+    terms of dimension 2^(n+1) are an isometric splitting; scaled GP_2
+    is at most d/2 - 1 by peeling; scaled GP_3 is at most 3 at dimension
+    16; any other k goes to the generator search, which is off when
+    square_class_count^(n+1) exceeds _MAX_ENUM_CLASSES.  Raises
+    DepthCapExceededError when no complete method is available, so a
+    wrong minimum can never be reported.
     """
     d = len(bits)
-    if not unscaled and n == 3 and k == 2 and d in (12, 14):
-        # guaranteed two-term dimensions: D(14) and the binary-divisor route
+    if not unscaled and n == 1:
+        return _gp1_terms(field, bits)
+    if k == 1:
+        term = _as_scaled_pfister(field, bits, n, unscaled)
+        return None if term is None else [term]
+    if not unscaled and n == 3 and d in (12, 14):
         return _gp3_small_terms(field, bits)
     if not unscaled and k == 2 and d == 1 << (n + 1):
-        # two terms of total dimension d are an isometric splitting
-        # an = sigma1 + sigma2; one sigma_i represents an anchor e, so it
-        # is e*pi for a Pfister subform found by the anchored search, and
-        # its complement must be a scaled Pfister form as well
+        # one of the two summands represents an anchor e, so it is e*pi
+        # for a Pfister subform found by the anchored search, and its
+        # complement must be a scaled Pfister form as well
         for e, slots, comp in _pfister_subforms(
                 field, bits, n, _anchors(field, bits)):
             for c, other, _ in _pfister_subforms(field, comp, n, comp[:1]):
@@ -1036,12 +1028,8 @@ def _decide_k(
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(field, bits)
     if not unscaled and n == 3 and k == 3 and d == 16:
-        terms = _gp3_dim16_terms(field, bits)
-        if len(terms) != 3:  # smaller representation would contradict k=2
-            raise InternalContradictionError(
-                "dimension-16 route produced a non-3-term certificate")
-        return terms
-    if not enum_ok:
+        return _gp3_dim16_terms(field, bits)
+    if field.square_class_count() ** (n + 1) > _MAX_ENUM_CLASSES:
         why = f"the generator search is off for {field} at n = {n}"
     else:
         cost = _search_cost(field, n, k, unscaled)
@@ -1228,14 +1216,13 @@ def random_In_form(
         raise ValueError(f"no anisotropic I^{n} form of dimension {dim} "
                          f"can be drawn")
     for attempt in range(max_tries):
-        r = rng.randrange(1, 4)
-        total = DiagonalForm(field, ())
-        for _ in range(r):
-            c = field.random_class(rng)
-            slots = tuple(field.random_class(rng) for _ in range(n))
-            total = orth_sum(total, scale(c, pfister(slots)))
-        an = anisotropic_part(total)
-        if an.dim == dim or (allow_smaller and an.dim <= dim):
-            return an
+        bits: list[int] = []
+        for _ in range(rng.randrange(1, 4)):
+            c = field.random_class(rng).bits
+            slots = tuple(field.random_class(rng).bits for _ in range(n))
+            bits += _expand(field, (c, slots))
+        an = _an_bits(field, tuple(sorted(bits)))
+        if len(an) == dim or (allow_smaller and len(an) <= dim):
+            return _form(field, an)
     raise RigidWittError(
         f"no random I^{n} form of dimension {dim} found in {max_tries} tries")

@@ -143,3 +143,67 @@ def test_verify_deterministic(capsys):
     code2, out2, _ = run(capsys, "verify", "identities", "--seed", "5",
                          "--json")
     assert (code1, out1) == (code2, out2)
+
+
+def test_classify16_json_payload(capsys, raw_field):
+    # the splitting pair and the certificate are checked in the conftest
+    # group ring, which shares no code with the library's routes
+    import random
+
+    from rigidwitt.pfnum import random_In_form
+    from rigidwitt.qform import format_form
+    from rigidwitt.sqclass import Base, FieldDesc, parse_square_class
+
+    field = FieldDesc(Base.F3, 5)
+    raw = raw_field(field)
+    rng = random.Random(16)
+    for _ in range(3):
+        phi = random_In_form(field, 3, 16, rng)
+        bits = [e.bits for e in phi.entries]
+        code, out, _ = run(capsys, "classify", "--field", str(field),
+                           "--form", format_form(phi), "--dim", "16",
+                           "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema"] == 1 and payload["dim"] == 16
+        assert payload["gp3"] <= 3 and len(payload["gp2_decomposition"]) == 4
+
+        def cls(text):
+            return parse_square_class(text, field).bits
+
+        a, b = map(cls, payload["splitting_pair"])
+        assert raw.hyperbolic_over(bits, (a, b))
+        terms = payload["certificate"]["terms"]
+        assert len(terms) == payload["gp3"]
+        total = raw.vector([])
+        for term in terms:
+            total = raw.add(total, raw.vector(raw.pfister_bits(
+                cls(term["scalar"]), [cls(s) for s in term["slots"]])))
+        assert total == raw.vector(bits)
+
+
+@pytest.mark.parametrize("suite", ["oracles", "all"])
+def test_verify_oracles_and_all(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--seed", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"]
+    names = ["identities", "oracles", "roundtrip"] if suite == "all" \
+        else ["oracles"]
+    assert sorted(payload["suites"]) == names
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_bounds_rows(capsys, n):
+    import math
+
+    from rigidwitt.pfnum import poly_bound, two_pfister_bound
+
+    code, out, _ = run(capsys, "bounds", "--n", str(n), "--dmax", "24")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[0] == "d,bound"
+    for d in range(0, 25, 2):
+        bound = two_pfister_bound(d) if n == 2 \
+            else math.ceil(poly_bound(4)(d))
+        assert rows[1 + d // 2] == f"{d},{bound}"

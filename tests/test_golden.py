@@ -5,18 +5,21 @@ class bits, the classify14/classify16 reports, and scaled and unscaled
 P_2 ops on every base (most of them decided by the generator search).
 A change meant to keep every output must keep the digest; a change that
 alters an output on purpose records the new digest and says why.  The
-inputs are drawn in the conftest group ring, not by the library.
+inputs are drawn in the conftest group ring, not by the library.  A
+second digest covers the library's own sampler, random_In_form.
 """
 
 import hashlib
 import json
 import random
 
+from rigidwitt.errors import RigidWittError
 from rigidwitt.pfnum import (
     PfisterCertificate,
     classify14,
     classify16,
     pfister_number,
+    random_In_form,
 )
 from rigidwitt.qform import DiagonalForm, PfisterSpec
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
@@ -88,3 +91,39 @@ def test_outputs_match_the_recorded_digest(raw_field):
     assert len(out) == 150 + 40 + 96
     text = json.dumps(out, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN
+
+
+# Seeded random_In_form draws on every base with 0-4 variables, n = 1-3,
+# allow_smaller off and on.  Each record holds the drawn form (or the
+# error after max_tries) and the next 32 bits of the generator, so the
+# digest also pins how many classes each draw took from it.
+DRAWS_GOLDEN = "27ddd7500734fa3f58ab6e8a73414cbde2e06e5b6ac885f188bb655b291aa7c0"
+
+
+def _draws():
+    out = []
+    for base in Base:
+        for nvars in range(5):
+            field = FieldDesc(base, nvars)
+            for n in (1, 2, 3):
+                for allow_smaller in (False, True):
+                    rng = random.Random(f"{field}|{n}|{allow_smaller}")
+                    for dim in (1 << n, 2 << n, 3 << n):
+                        try:
+                            phi = random_In_form(
+                                field, n, dim, rng,
+                                allow_smaller=allow_smaller, max_tries=30)
+                        except RigidWittError as err:
+                            drawn = str(err)
+                        else:
+                            drawn = _encode(phi)
+                        out.append([str(field), n, allow_smaller, dim, drawn,
+                                    rng.getrandbits(32)])
+    return out
+
+
+def test_random_In_form_draws_match_the_recorded_digest():
+    out = _draws()
+    assert len(out) == 4 * 5 * 3 * 2 * 3
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAWS_GOLDEN

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -536,10 +537,11 @@ _DIM14_T4 = ("<t2,t2,t1*t2,t1*t2,t3,t1*t3,t2*t4,t2*t4,t1*t2*t4,t1*t2*t3*t4,"
 
 
 @pytest.mark.parametrize("field,text,n,k,why", [
-    # GP_3 at dim 18 over F3[t1..t5]: no route, and no search there
+    # GP_3 at dim 18 over F3[t1..t5]: the dimension rules out 2 terms,
+    # and for 3 there is no route and no search there
     (F5, "<1,t1,t1*t2*t3,t1*t2*t3,t3*t4,t1*t5,t1*t2*t5,t2*t3*t5,t4*t5,"
          "-t1*t2,-t3,-t1*t2*t4,-t2*t3*t4,-t1*t2*t3*t4,-t2*t5,-t2*t4*t5,"
-         "-t1*t2*t4*t5,-t1*t2*t3*t4*t5>", 3, 2, "generator search is off"),
+         "-t1*t2*t4*t5,-t1*t2*t3*t4*t5>", 3, 3, "generator search is off"),
     # GP_2 at dim 14 over F3[t1..t4] is above 3, and four terms over the
     # 1240 scaled generators, with no stored 2-sumset, cost 1240^3 steps
     (FieldDesc(Base.F3, 4), _DIM14_T4, 2, 4, "over its budget"),
@@ -575,6 +577,45 @@ def test_search_stays_within_its_budget():
             assert k == 2
     assert refused
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("field,unscaled,seed", [
+    (FieldDesc(Base.F3, 4), False, 1),
+    (FieldDesc(Base.C, 4), False, 2),
+    (FieldDesc(Base.R, 2), True, 3),
+], ids=["F3-scaled", "C-scaled", "R-unscaled"])
+def test_search_starts_at_the_dimension_bound(monkeypatch, field, unscaled,
+                                              seed):
+    # k terms have dimension at most k 2^n, so a dim-10 P_2 form needs
+    # at least 3 and the generator search is never asked for 2
+    asked = []
+    search = pfnum._search_sum
+
+    def recorded(fld, bits, n, k, unsc):
+        asked.append((len(bits), n, k))
+        return search(fld, bits, n, k, unsc)
+
+    monkeypatch.setattr(pfnum, "_search_sum", recorded)
+    rng = random.Random(seed)
+    for _ in range(3):
+        phi = random_In_form(field, 2, 10, rng)
+        pfister_number(phi, 2, unscaled=unscaled)
+    assert asked
+    assert all(k >= math.ceil(d / 2 ** n) for d, n, k in asked), asked
+
+
+def test_pfister_folds_are_built_once_per_field(monkeypatch):
+    # one P_2 and one P_3 generator search over the same field share
+    # folds 0-2 of its Pfister classes: each fold is stored once
+    field = FieldDesc(Base.F3, 4)
+    monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
+    t1, t2, t3, t4 = (field.var(i) for i in range(1, 5))
+    assert pfister_number(scale(t1, pfister((t2, t3))), 2,
+                          unscaled=True)[0] == 2
+    assert pfister_number(scale(t1, pfister((t2, t3, t4))), 3,
+                          unscaled=True)[0] == 2
+    folds = sorted(key[1:] for key in pfnum._GEN_CACHE if key[0] == "S")
+    assert folds == [(field, n) for n in range(4)]
 
 
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)], ids=str)
@@ -630,7 +671,7 @@ def test_result_log_keeps_the_most_recent_records():
         pfister_number(phi, 1)
     assert len(RESULT_LOG) == size
     assert [r["form"] for r in RESULT_LOG] == \
-        [format_form(phi) for phi in calls[-size:]]
+        [tuple(e.bits for e in phi) for phi in calls[-size:]]
     RESULT_LOG.clear()
 
 
@@ -1061,6 +1102,18 @@ def test_bound_poly_arithmetic():
     assert p(2) == 1 + 4 + 12
     assert (p + BoundPoly((0, 1))).coeffs == (1, 3, 3)
     assert p.compose_scaled(Fraction(1, 2))(2) == p(1)
+
+
+def test_bound_poly_str():
+    # zero coefficients are skipped unless the polynomial is constant;
+    # trailing zeros are trimmed on construction
+    assert str(BoundPoly((0,))) == "0"
+    assert str(BoundPoly((3, 0, 0))) == "3"
+    assert str(BoundPoly((1, 2, 3))) == "1 + 2*X + 3*X^2"
+    assert str(poly_bound(3)) == "1/16*X^2"
+    assert str(poly_bound(4)) == "1 + 1/32*X^2"
+    assert str(BoundPoly((Fraction(-1, 2), 0, 0, 1, 0))) == "-1/2 + 1*X^3"
+    assert str(BoundPoly((0, -1))) == "-1*X"
 
 
 # --- sampler --------------------------------------------------------------

@@ -18,7 +18,7 @@ from rigidwitt.qform import (
     scale,
     tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass, parse_field
 from rigidwitt.witt import (
     GroupRingElt,
     anisotropic_from_group_ring,
@@ -220,6 +220,22 @@ def test_tensor_is_the_group_ring_product(raw_field, args):
         raw.vector(_bits(phi)), raw.vector(_bits(psi)))
 
 
+@given(field_forms())
+def test_group_ring_arithmetic(raw_field, args):
+    # GroupRingElt +, binary - and unary - against the conftest vectors;
+    # -phi is the additive inverse of phi in the Witt ring
+    phi, psi, _ = args
+    raw = raw_field(phi.field)
+    v, w = raw.vector(_bits(phi)), raw.vector(_bits(psi))
+    a, b = to_group_ring(phi), to_group_ring(psi)
+    minus_w = raw.reduce([-c for c in w])
+    assert (a + b).coeffs == raw.add(v, w)
+    assert (-b).coeffs == minus_w == witt_vector(neg(psi))
+    assert (a - b).coeffs == raw.add(v, minus_w)
+    assert a + b - b == a and b + (-b) == to_group_ring(DiagonalForm(
+        phi.field, ()))
+
+
 def _check_ring_map(raw, target, f, phi, psi):
     """f, applied to the forms the oracle reads off Witt vectors, is
     additive and multiplicative on the vectors over `target`."""
@@ -310,6 +326,64 @@ def test_three_form_check_matches_direct_index():
                 assert (witness.psi1.dim + witness.psi2.dim
                         + len(witness.extra_classes)) >= iw
         trials += 1
+
+
+def _common_part(raw, u, v):
+    """Coefficient by coefficient, the largest Witt class below both u
+    and v: the Witt vector of every maximal common subform of the forms
+    in the classes u and v.  Below c mod 4 lie 0 and c, and everything
+    below 2 = <h,h> = <-h,-h>; over Z the same-sign part of the lesser
+    size; mod 2 the lesser."""
+    if raw.m == 4:
+        below = {0: {0}, 1: {0, 1}, 2: {0, 1, 2, 3}, 3: {0, 3}}
+        dims = {0: 0, 1: 1, 2: 2, 3: 1}
+        return tuple(max(below[a] & below[b], key=dims.get)
+                     for a, b in zip(u, v))
+    if raw.m == 2:
+        return tuple(map(min, u, v))
+    return tuple(0 if a * b <= 0 else min(a, b, key=abs)
+                 for a, b in zip(u, v))
+
+
+def test_three_form_witness_is_the_common_part(raw_field):
+    # psi1 + psi2 + <extras> is a largest common subform of phi1 + phi2
+    # and -phi3; that subform is unique up to isometry, so the witness
+    # does not depend on which common value is peeled first
+    rng = random.Random(305)
+    for base in Base:
+        trials = 0
+        while trials < 40:
+            field = FieldDesc(base, rng.randrange(0, 3))
+            raw = raw_field(field)
+            phi1, phi2 = (_rand_aniso(rng, field, 4) for _ in range(2))
+            if is_isotropic(orth_sum(phi1, phi2)):
+                continue
+            phi3 = _rand_aniso(rng, field, 6)
+            ok, w = three_form_witt_index_check(phi1, phi2, phi3, 0)
+            assert ok
+            found = raw.vector(_bits(w.psi1) + _bits(w.psi2)
+                               + [x.bits for x in w.extra_classes])
+            common = _common_part(raw, raw.vector(_bits(phi1) + _bits(phi2)),
+                                  raw.vector(_bits(neg(phi3))))
+            assert found == common
+            trials += 1
+
+
+@pytest.mark.parametrize("field,forms,witness", [
+    # <1,1> represents -1, which neither summand does
+    ("F3[]", ("<1>", "<1>", "<1>"), ("<>", "<>", ("-1",))),
+    # -phi3 = <-t1,-t1> = <t1,t1>: peeling t1 or -t1 first ends alike
+    ("F3[t1]", ("<t1>", "<t1>", "<t1,t1>"), ("<t1>", "<t1>", ())),
+    ("F3[t1,t2]", ("<1,t1>", "<t1,t2>", "<-t1,-t1,-t2,t1*t2>"),
+     ("<t1>", "<t1,t2>", ())),
+])
+def test_three_form_witness_examples(field, forms, witness):
+    fld = parse_field(field)
+    ok, w = three_form_witt_index_check(
+        *(parse_form(text, fld) for text in forms), 0)
+    assert ok
+    assert (format_form(w.psi1), format_form(w.psi2),
+            tuple(map(str, w.extra_classes))) == witness
 
 
 def test_three_form_check_preconditions():
