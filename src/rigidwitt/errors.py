@@ -41,12 +41,16 @@ class DepthCapExceededError(RigidWittError):
     """The search exceeded its depth cap; no value is reported.
 
     k is the number of terms that could not be decided, when known; the
-    message says why.
+    message says why.  reason names the bound that refused: "depth_cap"
+    (the caller's cap is below the value) or "budget" (deciding k would
+    take more steps than the engine's fixed budget).
     """
 
-    def __init__(self, cap: int, message: str = "", k: int | None = None):
+    def __init__(self, cap: int, message: str = "", k: int | None = None,
+                 reason: str = "depth_cap"):
         self.cap = cap
         self.k = k
+        self.reason = reason
         super().__init__(message or f"search depth cap {cap} exceeded")
 
 

@@ -5,11 +5,15 @@ less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
 and each k is decided by one rule of an exact ladder: the recognizer
 (an anchored search for scaled Pfister subforms), constructive
 certificates mandated by the classification theorems, the anchored
-two-term split, and, for small fields, a complete search over the
-generator classes on Witt vectors packed into Python ints (with the
-2-sumset of the generators when it is small enough to store), refused
-when it would take more than a fixed number of steps.  Every
-certificate re-verifies before it is returned.
+two-term split, for scaled n = 2, 3 at k = 3 one pass over the
+generator classes that asks the rules at k = 2 about each remainder,
+and otherwise a complete search over the generator classes on Witt
+vectors packed into Python ints (with the 2-sumset of the generators
+when it is small enough to store).  The generator classes are built
+fold by fold, each fold and the generator set only when its measured
+size is within a fixed step budget, and a search is refused when it
+would take more steps than that budget.  Every certificate
+re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
 anisotropic form, in the class order, and returns raw terms: (scalar,
@@ -87,9 +91,9 @@ __all__ = [
 # the canonical entry bits of phi's anisotropic part over "field".
 RESULT_LOG: deque[dict] = deque(maxlen=4096)
 
-_MAX_ENUM_CLASSES = 1 << 20  # square_class_count ** (n+1) gate
 _MAX_SUMSET = 1 << 16  # generator pairs behind a stored 2-sumset
-_MAX_SEARCH_COST = 1 << 23  # packed differences one exact search may take
+_MAX_SEARCH_COST = 1 << 23  # packed differences one build or search may take
+_READ_COST = 64  # packed differences one _an_bits read or one pack costs
 
 
 # --- certificates ---------------------------------------------------------
@@ -237,14 +241,19 @@ class _Packed:
         """The lesser of w and -w."""
         return min(w, self.neg(w))
 
-    def dims(self, ws: Iterable) -> list[int]:
-        """Dimensions of the anisotropic forms in the classes ws: 1 for a
-        coefficient 1 or -1, 2 for a coefficient 2 mod 4, |c| over Z."""
+    def lazy_dims(self, ws: Iterable) -> Iterator[int]:
+        """Dimensions of the anisotropic forms in the classes ws, lazily:
+        1 for a coefficient 1 or -1, 2 for a coefficient 2 mod 4, |c|
+        over Z."""
         if not self.modulus:
-            return [sum(map(abs, w)) for w in ws]
+            return (sum(map(abs, w)) for w in ws)
         lo = self.lo
-        return [(w & lo).bit_count() + 2 * ((w >> 1) & lo & ~w).bit_count()
-                for w in ws]
+        return ((w & lo).bit_count() + 2 * ((w >> 1) & lo & ~w).bit_count()
+                for w in ws)
+
+    def dims(self, ws: Iterable) -> list[int]:
+        """lazy_dims(ws) as a list."""
+        return list(self.lazy_dims(ws))
 
 
 # --- generator enumeration ------------------------------------------------
@@ -298,6 +307,33 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
             out.setdefault(pack([c ^ b for b in bits]), (c, slots))
     _GEN_CACHE[("G", key)] = out
     return out
+
+
+def _build_refusal(field: FieldDesc, n: int, unscaled: bool) -> str | None:
+    """Why building G_n would go over _MAX_SEARCH_COST, or None.
+
+    Each missing fold S_j is measured before it is built: it reads
+    len(classes) * |S_(j-1)| anisotropic parts.  G_n then packs
+    |S_n| * len(scalars) vectors.  A read or a pack weighs _READ_COST
+    packed differences.  The folds found within budget are built and
+    stored here; G_n is built by its first user.
+    """
+    if ("G", (field, n, unscaled)) in _GEN_CACHE:
+        return None
+    classes = len(field.class_bits())
+    for j in range(1, n + 1):
+        if ("S", field, j) not in _GEN_CACHE:
+            cost = _READ_COST * classes * len(_pfister_set(field, j - 1))
+            if cost > _MAX_SEARCH_COST:
+                return (f"building the {j}-fold Pfister classes would take"
+                        f" about {cost} steps, over its budget of"
+                        f" {_MAX_SEARCH_COST}")
+    cost = _READ_COST * len(_pfister_set(field, n)) * (2 if unscaled
+                                                        else classes)
+    if cost > _MAX_SEARCH_COST:
+        return (f"building the generators would take about {cost} steps,"
+                f" over its budget of {_MAX_SEARCH_COST}")
+    return None
 
 
 def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
@@ -552,8 +588,8 @@ def _search_sum(
     whether v - g lies in S2 and k = 4 whether v - s does for some s in
     S2, and witnesses are recovered by k = 2 passes; any other k recurses
     on v - g, the candidates ordered by anisotropic dimension and bounded
-    by 2^n (k - 1).  Callers must ensure enumeration feasibility and
-    keep to _MAX_SEARCH_COST (see _search_cost) first.
+    by 2^n (k - 1).  Callers must keep the build and the search within
+    _MAX_SEARCH_COST first (see _build_refusal and _search_cost).
     """
     pk = _Packed(field)
     gens = _generators(field, n, unscaled)
@@ -607,6 +643,53 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
     if sums is None:
         return size ** (k - 1)
     return size ** (k - 4) * 2 * len(sums)
+
+
+# --- the k = 3 pass -------------------------------------------------------
+
+# The anisotropic dimensions below 2^(n+1) that v - g can have in the
+# k = 3 pass over scaled I^n classes (n = 2, 3), and that then always
+# give two terms: Albert forms, D(12) and D(14).  Dimension 0 or 2^n
+# would make v a sum of at most two terms, which the ladder has ruled
+# out; the Hauptsatz excludes the rest.
+_PASS_DIMS = {2: (6,), 3: (12, 14)}
+
+
+def _pass_terms(field: FieldDesc, bits: Sequence[int], n: int,
+                cap: int) -> list[tuple] | None:
+    """Three scaled n-fold terms (n = 2 or 3) for the anisotropic I^n
+    class v with these entries, or None when it needs more; the caller
+    has ruled out two.
+
+    G_n is closed under -1, so v is a sum of three exactly when v - g
+    is a sum of at most two for some generator g, and the packed
+    dimension of v - g decides that: below 2^(n+1) always (_PASS_DIMS),
+    at 2^(n+1) exactly when the anchored split succeeds, above it
+    never.  One lazy pass over G_n returns at the first remainder below
+    2^(n+1) and keeps those of dimension 2^(n+1) for the split after
+    it.  The two terms come from _decide_k at k = 2, never from the
+    generator search.
+    """
+    gens = _generators(field, n, False)
+    pk = _Packed(field)
+    top = 2 << n
+    full = []
+    for term, dim in zip(gens.values(),
+                         pk.lazy_dims(pk.diffs(pk.pack(bits), gens))):
+        if dim < top:
+            if dim not in _PASS_DIMS[n]:
+                raise InternalContradictionError(
+                    f"I^{n} remainder of anisotropic dimension {dim}"
+                    f" where three terms are needed")
+            rest = _minus(field, bits, term)
+            return [term] + _decide_k(field, rest, n, 2, False, cap)
+        if dim == top:
+            full.append(term)
+    for term in full:
+        two = _decide_k(field, _minus(field, bits, term), n, 2, False, cap)
+        if two is not None:
+            return [term] + two
+    return None
 
 
 # --- constructive certificate routes --------------------------------------
@@ -1003,10 +1086,14 @@ def _decide_k(
     scaled GP_3 is 2 at dimensions 12 and 14 (D(12), D(14)); two scaled
     terms of dimension 2^(n+1) are an isometric splitting; scaled GP_2
     is at most d/2 - 1 by peeling; scaled GP_3 is at most 3 at dimension
-    16; any other k goes to the generator search, which is off when
-    square_class_count^(n+1) exceeds _MAX_ENUM_CLASSES.  Raises
-    DepthCapExceededError when no complete method is available, so a
-    wrong minimum can never be reported.
+    16; scaled k = 3 for n = 2, 3 is one pass over the generators,
+    each remainder decided by these rules at k = 2 (_pass_terms); any
+    other k goes to the generator search.  The last two need the
+    generator set, built only when the measured size of each fold and
+    of the set is within _MAX_SEARCH_COST (_build_refusal), and the
+    search must keep to it too (_search_cost).  Raises
+    DepthCapExceededError, with reason "budget", when no complete
+    method is available, so a wrong minimum can never be reported.
     """
     d = len(bits)
     if not unscaled and n == 1:
@@ -1029,16 +1116,18 @@ def _decide_k(
         return _gp2_peeling_terms(field, bits)
     if not unscaled and n == 3 and k == 3 and d == 16:
         return _gp3_dim16_terms(field, bits)
-    if field.square_class_count() ** (n + 1) > _MAX_ENUM_CLASSES:
-        why = f"the generator search is off for {field} at n = {n}"
-    else:
+    why = _build_refusal(field, n, unscaled)
+    if why is None:
+        if not unscaled and n in (2, 3) and k == 3:
+            return _pass_terms(field, bits, n, cap)
         cost = _search_cost(field, n, k, unscaled)
         if cost <= _MAX_SEARCH_COST:
             return _search_sum(field, bits, n, k, unscaled)
         why = (f"the generator search would take about {cost} steps,"
                f" over its budget of {_MAX_SEARCH_COST}")
     raise DepthCapExceededError(
-        cap, f"no exact route decides whether {k} terms suffice: {why}", k=k)
+        cap, f"no exact route decides whether {k} terms suffice: {why}", k=k,
+        reason="budget")
 
 
 # --- generic forms and the lower bound ------------------------------------

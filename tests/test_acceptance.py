@@ -2,8 +2,8 @@
 
 Run with `pytest -v` (add `-s` to see the lines live).  Criteria 2-4
 share one seeded sample pool (criterion 4 adds forms that only the
-two-term split decides); criterion 8 computes its own seeded Pfister
-numbers and checks them against their bounds and an oracle.
+two-term split decides); criteria 8 and 9 compute their own seeded
+Pfister numbers and check them against their bounds and an oracle.
 """
 
 import functools
@@ -392,3 +392,32 @@ def test_criterion_8_bounds(gp_lookup):
             f"three_pfister_bound(16)=3; {len(cases)} seeded GP values "
             f"within bounds and equal to the oracle; faulhaber and "
             f"poly_bound(4) exact and monotone")
+
+
+def test_criterion_9_three_terms_beyond_the_classifications(raw_field):
+    # random sums of at most three scaled Pfister forms over F3[t1..t5]
+    # above the dimensions the classifications cover: GP_3 at 18-24 and
+    # P_2 at 10 and 12 need at least three terms by dimension, and the
+    # k = 3 pass finds three; every certificate re-expands to the form
+    # in the group ring
+    raw = raw_field(F5)
+    start = time.monotonic()
+    failures = 0
+    for n, dims in ((3, (18, 20, 22, 24)), (2, (10, 12))):
+        bound = three_pfister_bound if n == 3 else two_pfister_bound
+        for dim in dims:
+            rng = random.Random(9000 + 100 * n + dim)
+            for _ in range(30):
+                phi = random_In_form(F5, n, dim, rng)
+                k, cert = pfister_number(phi, n)
+                total = [b for t in cert.terms for b in raw.pfister_bits(
+                    t.scalar.bits, [s.bits for s in t.slots])]
+                if not (k == len(cert.terms) == 3 <= bound(dim)
+                        and raw.vector(total) == raw.vector(
+                            [e.bits for e in phi])):
+                    failures += 1
+    elapsed = time.monotonic() - start
+    _report(9, failures == 0,
+            f"30 forms each of GP_3 at dims 18-24 and P_2 at dims 10, 12 "
+            f"over F3[t1..t5] answered as 3 with certificates "
+            f"({failures} failures; {elapsed:.1f}s)")

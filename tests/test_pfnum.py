@@ -47,8 +47,10 @@ from rigidwitt.pfnum import (
     _anchors,
     _as_scaled_pfister,
     _biquadratic_splitting,
+    _build_refusal,
     _gp2_decomposition,
     _gp3_dim12_terms,
+    _pass_terms,
     _pfister_subforms,
     _search_sum,
     _spec,
@@ -536,46 +538,78 @@ _DIM14_T4 = ("<t2,t2,t1*t2,t1*t2,t3,t1*t3,t2*t4,t2*t4,t1*t2*t4,t1*t2*t3*t4,"
              "t1*t2*t3*t4,-t4,-t3*t4,-t2*t3*t4>")
 
 
+# a sum of four scaled 3-fold forms over F3[t1..t5] with GP_3 = 4
+_FOUR_TERMS_D22 = (
+    "<1,t1,t1,t1*t3,t1*t4,t1*t4,t2*t4,t1*t2*t4,t3*t4,t2*t3*t4,t5,t5,"
+    "t1*t3*t5,t1*t4*t5,t1*t2*t3*t4*t5,-t2,-t3,-t2*t3*t5,-t2*t4*t5,"
+    "-t3*t4*t5,-t1*t3*t4*t5,-t2*t3*t4*t5>")
+
+
 @pytest.mark.parametrize("field,text,n,k,why", [
-    # GP_3 at dim 18 over F3[t1..t5]: the dimension rules out 2 terms,
-    # and for 3 there is no route and no search there
-    (F5, "<1,t1,t1*t2*t3,t1*t2*t3,t3*t4,t1*t5,t1*t2*t5,t2*t3*t5,t4*t5,"
-         "-t1*t2,-t3,-t1*t2*t4,-t2*t3*t4,-t1*t2*t3*t4,-t2*t5,-t2*t4*t5,"
-         "-t1*t2*t4*t5,-t1*t2*t3*t4*t5>", 3, 3, "generator search is off"),
+    # GP_3 at dim 22 over F3[t1..t5]: the dimension rules out 2 terms,
+    # the k = 3 pass over the 11160 generators rules out 3, and four
+    # terms, with no stored 2-sumset, cost 11160^3 steps
+    (F5, _FOUR_TERMS_D22, 3, 4, "over its budget"),
     # GP_2 at dim 14 over F3[t1..t4] is above 3, and four terms over the
     # 1240 scaled generators, with no stored 2-sumset, cost 1240^3 steps
     (FieldDesc(Base.F3, 4), _DIM14_T4, 2, 4, "over its budget"),
-], ids=["gated-off", "over-budget"])
+], ids=["four-terms", "over-budget"])
 def test_depth_cap_reasons(field, text, n, k, why):
     with pytest.raises(DepthCapExceededError) as info:
         pfister_number(parse_form(text, field), n)
-    assert info.value.k == k
+    assert info.value.k == k and info.value.reason == "budget"
     assert why in str(info.value)
 
 
-def test_search_stays_within_its_budget():
+def test_depth_cap_refusal_names_its_bound():
+    # a cap below the value is the caller's bound, on the ladder (the
+    # generic 6-dimensional I^2 form, GP_2 = 2) and after the tensor
+    # reduction (<<t5>> times it, GP_3 = 2) alike
+    g6 = generic_I2_form(F5, 4)
+    product = tensor(pfister((F5.var(5),)), g6)
+    for phi, n in ((g6, 2), (product, 3)):
+        with pytest.raises(DepthCapExceededError) as info:
+            pfister_number(phi, n, depth_cap=1)
+        assert info.value.k == 2 and info.value.reason == "depth_cap"
+
+
+def test_generator_builds_keep_to_the_budget(monkeypatch):
+    # the budget is measured on the folds and on G before each is built:
+    # the 2-fold generators of F3[t1..t6] would take 341376 packs, so
+    # scaled P_2 >= 3 there is refused and G_2 is never built
+    monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
+    f6 = FieldDesc(Base.F3, 6)
+    why = _build_refusal(f6, 2, False)
+    assert why.startswith("building the generators") and "budget" in why
+    phi = random_In_form(f6, 2, 10, random.Random(6))
+    with pytest.raises(DepthCapExceededError) as info:
+        pfister_number(phi, 2)
+    assert info.value.k == 3 and info.value.reason == "budget"
+    assert ("G", (f6, 2, False)) not in pfnum._GEN_CACHE
+    # the 3-fold classes of F3[t1..t6] are refused before they are built
+    assert _build_refusal(f6, 3, True).startswith("building the 3-fold")
+    assert ("S", f6, 3) not in pfnum._GEN_CACHE
+
+
+def test_search_stays_within_its_budget(raw_field):
     # deep searches refuse at once instead of running for minutes: the
     # unscaled dim-14 form over F3[t1..t4] (295 generators, S2 stored)
     # rules out 4 terms and refuses 5, which would take 295 passes over
-    # S2; scaled P_2 >= 3 at dim 10 over F3[t1..t5] refuses 3 terms,
-    # which would take 10416^2 steps with no stored S2
+    # S2; scaled P_2 at dim 10 over F3[t1..t5] is decided as 3 by one
+    # pass over its 10416 generators
     start = time.perf_counter()
     with pytest.raises(DepthCapExceededError) as info:
         pfister_number(parse_form(_DIM14_T4, FieldDesc(Base.F3, 4)), 2,
                        unscaled=True)
     assert info.value.k == 5 and "over its budget" in str(info.value)
+    raw = raw_field(F5)
     rng = random.Random(3)
-    refused = 0
     for _ in range(3):
         phi = random_In_form(F5, 2, 10, rng)
-        try:
-            k, _ = pfister_number(phi, 2)
-        except DepthCapExceededError as err:
-            assert err.k == 3 and "over its budget" in str(err)
-            refused += 1
-        else:
-            assert k == 2
-    assert refused
+        k, cert = pfister_number(phi, 2)
+        assert k == len(cert.terms) == 3
+        assert _spec_sum(raw, cert.terms) == raw.vector(
+            [e.bits for e in phi])
     assert time.perf_counter() - start < 30
 
 
@@ -587,21 +621,104 @@ def test_search_stays_within_its_budget():
 def test_search_starts_at_the_dimension_bound(monkeypatch, field, unscaled,
                                               seed):
     # k terms have dimension at most k 2^n, so a dim-10 P_2 form needs
-    # at least 3 and the generator search is never asked for 2
+    # at least 3, and neither the generator search nor the k = 3 pass
+    # is asked for 2
     asked = []
-    search = pfnum._search_sum
+    search, one_pass = pfnum._search_sum, pfnum._pass_terms
 
     def recorded(fld, bits, n, k, unsc):
         asked.append((len(bits), n, k))
         return search(fld, bits, n, k, unsc)
 
+    def recorded_pass(fld, bits, n, cap):
+        asked.append((len(bits), n, 3))
+        return one_pass(fld, bits, n, cap)
+
     monkeypatch.setattr(pfnum, "_search_sum", recorded)
+    monkeypatch.setattr(pfnum, "_pass_terms", recorded_pass)
     rng = random.Random(seed)
     for _ in range(3):
         phi = random_In_form(field, 2, 10, rng)
         pfister_number(phi, 2, unscaled=unscaled)
     assert asked
     assert all(k >= math.ceil(d / 2 ** n) for d, n, k in asked), asked
+
+
+def test_scaled_P2_at_dim_10_never_searches(monkeypatch, raw_field):
+    # scaled P_2 at dim 10 over F3[t1..t4] needs at least 3 terms; the
+    # k = 3 pass decides 3 (and 4 would be GP_2 peeling at d/2 - 1), so
+    # the generator search is never called
+    field = FieldDesc(Base.F3, 4)
+
+    def search(*args):
+        raise AssertionError(f"generator search called for k = {args[3]}")
+
+    monkeypatch.setattr(pfnum, "_search_sum", search)
+    look = raw_field(field)
+    rng = random.Random(10)
+    for _ in range(12):
+        v, phi = _random_class(look, rng, 2, 10, (3, 4))
+        k, cert = pfister_number(phi, 2)
+        assert k == 3 and _spec_sum(look, cert.terms) == v
+
+
+def _pass_oracle(look, n, v, cert):
+    """Check the k = 3 pass for scaled GP_n (n = 2, 3) of the class v
+    against the lookup.  With a three-term certificate, its first term
+    is a generator and the rest of v is exactly two terms; with None
+    (three ruled out), every v - g of anisotropic dimension at most
+    2^(n+1) needs more than two (a sum of two has no larger dimension)."""
+    if cert is None:
+        small = [r for r in look.differences(v)
+                 if look.an_dim(r) <= 2 << n]
+        assert all(look.terms(r) is None for r in small)
+        return
+    first = look.spec_vector(cert.terms[0])
+    assert first in look.scaled
+    assert look.terms(look.add(v, look.reduce([-c for c in first]))) == 2
+    assert _spec_sum(look, cert.terms) == v
+
+
+def test_pass_matches_the_search_over_F3_t4(gp_lookup):
+    # scaled GP_3 beyond dimension 16 over F3[t1..t4] (620 generators),
+    # at 20 and 24, the dimensions above 16 that sums of three or four
+    # terms take there: the pass and the generator search both find
+    # three terms, and both legs check out in the lookup
+    field = FieldDesc(Base.F3, 4)
+    look = gp_lookup(field, 3)
+    rng = random.Random(1824)
+    for dim in (20, 24):
+        for terms in ((3,), (4,)) * 2:
+            v, phi = _random_class(look, rng, 3, dim, terms)
+            assert _search_sum(field, [e.bits for e in phi], 3, 3,
+                               False) is not None
+            k, cert = pfister_number(phi, 3)
+            assert k == len(cert.terms) == 3 <= three_pfister_bound(dim)
+            _pass_oracle(look, 3, v, cert)
+
+
+@pytest.mark.parametrize("n,dims", [(3, (18, 20, 22, 24)), (2, (10, 12))])
+def test_pass_legs_over_F3_t5(gp_lookup, n, dims):
+    # scaled GP_3 beyond dimension 16 and P_2 at dims 10 and 12 over
+    # F3[t1..t5], where no search runs: sums of three are decided as 3,
+    # within the theorem bounds, legs checked in the lookup
+    look = gp_lookup(F5, n)
+    bound = three_pfister_bound if n == 3 else two_pfister_bound
+    rng = random.Random(5 * n)
+    for dim in dims:
+        for _ in range(3):
+            v, phi = _random_class(look, rng, n, dim, (3,))
+            k, cert = pfister_number(phi, n)
+            assert k == 3 <= bound(dim)
+            _pass_oracle(look, n, v, cert)
+
+
+def test_pass_rules_out_three_for_a_four_term_sum(gp_lookup):
+    look = gp_lookup(F5, 3)
+    phi = parse_form(_FOUR_TERMS_D22, F5)
+    bits = [e.bits for e in phi]
+    assert _pass_terms(F5, bits, 3, 4) is None
+    _pass_oracle(look, 3, look.vector(bits), None)
 
 
 def test_pfister_folds_are_built_once_per_field(monkeypatch):
