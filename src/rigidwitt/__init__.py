@@ -24,7 +24,6 @@ from .witt import (  # noqa: F401
     anisotropic_part,
     is_hyperbolic,
     is_isotropic,
-    to_group_ring,
     value_set,
     witt_index,
 )

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 
@@ -22,13 +21,11 @@ from .errors import (
 )
 from .ideals import in_In, rigid_decompose
 from .pfnum import (
+    _theorem_bound,
     classify14,
     classify16,
     pfister_number,
-    poly_bound,
     random_In_form,
-    three_pfister_bound,
-    two_pfister_bound,
 )
 from .qform import (
     determinant,
@@ -194,14 +191,6 @@ def _cmd_decompose(args, out) -> int:
     return 0
 
 
-def _bound_value(n: int, d: int) -> int:
-    if n == 2:
-        return two_pfister_bound(d)
-    if n == 3:
-        return three_pfister_bound(d)
-    return math.ceil(poly_bound(n)(d))
-
-
 def _cmd_bounds(args, out) -> int:
     if args.n < 2:
         raise _UsageError("--n must be at least 2")
@@ -209,7 +198,7 @@ def _cmd_bounds(args, out) -> int:
     writer = csv.writer(buf)
     writer.writerow(["d", "bound"])
     for d in range(0, args.dmax + 1, 2):
-        writer.writerow([d, _bound_value(args.n, d)])
+        writer.writerow([d, _theorem_bound(args.n, d)])
     out.write(buf.getvalue())
     return 0
 

@@ -434,20 +434,39 @@ def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(dict.fromkeys((bits[0], bits[0] ^ _flex(field))))
 
 
-def _as_scaled_pfister(field: FieldDesc, bits: Sequence[int], n: int,
-                       unscaled: bool = False) -> tuple | None:
-    """A raw term whose scaled Pfister form is isometric to the
-    anisotropic form with these entries, if one exists.
+def _orthogonal_terms(field: FieldDesc, bits: Sequence[int], n: int,
+                      anchors: Sequence[int] | None = None
+                      ) -> list[tuple] | None:
+    """The anisotropic form with these entries as an isometric orthogonal
+    sum e1*pi1 + ... + em*pim of scaled n-fold Pfister forms, in raw
+    terms, or None when there is none.
 
-    A scaled Pfister form represents each of its entries, so it is
-    anchored at an entry of the form; an unscaled one at 1 or -1.
+    Some summand represents one of the anchors, so it is found among the
+    Pfister subforms there and the rest is decomposed the same way.  The
+    anchors default to _anchors(bits); for a single summand (dimension
+    2^n) to its first entry, since a scaled Pfister form represents each
+    of its entries.
     """
+    if not bits:
+        return []
+    if anchors is None:
+        anchors = bits[:1] if len(bits) == 1 << n else _anchors(field, bits)
+    for e, slots, comp in _pfister_subforms(field, bits, n, anchors):
+        rest = _orthogonal_terms(field, comp, n)
+        if rest is not None:
+            return [(e, slots)] + rest
+    return None
+
+
+def _as_scaled_pfister(field: FieldDesc, bits: Sequence[int], n: int,
+                       unscaled: bool = False) -> list[tuple] | None:
+    """[term] with a scaled Pfister form isometric to the anisotropic
+    form with these entries, if one exists; an unscaled one is anchored
+    at 1 or -1."""
     if len(bits) != 1 << n:
         return None
-    anchors = dict.fromkeys((0, _minus_one(field))) if unscaled else bits[:1]
-    for e, slots, _comp in _pfister_subforms(field, bits, n, anchors):
-        return e, slots
-    return None
+    return _orthogonal_terms(field, bits, n, dict.fromkeys(
+        (0, _minus_one(field))) if unscaled else None)
 
 
 def find_GP2_subform(
@@ -818,9 +837,9 @@ def _gp3_small_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     if d == 0:
         return []
     if d == 8:
-        term = _as_scaled_pfister(field, bits, 3)
-        if term is not None:
-            return [term]
+        terms = _as_scaled_pfister(field, bits, 3)
+        if terms is not None:
+            return terms
         raise InternalContradictionError(
             "8-dimensional I^3 form not similar to a Pfister form")
     if d == 12:
@@ -979,17 +998,23 @@ def poly_bound(n: int) -> BoundPoly:
     return p
 
 
+def _theorem_bound(n: int, d: int) -> int:
+    """The bound on scaled GP_n at even dimension d that the theorems
+    give: d/2 for n = 1, then two_pfister_bound, three_pfister_bound and
+    the polynomial bound."""
+    if n == 1:
+        return d // 2
+    if n == 2:
+        return two_pfister_bound(d)
+    if n == 3:
+        return three_pfister_bound(d)
+    return math.ceil(poly_bound(n)(d))
+
+
 def _default_cap(n: int, d: int, unscaled: bool) -> int:
     if d == 0:
         return 0
-    if n == 1:
-        cap = d // 2
-    elif n == 2:
-        cap = two_pfister_bound(d)
-    elif n == 3:
-        cap = three_pfister_bound(d)
-    else:
-        cap = math.ceil(poly_bound(n)(d))
+    cap = _theorem_bound(n, d)
     return 2 * cap if unscaled else cap
 
 
@@ -1084,7 +1109,8 @@ def _decide_k(
     k - 1.  The first rule that applies decides, in this order: scaled
     1-fold classes split into binary forms; k = 1 is the recognizer;
     scaled GP_3 is 2 at dimensions 12 and 14 (D(12), D(14)); two scaled
-    terms of dimension 2^(n+1) are an isometric splitting; scaled GP_2
+    terms of dimension 2^(n+1) are an isometric splitting, found by the
+    anchored orthogonal decomposition (_orthogonal_terms); scaled GP_2
     is at most d/2 - 1 by peeling; scaled GP_3 is at most 3 at dimension
     16; scaled k = 3 for n = 2, 3 is one pass over the generators,
     each remainder decided by these rules at k = 2 (_pass_terms); any
@@ -1099,19 +1125,11 @@ def _decide_k(
     if not unscaled and n == 1:
         return _gp1_terms(field, bits)
     if k == 1:
-        term = _as_scaled_pfister(field, bits, n, unscaled)
-        return None if term is None else [term]
+        return _as_scaled_pfister(field, bits, n, unscaled)
     if not unscaled and n == 3 and d in (12, 14):
         return _gp3_small_terms(field, bits)
     if not unscaled and k == 2 and d == 1 << (n + 1):
-        # one of the two summands represents an anchor e, so it is e*pi
-        # for a Pfister subform found by the anchored search, and its
-        # complement must be a scaled Pfister form as well
-        for e, slots, comp in _pfister_subforms(
-                field, bits, n, _anchors(field, bits)):
-            for c, other, _ in _pfister_subforms(field, comp, n, comp[:1]):
-                return [(e, slots), (c, other)]
-        return None
+        return _orthogonal_terms(field, bits, n)
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(field, bits)
     if not unscaled and n == 3 and k == 3 and d == 16:
@@ -1196,24 +1214,6 @@ def classify14(phi: DiagonalForm) -> dict:
     }
 
 
-def _gp2_decomposition(field: FieldDesc,
-                       bits: Sequence[int]) -> list[tuple] | None:
-    """The anisotropic form with these entries as an isometric orthogonal
-    sum of dim/4 GP_2 forms, in raw terms.
-
-    Some summand of any such sum represents an anchor of the form, so the
-    first summand is searched among the subforms at the anchors.
-    """
-    if not bits:
-        return []
-    for e, slots, comp in _pfister_subforms(
-            field, bits, 2, _anchors(field, bits)):
-        rest = _gp2_decomposition(field, comp)
-        if rest is not None:
-            return [(e, slots)] + rest
-    return None
-
-
 def _biquadratic_splitting(field: FieldDesc,
                            bits: Sequence[int]) -> tuple[int, int] | None:
     """The first pair (a, b) in the class order, b outside {1, a}, such
@@ -1262,7 +1262,7 @@ def classify16(phi: DiagonalForm) -> dict:
             "16-dimensional I^3 form without a GP_2 subform")
     field = phi.field
     bits = [e.bits for e in phi.entries]
-    four = _gp2_decomposition(field, bits)
+    four = _orthogonal_terms(field, bits, 2)
     if four is None:
         raise InternalContradictionError(
             "no isometric decomposition into four GP_2 forms")

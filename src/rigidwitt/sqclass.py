@@ -178,9 +178,6 @@ class ClassAutomorphism:
                 out ^= col
         return SquareClass(self.field, out)
 
-    def inverse(self) -> "ClassAutomorphism":
-        return ClassAutomorphism(self.field, _invert_cols(self.cols))
-
 
 def class_map(a: int) -> tuple[_BitMap, _BitMap]:
     """(project, lift) on raw bits for a class a with a Laurent part.
@@ -241,25 +238,6 @@ def find_basis_change(a: SquareClass) -> ClassAutomorphism:
     moved, _ = basis_change_map(a.bits, field.nvars)
     return ClassAutomorphism(field, tuple(
         moved(1 << j) for j in range(field.nvars + 1)))
-
-
-def _invert_cols(cols: tuple[int, ...]) -> tuple[int, ...]:
-    """Columns of the inverse of the GF(2) matrix M with these columns.
-
-    Gauss-Jordan on pairs (M x, x), starting from (cols[j], e_j); once
-    the first halves are the unit vectors, the second halves are the
-    columns of M^-1.
-    """
-    n = len(cols)
-    pairs = [(c, 1 << j) for j, c in enumerate(cols)]
-    for i in range(n):
-        k = next(k for k in range(i, n) if pairs[k][0] >> i & 1)
-        pairs[i], pairs[k] = pairs[k], pairs[i]
-        for r in range(n):
-            if r != i and pairs[r][0] >> i & 1:
-                pairs[r] = (pairs[r][0] ^ pairs[i][0],
-                            pairs[r][1] ^ pairs[i][1])
-    return tuple(x for _, x in pairs)
 
 
 # --- textual syntax -------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
 from .qform import DiagonalForm, _canon_bits, orth_sum
-from .sqclass import Base, FieldDesc, SquareClass, class_map
+from .sqclass import Base, FieldDesc, SquareClass
 
 __all__ = [
     "anisotropic_part",
@@ -27,39 +27,11 @@ __all__ = [
     "is_hyperbolic",
     "value_set",
     "represents",
-    "residue_forms",
-    "GroupRingElt",
-    "to_group_ring",
     "group_ring_equal",
-    "anisotropic_from_group_ring",
     "witt_vector",
-    "form_from_witt_vector",
     "ThreeFormWitness",
     "three_form_witt_index_check",
 ]
-
-
-def residue_forms(
-    phi: DiagonalForm, i: int | None = None
-) -> tuple[DiagonalForm, DiagonalForm]:
-    """Split phi into its two residue class forms with respect to t_i.
-
-    Entries with even t_i exponent land in the first form, entries with
-    odd exponent (divided by t_i) in the second; both live over the
-    residue model (variables above t_i are renumbered down by one).
-    """
-    field = phi.field
-    i = field.nvars if i is None else i
-    if not 1 <= i <= field.nvars:
-        raise ValueError(f"variable index {i} out of range 1..{field.nvars}")
-    bit = 1 << i
-    target = field.residue()
-    project, _ = class_map(bit)
-    parts: tuple[list, list] = ([], [])
-    for e in phi:
-        parts[bool(e.bits & bit)].append(SquareClass(target, project(e.bits)))
-    return DiagonalForm(target, tuple(parts[0])), DiagonalForm(
-        target, tuple(parts[1]))
 
 
 # --- the group ring -------------------------------------------------------
@@ -100,11 +72,11 @@ def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
 def _read_off(field: FieldDesc,
               items: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The anisotropic representative of the Witt class with these
-    (H-index, coefficient) pairs."""
+    (H-index, coefficient) pairs, coefficients reduced as _counts
+    gives them."""
     modulus, m, split_units = _ring_params(field)
     out: list[int] = []
     for idx, c in items:
-        c = c % modulus if modulus else c
         h = idx << (field.nvars + 1 - m)
         if not split_units:  # Z/2 coefficients
             out += [h] * c
@@ -229,42 +201,7 @@ def value_set(phi: DiagonalForm) -> frozenset[SquareClass]:
     return frozenset(SquareClass(field, b) for b in vals)
 
 
-# --- group-ring elements --------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupRingElt:
-    """Element of (Z/nZ)[H] as a coefficient tuple indexed by H's bits."""
-
-    field: FieldDesc
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        size = 1 << _ring_params(self.field)[1]
-        if len(self.coeffs) != size:
-            raise ValueError(f"a Witt vector over {self.field} has {size} "
-                             f"coefficients, got {len(self.coeffs)}")
-
-    @property
-    def modulus(self) -> int:
-        return _ring_params(self.field)[0]
-
-    def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        n = self.modulus
-        merged = tuple(
-            (a + b) % n if n else a + b
-            for a, b in zip(self.coeffs, other.coeffs))
-        return GroupRingElt(self.field, merged)
-
-    def __neg__(self) -> "GroupRingElt":
-        n = self.modulus
-        return GroupRingElt(
-            self.field, tuple((-a) % n if n else -a for a in self.coeffs))
-
-    def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
-        return self + (-other)
-
+# --- Witt vectors ---------------------------------------------------------
 
 def witt_vector(phi: DiagonalForm) -> tuple[int, ...]:
     """Raw coefficient tuple of phi's Witt class, indexed by H."""
@@ -274,26 +211,11 @@ def witt_vector(phi: DiagonalForm) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def to_group_ring(phi: DiagonalForm) -> GroupRingElt:
-    return GroupRingElt(phi.field, witt_vector(phi))
-
-
 def group_ring_equal(phi: DiagonalForm, psi: DiagonalForm) -> bool:
     if phi.field != psi.field:
         raise FieldMismatchError(f"{phi.field} vs {psi.field}")
     return _counts(phi.field, (e.bits for e in phi)) == _counts(
         psi.field, (e.bits for e in psi))
-
-
-def anisotropic_from_group_ring(elt: GroupRingElt) -> DiagonalForm:
-    field = elt.field
-    return _form(field, _read_off(field, enumerate(elt.coeffs)))
-
-
-def form_from_witt_vector(
-    field: FieldDesc, coeffs: tuple[int, ...]
-) -> DiagonalForm:
-    return anisotropic_from_group_ring(GroupRingElt(field, tuple(coeffs)))
 
 
 # --- Witt index of a three-fold sum ---------------------------------------

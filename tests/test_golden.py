@@ -16,6 +16,8 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from rigidwitt.errors import RigidWittError
 from rigidwitt.pfnum import (
     PfisterCertificate,
@@ -35,11 +37,11 @@ SEARCH_FIELDS = (FieldDesc(Base.F3, 2), FieldDesc(Base.R, 2),
                  FieldDesc(Base.C, 3), FieldDesc(Base.SQUARE_MINUS_ONE, 2))
 
 
-def _draw(raw, rng, n, dims, fixed=()):
+def _draw(raw, rng, n, dims, fixed=(), tries=20000):
     """The anisotropic part of a random sum of one to three scaled n-fold
     Pfister forms, each starting with the slots `fixed`, whose dimension
-    lies in dims."""
-    while True:
+    lies in dims.  Fails after `tries` draws that miss dims."""
+    for _ in range(tries):
         bits = []
         for _ in range(rng.randrange(1, 4)):
             slots = list(fixed) + [rng.choice(raw.classes)
@@ -48,6 +50,8 @@ def _draw(raw, rng, n, dims, fixed=()):
         v = raw.vector(bits)
         if raw.an_dim(v) in dims:
             return raw.form(v)
+    pytest.fail(f"no sum of scaled {n}-fold Pfister forms over {raw.field}"
+                f" had a dimension in {sorted(dims)} in {tries} draws")
 
 
 def _encode(x):

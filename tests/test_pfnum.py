@@ -48,8 +48,8 @@ from rigidwitt.pfnum import (
     _as_scaled_pfister,
     _biquadratic_splitting,
     _build_refusal,
-    _gp2_decomposition,
     _gp3_dim12_terms,
+    _orthogonal_terms,
     _pass_terms,
     _pfister_subforms,
     _search_sum,
@@ -63,14 +63,13 @@ from rigidwitt.qform import (
     format_form,
     is_isometric,
     is_subform,
-    neg,
     orth_sum,
     parse_form,
     pfister,
     scale,
     tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass, find_basis_change
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass, basis_change_map
 from rigidwitt.witt import (
     anisotropic_part,
     is_anisotropic,
@@ -92,9 +91,9 @@ def _f(text, field=F2):
 
 def _recognize(phi, n, **kwargs):
     """_as_scaled_pfister on phi's entries, as a PfisterSpec or None."""
-    term = _as_scaled_pfister(phi.field, [e.bits for e in phi.entries], n,
-                              **kwargs)
-    return None if term is None else _spec(phi.field, term)
+    terms = _as_scaled_pfister(phi.field, [e.bits for e in phi.entries], n,
+                               **kwargs)
+    return None if terms is None else _spec(phi.field, terms[0])
 
 
 def test_recognizer_plain_pfister():
@@ -224,10 +223,11 @@ def test_pfister_number_matches_bfs_oracle(n, field, gp_lookup):
 
 # --- two-term decisions against the Pfister-class lookup ------------------
 
-def _random_class(look, rng, n, dim, terms, fixed=()):
+def _random_class(look, rng, n, dim, terms, fixed=(), tries=20000):
     """(vector, form) of a random sum of scaled n-fold Pfister forms whose
-    anisotropic part has dimension dim; each term starts with `fixed`."""
-    while True:
+    anisotropic part has dimension dim; each term starts with `fixed`.
+    Fails after `tries` draws that miss dim."""
+    for _ in range(tries):
         v = (0,) * look.size
         for _ in range(rng.choice(terms)):
             slots = list(fixed) + [rng.choice(look.classes)
@@ -236,6 +236,9 @@ def _random_class(look, rng, n, dim, terms, fixed=()):
                 look.pfister_bits(rng.choice(look.classes), slots)))
         if look.an_dim(v) == dim:
             return v, look.form(v)
+    count = " or ".join(map(str, terms))
+    pytest.fail(f"no sum of {count} scaled {n}-fold Pfister forms over "
+                f"{look.field} had dimension {dim} in {tries} draws")
 
 
 def _dim16_forms(look, rng):
@@ -266,8 +269,10 @@ def test_two_term_decisions_match_lookup(gp_lookup):
         comp_v = look.vector([e.bits for e in comp.entries])
         assert comp.dim == 12 and look.an_dim(comp_v) == 12
         assert look.add(look.spec_vector(spec), comp_v) == v
-        four = [_spec(F5, t) for t in _gp2_decomposition(
-            F5, [e.bits for e in phi.entries])]
+        bits = [e.bits for e in phi.entries]
+        # at dimension 16 two 3-fold terms are orthogonal summands
+        assert (_orthogonal_terms(F5, bits, 3) is None) == (expected is None)
+        four = [_spec(F5, t) for t in _orthogonal_terms(F5, bits, 2)]
         assert len(four) == 4 and all(t.fold == 2 for t in four)
         total = (0,) * look.size
         for t in four:
@@ -489,8 +494,8 @@ def _check_tensor_reduction(raw, phi):
         return False
     t, res, tau = found
     assert res == field.residue()
-    inv = find_basis_change(SquareClass(field, t)).inverse()
-    back = [inv.apply(SquareClass(field, b)).bits for b in tau]
+    _, undo = basis_change_map(t, field.nvars)
+    back = [undo(b) for b in tau]
     product = back + [t ^ b for b in back]
     assert raw.vector(product) == raw.vector(
         [e.bits for e in phi.entries]), format_form(phi)
