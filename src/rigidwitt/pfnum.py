@@ -3,17 +3,18 @@
 A product with a binary Pfister factor is first reduced to one fold
 less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
 and each k is decided by one rule of an exact ladder: the recognizer
-(an anchored search for scaled Pfister subforms), constructive
-certificates mandated by the classification theorems, the anchored
-two-term split, for scaled n = 2, 3 at k = 3 one pass over the
-generator classes that asks the rules at k = 2 about each remainder,
-and otherwise a complete search over the generator classes on Witt
-vectors packed into Python ints (with the 2-sumset of the generators
-when it is small enough to store).  The generator classes are built
-fold by fold, each fold and the generator set only when its measured
-size is within a fixed step budget, and a search is refused when it
-would take more steps than that budget.  Every certificate
-re-verifies before it is returned.
+(an anchored search for scaled Pfister subforms); for scaled GP_3 up
+to dimension 16, at the value the classification theorems give, one
+term extended from a 2-fold Pfister subform and the rest decided at
+k - 1; the anchored two-term split; GP_2 peeling; for scaled n = 2, 3
+at k = 3 one pass over the generator classes that asks the rules at
+k = 2 about each remainder; and otherwise a complete search over the
+generator classes on Witt vectors packed into Python ints (with the
+2-sumset of the generators when it is small enough to store).  The
+generator classes are built fold by fold, each fold and the generator
+set only when its measured size is within a fixed step budget, and a
+search is refused when it would take more steps than that budget.
+Every certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
 anisotropic form, in the class order, and returns raw terms: (scalar,
@@ -24,7 +25,6 @@ built only for the certificate and the public outputs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import operator
@@ -393,7 +393,10 @@ def _pfister_subforms(
     entries.  Pfister forms are round, so these are all the scaled
     Pfister subforms that represent e.  pi = <<slots>> grows one slot at
     a time inside psi = e*phi: pi' = pi + x*pi embeds iff x*pi embeds in
-    the complement of pi, and x then lies in its value set.
+    the complement of pi, and x then lies in its value set.  The walk is
+    depth first over x in the class order and lazy, so a caller that
+    stops at the first subform it can use grows no other: each stack
+    level keeps its iterator over the values still to try.
     """
     flex = _flex(field)
     minus_one = _minus_one(field)
@@ -402,22 +405,27 @@ def _pfister_subforms(
         if not _split_off(psi, 0, flex):
             continue
         seen: set[tuple[int, ...]] = set()
-        stack = [((), (0,), psi)]
+        stack = [((), (0,), psi, iter(_values(psi, flex)))]
         while stack:
-            slots, pi, rest = stack.pop()
-            if len(slots) == n:
-                yield e, slots, tuple(e ^ b for b in rest)
-                continue
-            for x in reversed(_values(rest, flex)):
-                block = [x ^ p for p in pi]
+            slots, pi, rest, xs = stack[-1]
+            for x in xs:
                 left = list(rest)
-                if not all(_split_off(left, y, flex) for y in block):
+                if not all(_split_off(left, x ^ p, flex) for p in pi):
                     continue
-                grown = pi + tuple(block)
+                grown = pi + tuple(x ^ p for p in pi)
                 key = _canon_bits(field, grown)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((slots + (x ^ minus_one,), grown, left))
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(slots) + 1 == n:
+                    yield e, slots + (x ^ minus_one,), tuple(
+                        e ^ b for b in left)
+                else:
+                    stack.append((slots + (x ^ minus_one,), grown, left,
+                                  iter(_values(left, flex))))
+                    break
+            else:
+                stack.pop()
 
 
 def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
@@ -508,29 +516,6 @@ def _split_candidates(field: FieldDesc, bits: Sequence[int]) -> list[int]:
     return sorted(cands - {0}, key=_class_order)
 
 
-def _peel(field: FieldDesc, bits: Sequence[int], pi: Sequence[int],
-          exact: bool) -> list[int] | None:
-    """The quotient of the anisotropic form `bits` by the Pfister form
-    `pi`, peeled off as scaled copies x*pi on raw bits.  If peeling gets
-    stuck: None, or a contradiction when `exact` (bits is a multiple)."""
-    flex = _flex(field)
-    rest = list(bits)
-    quotient: list[int] = []
-    while rest:
-        for x in _values(rest, flex):
-            left = list(rest)
-            if all(_split_off(left, x ^ p, flex) for p in pi):
-                rest = left
-                quotient.append(x)
-                break
-        else:
-            if exact:
-                raise InternalContradictionError(
-                    "form splits over the extension but peeling got stuck")
-            return None
-    return quotient
-
-
 def divisible_by_pfister(
     phi: DiagonalForm, slots: Sequence[SquareClass]
 ) -> tuple[bool, DiagonalForm | None]:
@@ -538,12 +523,13 @@ def divisible_by_pfister(
 
     phi must be anisotropic.  Every multiple of pi = <<slots>> splits
     over F(sqrt a) for each slot a, so a form that some slot leaves
-    non-hyperbolic is rejected.  The rest is decided by _peel: an
-    anisotropic form in pi*W(F) is divisible by pi, so peeling a
-    multiple of pi never gets stuck.  For one slot the splitting test is
-    exact and a stuck peeling is a contradiction; for more slots
-    splitting is only necessary, and a stuck peeling means phi is not
-    divisible.  pi * rho is checked against phi's Witt vector.
+    non-hyperbolic is rejected.  The rest is decided by peeling scaled
+    copies x*pi off phi on raw bits: an anisotropic form in pi*W(F) is
+    divisible by pi, so peeling a multiple of pi never gets stuck.  For
+    one slot the splitting test is exact and a stuck peeling is a
+    contradiction; for more slots splitting is only necessary, and a
+    stuck peeling means phi is not divisible.  pi * rho is checked
+    against phi's Witt vector.
     """
     if is_isotropic(phi):
         raise IsotropicInputError("divisibility is tested on anisotropic forms")
@@ -561,9 +547,21 @@ def divisible_by_pfister(
     bits = [e.bits for e in phi]
     if not all(_splits(field, bits, a.bits) for a in slots):
         return False, None
-    quotient = _peel(field, bits, pi, len(slots) == 1)
-    if quotient is None:
-        return False, None
+    flex = _flex(field)
+    rest = list(bits)
+    quotient: list[int] = []
+    while rest:
+        for x in _values(rest, flex):
+            left = list(rest)
+            if all(_split_off(left, x ^ p, flex) for p in pi):
+                rest = left
+                quotient.append(x)
+                break
+        else:
+            if len(slots) == 1:
+                raise InternalContradictionError(
+                    "form splits over the extension but peeling got stuck")
+            return False, None
     product = [x ^ p for x in quotient for p in pi]
     if _counts(field, product) != _counts(field, bits):
         raise InternalContradictionError("peeled quotient fails to verify")
@@ -739,115 +737,40 @@ def _gp2_peeling_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     return terms
 
 
-def _gp3_dim12_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
-    """Two GP_3 terms for the anisotropic 12-dimensional I^3 form with
-    these entries, on raw bits.
+def _extension_terms(field: FieldDesc, bits: Sequence[int], n: int, k: int,
+                     cap: int) -> list[tuple]:
+    """k scaled n-fold terms for the anisotropic form with these entries,
+    whose Pfister number is known to be k: extend a scaled (n-1)-fold
+    subform c*pi to the n-fold term c<<slots, -cw>> = c*pi + w*pi
+    through a value w of its complement, and decide the remainder at
+    k - 1.
 
-    Such a form is divisible by <<a>> for the first a != 1 in the class
-    order over whose F(sqrt a) it splits (splitting is exact for one
-    slot; only split candidates are tried), and only that slot is peeled.
-    Splitting the 6-dimensional quotient r leaves an 8-dimensional I^3
-    class, similar to a Pfister form.
-    """
-    minus_one = _minus_one(field)
-    a = next((a for a in _split_candidates(field, bits)
-              if _splits(field, bits, a)), None)
-    if a is None:
-        raise InternalContradictionError(
-            "12-dimensional I^3 form without a binary divisor")
-    r = _peel(field, bits, (0, a ^ minus_one), True)
-    r.sort(key=_class_order)
-    first = (r[0], (a, r[0] ^ r[1] ^ minus_one, r[0] ^ r[2] ^ minus_one))
-    return [first] + _gp3_small_terms(field, _minus(field, bits, first))
-
-
-def _gp3_dim14_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
-    """Two GP_3 terms for the anisotropic 14-dimensional I^3 form with
-    these entries, on raw bits.
-
-    Searches the normal form s(tau1' + -tau2') with tau_i in P_3: the
-    pure part tau1' must appear inside s*phi, and the complement must be
-    the negated pure part of another Pfister form.  Splitting s*y off
-    s*phi is splitting y off phi, so tau1' is split off phi, its entries
-    free of s once per (y1, y2, y3), before the anisotropy lookup.
+    The ladder asks this for scaled GP_3 at d <= 16 where k is
+    three_pfister_bound(d); some choice at an anchor then always works.
+    At d = 14, phi is s*tau1' + -s*tau2'; a summand represents an anchor
+    x, so x<<a,b>> lies in s*tau1' with tau1 = <<a,b,-xs>>, and w = -sa
+    in its complement gives s*tau1.  At d = 12 the terms share a binary
+    y<<a>>, and phi is rho1 + rho2 for their complements rho_i; each
+    value of rho1 is represented by a subform -yb<<a,c>> of it (up to
+    renaming b, c and bc), with w = -yc.  At d = 16 every choice works:
+    the remainder has dimension 12 or 14, as k = 2 was ruled out.
+    Choices whose remainder has another theorem bound than k - 1 are
+    skipped.  The remainder is the complement minus w*pi: c*pi cancels.
     """
     flex = _flex(field)
     minus_one = _minus_one(field)
-    # subform entry candidates: entries, plus flips of doubled classes,
-    # plus negatives (the scaled pure part sits inside phi up to signs
-    # that a chosen z-entry pins down)
-    cand = sorted(set(bits) | {b ^ minus_one for b in bits
-                               if bits.count(b) == 2},
-                  key=_class_order)
-    allowed = set(cand)
-    for y1, y2, y3 in itertools.combinations_with_replacement(cand, 3):
-        y12, y13, y23 = y1 ^ y2, y1 ^ y3, y2 ^ y3
-        y123 = y12 ^ y3
-        if y123 not in allowed:
-            continue
-        rest = list(bits)
-        if not all(_split_off(rest, y, flex) for y in (y1, y2, y3)):
-            continue
-        for z in cand:
-            # s * phi contains the pure part of tau1 = <<a,b,c>> with
-            # entries x_i = s*y_i; z pins the product entry s*y1*y2
-            s = z ^ y12
-            if (s ^ y13) not in allowed or (s ^ y23) not in allowed:
+    for c, slots, comp in _pfister_subforms(field, bits, n - 1,
+                                            _anchors(field, bits)):
+        for w in _values(comp, flex):
+            rest = _minus(field, comp, (w, slots))
+            if _theorem_bound(n, len(rest)) != k - 1:
                 continue
-            comp = list(rest)
-            if not all(_split_off(comp, y, flex)
-                       for y in (z, s ^ y13, s ^ y23, y123)):
-                continue
-            pure1 = (s ^ y1, s ^ y2, s ^ y3, y12, y13, y23, s ^ y123)
-            if len(_an_bits(field, tuple(sorted((0,) + pure1)))) < 8:
-                continue  # tau1 is isotropic
-            tau2 = [0] + [b ^ minus_one for b in
-                          _canon_bits(field, [s ^ x for x in comp])]
-            for _e, slots2, _ in _pfister_subforms(field, tau2, 3, (0,)):
-                slots = sorted((s ^ y ^ minus_one for y in (y1, y2, y3)),
-                               key=_class_order)
-                return [(s, tuple(slots)), (s ^ minus_one, slots2)]
+            terms = _decide_k(field, rest, n, k - 1, False, cap)
+            if terms is not None:
+                return [(c, slots + (c ^ w ^ minus_one,))] + terms
     raise InternalContradictionError(
-        "14-dimensional I^3 form without a two-term representation")
-
-
-def _gp3_dim16_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
-    """At most three GP_3 terms for the anisotropic 16-dimensional I^3
-    form with these entries.
-
-    Extends the first GP_2 subform c<<a,b>> through the first canonical
-    entry w of its complement to the 3-fold c<<a,b,-cw>>; the remainder
-    has dimension at most 14 and is handled by the smaller-dimension
-    routes.
-    """
-    minus_one = _minus_one(field)
-    for c, slots, comp in _pfister_subforms(
-            field, bits, 2, _values(bits, _flex(field))):
-        w = _canon(field, comp)[0]
-        term = (c, slots + (c ^ w ^ minus_one,))
-        return [term] + _gp3_small_terms(field, _minus(field, bits, term))
-    raise InternalContradictionError(
-        "16-dimensional I^3 form without a GP_2 subform")
-
-
-def _gp3_small_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
-    """GP_3 terms for the anisotropic I^3 class of dimension at most 14
-    with these canonical entries, in the class order."""
-    d = len(bits)
-    if d == 0:
-        return []
-    if d == 8:
-        terms = _as_scaled_pfister(field, bits, 3)
-        if terms is not None:
-            return terms
-        raise InternalContradictionError(
-            "8-dimensional I^3 form not similar to a Pfister form")
-    if d == 12:
-        return _gp3_dim12_terms(field, bits)
-    if d == 14:
-        return _gp3_dim14_terms(field, bits)
-    raise InternalContradictionError(
-        f"I^3 class of unexpected anisotropic dimension {d}")
+        f"{len(bits)}-dimensional I^{n} form without {k} terms extending"
+        f" a Pfister subform")
 
 
 # --- tensor-identity reduction --------------------------------------------
@@ -1108,11 +1031,13 @@ def _decide_k(
     The caller has ruled out every k from the dimension bound up to
     k - 1.  The first rule that applies decides, in this order: scaled
     1-fold classes split into binary forms; k = 1 is the recognizer;
-    scaled GP_3 is 2 at dimensions 12 and 14 (D(12), D(14)); two scaled
-    terms of dimension 2^(n+1) are an isometric splitting, found by the
-    anchored orthogonal decomposition (_orthogonal_terms); scaled GP_2
-    is at most d/2 - 1 by peeling; scaled GP_3 is at most 3 at dimension
-    16; scaled k = 3 for n = 2, 3 is one pass over the generators,
+    scaled GP_3 at d <= 16 where k is three_pfister_bound(d) (2 at
+    dimensions 12 and 14, D(12) and D(14); 3 at 16) extends a 2-fold
+    Pfister subform to one term and decides the rest at k - 1
+    (_extension_terms); two scaled terms of dimension 2^(n+1) are an
+    isometric splitting, found by the anchored orthogonal decomposition
+    (_orthogonal_terms); scaled GP_2 is at most d/2 - 1 by peeling;
+    scaled k = 3 for n = 2, 3 is one pass over the generators,
     each remainder decided by these rules at k = 2 (_pass_terms); any
     other k goes to the generator search.  The last two need the
     generator set, built only when the measured size of each fold and
@@ -1126,14 +1051,12 @@ def _decide_k(
         return _gp1_terms(field, bits)
     if k == 1:
         return _as_scaled_pfister(field, bits, n, unscaled)
-    if not unscaled and n == 3 and d in (12, 14):
-        return _gp3_small_terms(field, bits)
+    if not unscaled and n == 3 and d <= 16 and k == three_pfister_bound(d):
+        return _extension_terms(field, bits, n, k, cap)
     if not unscaled and k == 2 and d == 1 << (n + 1):
         return _orthogonal_terms(field, bits, n)
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(field, bits)
-    if not unscaled and n == 3 and k == 3 and d == 16:
-        return _gp3_dim16_terms(field, bits)
     why = _build_refusal(field, n, unscaled)
     if why is None:
         if not unscaled and n in (2, 3) and k == 3:
@@ -1189,8 +1112,11 @@ def classify14(phi: DiagonalForm) -> dict:
     """GP_3 data for an anisotropic 14-dimensional I^3 form.
 
     The report carries the exact Pfister number (always 2), a verified
-    2-term certificate, a GP_2-subform witness, and whether the found
-    certificate exhibits the s(tau1' + -tau2') shape directly.
+    2-term certificate in the shape s(tau1' + -tau2'), and a GP_2-subform
+    witness.  The 8-dimensional terms t1, t2 of any certificate sum to a
+    14-dimensional form, so t1 + t2 is isotropic and some s lies in
+    D(t1) and -D(t2); Pfister forms are round, so t1 = s*tau1 and
+    t2 = -s*tau2.  The least such s in the class order is used.
     """
     if phi.dim != 14:
         raise ValueError("classify14 requires a 14-dimensional form")
@@ -1201,16 +1127,24 @@ def classify14(phi: DiagonalForm) -> dict:
     if subform is None:
         raise InternalContradictionError(
             "14-dimensional I^3 form without a GP_2 subform")
-    t1, t2 = cert.terms
-    shape_ii = t2.scalar == -t1.scalar
+    field = phi.field
+    flex, minus_one = _flex(field), _minus_one(field)
+    (_, slots1), (_, slots2) = terms = [_raw(t) for t in cert.terms]
+    negs = {v ^ minus_one for v in _values(_expand(field, terms[1]), flex)}
+    s = next((v for v in _values(_expand(field, terms[0]), flex)
+              if v in negs), None)
+    if s is None:
+        raise InternalContradictionError(
+            "14-dimensional I^3 form with terms of no common value")
     return {
         "gp3": k,
-        "certificate": cert,
+        "certificate": _certificate(
+            3, [(s, slots1), (s ^ minus_one, slots2)], cert.target),
         "gp2_subform": subform[0],
         "gp2_complement": subform[1],
         "conditions_i_iii": True,
-        "shape_ii": shape_ii,
-        "shape_scalar": t1.scalar if shape_ii else None,
+        "shape_ii": True,
+        "shape_scalar": SquareClass(field, s),
     }
 
 

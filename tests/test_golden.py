@@ -29,7 +29,7 @@ from rigidwitt.pfnum import (
 from rigidwitt.qform import DiagonalForm, PfisterSpec
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 
-GOLDEN = "d3eb9bd292e8de37109b945431a705db6d6ab4ec40607f34b6e829982b98c9d0"
+GOLDEN = "0c62e527551eb61c6de1642a3e15993a2f9d396778dbd2d6de1d3336fcdd4d3e"
 VALUES = "7521f212e6e97827ee46cddcc9c3e6e66087cf2f20ade8654ce7f9b57211419a"
 
 F5 = FieldDesc(Base.F3, 5)

@@ -48,7 +48,7 @@ from rigidwitt.pfnum import (
     _as_scaled_pfister,
     _biquadratic_splitting,
     _build_refusal,
-    _gp3_dim12_terms,
+    _extension_terms,
     _orthogonal_terms,
     _pass_terms,
     _pfister_subforms,
@@ -940,21 +940,18 @@ def test_gp3_small_dimensions(dim, expected):
         assert cert.verify()
 
 
-def _first_splitting_slot(raw, bits):
-    """The first a != 1 in the class order over whose F(sqrt a) the form
-    is hyperbolic, by the oracle."""
-    return next(a for a in raw.classes[1:] if raw.hyperbolic_over(bits, (a,)))
-
-
 def _check_dim12_terms(raw, v, bits, terms):
+    # two 3-fold terms summing to a 12-dimensional form are linked: they
+    # share a slot a, and the form is hyperbolic over F(sqrt a)
     assert len(terms) == 2 and all(t.fold == 3 for t in terms)
     assert _spec_sum(raw, terms) == v
-    assert terms[0].slots[0].bits == _first_splitting_slot(raw, bits)
+    a = common_slot(*terms)
+    assert a is not None and raw.hyperbolic_over(bits, (a.bits,))
 
 
 def test_gp3_dim12_route_minus_one_divisor(raw_field):
     # sums of two 3-fold forms sharing the slot -1: the tensor reduction
-    # passes them on, and the route splits them over F3(i)
+    # passes them on to the extension rule
     raw = raw_field(F5)
     rng = random.Random(1212)
     for _ in range(20):
@@ -968,8 +965,8 @@ def test_gp3_dim12_route_minus_one_divisor(raw_field):
 def test_gp3_dim12_route_non_unit_divisor(raw_field):
     # a multiple of <<a>> with a non-unit a is always tensor-reduced
     # along a's top variable, so pfister_number never brings these to
-    # the route; the dim-16 route hands its 12-dimensional remainders
-    # to it directly, as here
+    # the extension rule; the rule at dimension 16 hands its
+    # 12-dimensional remainders to it directly, as here
     raw = raw_field(F5)
     rng = random.Random(1213)
     non_units = [c for c in raw.classes if c >> 1]
@@ -979,23 +976,51 @@ def test_gp3_dim12_route_non_unit_divisor(raw_field):
         assert _reduces(phi)
         bits = [e.bits for e in phi]
         _check_dim12_terms(raw, v, bits, [
-            _spec(F5, t) for t in _gp3_dim12_terms(F5, bits)])
+            _spec(F5, t) for t in _extension_terms(F5, bits, 3, 2, 2)])
 
 
 def test_gp3_dim14_route_shape(raw_field):
-    # the normal form s(tau1' + -tau2'): scalars s and -s, two
-    # anisotropic 8-dimensional terms that re-expand to phi
+    # classify14 reports the normal form s(tau1' + -tau2'): scalars s
+    # and -s, two anisotropic 8-dimensional terms that re-expand to phi
     raw = raw_field(F5)
     rng = random.Random(1414)
     for _ in range(40):
         v, phi = _random_class(raw, rng, 3, 14, (2, 3))
         assert not _reduces(phi), format_form(phi)
-        k, cert = pfister_number(phi, 3)
+        rep = classify14(phi)
+        cert = rep["certificate"]
         t1, t2 = cert.terms
-        assert k == 2 and t2.scalar == -t1.scalar
+        assert rep["gp3"] == 2 and t2.scalar == -t1.scalar
+        assert rep["shape_ii"] and rep["shape_scalar"] == t1.scalar
         assert all(raw.an_dim(raw.spec_vector(t)) == 8 for t in cert.terms)
         assert _spec_sum(raw, cert.terms) == v
-        assert classify14(phi)["shape_ii"]
+
+
+@pytest.mark.parametrize("field,dims", [
+    (FieldDesc(Base.F3, 4), (12, 16)),
+    (FieldDesc(Base.R, 4), (12, 14, 16)),
+], ids=str)
+def test_extension_rule_matches_lookup(field, dims, gp_lookup):
+    # scaled GP_3 at level 2 (F3[t1..t4], which draws no dimension-14
+    # forms) and level infinity (R[t1..t4]): 2 at dimensions 12 and 14,
+    # and at 16 two exactly when the lookup finds at most two terms.
+    # pfister_number tensor-reduces most of these forms, so the rule
+    # is also run directly on each one at the value the lookup gives
+    look = gp_lookup(field, 3)
+    rng = random.Random(1316)
+    for dim in dims:
+        for _ in range(16):
+            v, phi = _random_class(look, rng, 3, dim, (2, 3))
+            expected = 2 if look.terms(v) is not None else 3
+            assert dim == 16 or expected == 2, format_form(phi)
+            k, cert = pfister_number(phi, 3)
+            assert k == len(cert.terms) == expected, format_form(phi)
+            assert _spec_sum(look, cert.terms) == v
+            if expected == three_pfister_bound(dim):
+                terms = _extension_terms(field, [e.bits for e in phi], 3,
+                                         expected, expected)
+                assert len(terms) == expected
+                assert _spec_sum(look, [_spec(field, t) for t in terms]) == v
 
 
 def _objects_built(monkeypatch, run):
@@ -1146,6 +1171,42 @@ def test_common_slot_matches_brute_force(field, raw_field):
         found = common_slot(*specs)
         assert (None if found is None else found.bits) == first, \
             tuple(map(str, specs))
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=str)
+def test_pfister_subforms_find_every_class_once(field, raw_field):
+    # at each anchor e, the walk yields one e<<slots>> per isometry class
+    # of scaled n-fold Pfister subforms representing e, and its
+    # complement re-expands to the form.  Oracle: every slot tuple,
+    # keeping the anisotropic e<<slots>> that embed (Witt index
+    # criterion), each class keyed by its Witt vector
+    raw = raw_field(field)
+    pfisters = {n: {raw.vector(raw.pfister_bits(0, slots)): slots
+                    for slots in itertools.combinations_with_replacement(
+                        raw.classes, n)}
+                for n in (1, 2, 3)}
+    for v, phi in raw.witt_classes():
+        bits = [e.bits for e in phi.entries]
+        for n, reps in pfisters.items():
+            if len(bits) < 1 << n:
+                continue
+            for e in raw.classes:
+                want = set()
+                for slots in reps.values():
+                    sub = raw.vector(raw.pfister_bits(e, slots))
+                    rest = raw.add(v, raw.reduce([-c for c in sub]))
+                    if raw.an_dim(sub) == 1 << n \
+                            and raw.an_dim(rest) == len(bits) - (1 << n):
+                        want.add(sub)
+                found = []
+                for e2, slots, comp in _pfister_subforms(field, bits, n,
+                                                         (e,)):
+                    sub = raw.vector(raw.pfister_bits(e2, slots))
+                    assert e2 == e and len(comp) == len(bits) - (1 << n)
+                    assert raw.add(sub, raw.vector(comp)) == v
+                    found.append(sub)
+                assert len(found) == len(set(found)) and set(found) == want, \
+                    (format_form(phi), n, e)
 
 
 def test_classify_dimension_checks():
