@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import operator
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +60,12 @@ from .witt import (
     _counts,
     _flex,
     _form,
+    _in_class_order,
     _minus_one,
     _read_off,
     _ring_params,
     _split_off,
+    _value_set,
     _values,
 )
 
@@ -164,7 +167,7 @@ def _spec(field: FieldDesc, term: tuple) -> PfisterSpec:
 
 def _canon(field: FieldDesc, an: Sequence[int]) -> list[int]:
     """The canonical entries of an anisotropic form, in the class order."""
-    return sorted(_canon_bits(field, an), key=_class_order)
+    return _in_class_order(_canon_bits(field, an))
 
 
 def _minus(field: FieldDesc, bits: Sequence[int], term: tuple) -> list[int]:
@@ -393,10 +396,36 @@ def _pfister_subforms(
     entries.  Pfister forms are round, so these are all the scaled
     Pfister subforms that represent e.  pi = <<slots>> grows one slot at
     a time inside psi = e*phi: pi' = pi + x*pi embeds iff x*pi embeds in
-    the complement of pi, and x then lies in its value set.  The walk is
-    depth first over x in the class order and lazy, so a caller that
-    stops at the first subform it can use grows no other: each stack
-    level keeps its iterator over the values still to try.
+    the complement rest of pi.
+
+    Filter.  x*pi embeds in rest only if x*p lies in D(rest) for every
+    entry p of pi, which is tested on the value set of the level first.
+    A class seen before is skipped next: it embeds, and a second visit
+    would be cut anyway.  _split_off stays the exact final test.
+
+    Echelon order.  Below the first level only x not below the previous
+    level's x in the class order are tried.  No class is lost.  For an
+    n-fold subform pi of psi let pi_0 = <1>, x_(i+1) the least value of
+    pi - pi_i, and pi_(i+1) = pi_i + x_(i+1)*pi_i.  pi is pi_i (x) rho
+    for a Pfister form rho, and a multiple pi_i (x) gamma that
+    represents y has y*pi_i as a subform, so x_(i+1)*pi_i lies in
+    pi - pi_i, which lies in the walk's rest: the path is one the walk
+    can take.  pi - pi_(i+1) is a subform of pi - pi_i, so x_(i+1) <=
+    x_(i+2) and the path keeps to the order; steps can be equal (over R,
+    <<-1,-1>> = <1,1,1,1> has x_1 = x_2 = 1), hence "not below".  Any
+    other path y_1, y_2, ... to pi has y_(i+1) in D(pi - pi_i) where it
+    agrees with this one up to i, so x_(i+1) <= y_(i+1): this path is
+    the least in the lexicographic order, and its prefixes are the
+    least paths to the pi_i.  The depth-first walk meets paths in that
+    order, so it reaches every class first along its least path, and the
+    seen set, one visit per class at every level, cuts only later
+    visits.  So the yields, their order and the complements are those of
+    the walk that tries every x and splits off before the seen test.
+
+    Laziness.  The walk is depth first, so a caller that stops at the
+    first subform it can use grows no other: each stack level keeps its
+    iterator over the values still to try.  A level's value set is the
+    one its candidates are sorted from; the filter builds no other set.
     """
     flex = _flex(field)
     minus_one = _minus_one(field)
@@ -405,27 +434,41 @@ def _pfister_subforms(
         if not _split_off(psi, 0, flex):
             continue
         seen: set[tuple[int, ...]] = set()
-        stack = [((), (0,), psi, iter(_values(psi, flex)))]
+        stack = [_level((), (0,), psi, 0, flex)]
         while stack:
-            slots, pi, rest, xs = stack[-1]
+            slots, pi, rest, member, xs = stack[-1]
             for x in xs:
-                left = list(rest)
-                if not all(_split_off(left, x ^ p, flex) for p in pi):
+                xpi = [x ^ p for p in pi]
+                if not member.issuperset(xpi):
                     continue
-                grown = pi + tuple(x ^ p for p in pi)
+                grown = pi + tuple(xpi)
                 key = _canon_bits(field, grown)
                 if key in seen:
+                    continue
+                left = list(rest)
+                if not all(_split_off(left, y, flex) for y in xpi):
                     continue
                 seen.add(key)
                 if len(slots) + 1 == n:
                     yield e, slots + (x ^ minus_one,), tuple(
                         e ^ b for b in left)
                 else:
-                    stack.append((slots + (x ^ minus_one,), grown, left,
-                                  iter(_values(left, flex))))
+                    stack.append(_level(slots + (x ^ minus_one,), grown,
+                                        left, x, flex))
                     break
             else:
                 stack.pop()
+
+
+def _level(slots: tuple[int, ...], pi: tuple[int, ...], rest: list[int],
+           low: int, flex: int) -> tuple:
+    """One level of the subform walk: slots, pi, its complement rest,
+    D(rest) as a set, and an iterator over D(rest) from low upwards in
+    the class order."""
+    member = _value_set(rest, flex)
+    vals = _in_class_order(member)
+    return slots, pi, rest, member, iter(
+        vals[bisect_left(vals, _class_order(low), key=_class_order):])
 
 
 def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
@@ -513,7 +556,7 @@ def _split_candidates(field: FieldDesc, bits: Sequence[int]) -> list[int]:
     minus_one = _minus_one(field)
     vals = _values(bits, _flex(field))
     cands = {x ^ y ^ minus_one for i, x in enumerate(vals) for y in vals[i:]}
-    return sorted(cands - {0}, key=_class_order)
+    return _in_class_order(cands - {0})
 
 
 def divisible_by_pfister(
@@ -825,11 +868,10 @@ def three_pfister_bound(d: int) -> int:
         return 1
     if d <= 14:
         return 2
-    val = (Fraction(d * d, 16) - Fraction(d, 2)
-           - Fraction(82 - 2 * (-1) ** (d // 2), 16))
-    if val.denominator != 1:
+    val, rem = divmod(d * d - 8 * d - 82 + 2 * (-1) ** (d // 2), 16)
+    if rem:
         raise InternalContradictionError(f"non-integral bound for d={d}")
-    return int(val)
+    return val
 
 
 @dataclass(frozen=True)

@@ -152,9 +152,12 @@ def canonicalize(phi: DiagonalForm) -> DiagonalForm:
 
 def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     """Canonical sorted bit tuple with the level-2 doubled-pair move."""
-    if field.level() != 2:
+    if field.level() != 2 or len(set(bits)) == len(bits):
         return tuple(sorted(bits))
-    return tuple(sorted(b & ~1 if bits.count(b) == 2 else b for b in bits))
+    count: dict[int, int] = {}
+    for b in bits:
+        count[b] = count.get(b, 0) + 1
+    return tuple(sorted(b & ~1 if count[b] == 2 else b for b in bits))
 
 
 def _an_difference(phi: DiagonalForm, psi: DiagonalForm) -> tuple[int, ...]:

@@ -149,12 +149,27 @@ def _class_order(b: int) -> tuple[int, int]:
     return (b & 1, b >> 1)
 
 
+def _in_class_order(bits: Iterable[int]) -> list[int]:
+    """The classes sorted by _class_order: a stable sort on the unit bit
+    after the plain one, with no Python key call per class."""
+    return sorted(sorted(bits), key=(1).__and__)
+
+
+def _value_set(rest: Sequence[int], flex: int) -> set[int]:
+    """D(rest) of an anisotropic form, as a set."""
+    vals = set(rest)
+    if flex and len(vals) < len(rest):
+        once: set[int] = set()
+        for z in rest:
+            if z in once:
+                vals.add(z ^ flex)
+            once.add(z)
+    return vals
+
+
 def _values(rest: Sequence[int], flex: int) -> list[int]:
     """D(rest) of an anisotropic form, in the square-class order."""
-    vals = set(rest)
-    if flex:
-        vals.update(z ^ flex for z in rest if rest.count(z) > 1)
-    return sorted(vals, key=_class_order)
+    return _in_class_order(_value_set(rest, flex))
 
 
 def _split_off(rest: list[int], y: int, flex: int) -> bool:

@@ -1092,6 +1092,41 @@ def test_split_candidates_bound_the_splitting_scans(raw_field, monkeypatch):
     assert 0 < calls[0] <= 1758, calls[0]
 
 
+def test_echelon_walk_bounds_the_dim16_disproof(gp_lookup, monkeypatch):
+    # GP_3 = 3 forms at dimension 16 over F3[t1..t5] have no two-term
+    # split; proving that walks every 3-fold subform at the anchors.
+    # Filtering x by D(rest) and skipping seen classes before splitting
+    # split off 30, 34, 30 and 30 entries for these forms (bound: 34
+    # plus 25 %; the walk over every value split off 628, 672, 604 and
+    # 616), and the echelon order keys 36, 42, 36 and 36 candidate
+    # subforms (bound: 42 plus 25 %; 57, 69, 57 and 57 without it)
+    look = gp_lookup(F5, 3)
+    rng = random.Random(16)
+    calls = {"_split_off": 0, "_canon_bits": 0}
+
+    def counting(name):
+        inner = getattr(pfnum, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(pfnum, name, counting(name))
+    forms = 0
+    while forms < 4:
+        v, phi = _random_class(look, rng, 3, 16, (3,))
+        if look.terms(v) is not None:
+            continue
+        forms += 1
+        calls.update(dict.fromkeys(calls, 0))
+        assert _orthogonal_terms(F5, [e.bits for e in phi.entries], 3) \
+            is None, format_form(phi)
+        assert 0 < calls["_split_off"] <= 42, (calls, format_form(phi))
+        assert 0 < calls["_canon_bits"] <= 52, (calls, format_form(phi))
+
+
 def test_gp3_dim16_at_most_three():
     for seed in range(3):
         phi = _sample(16, seed)
@@ -1207,6 +1242,43 @@ def test_pfister_subforms_find_every_class_once(field, raw_field):
                     found.append(sub)
                 assert len(found) == len(set(found)) and set(found) == want, \
                     (format_form(phi), n, e)
+
+
+@pytest.mark.parametrize("field", [
+    FieldDesc(Base.F3, 4), FieldDesc(Base.R, 3), FieldDesc(Base.C, 4),
+    FieldDesc(Base.SQUARE_MINUS_ONE, 3)], ids=str)
+def test_orthogonal_terms_decompose_sums_of_two_fold_forms(field,
+                                                           raw_field):
+    # an anisotropic orthogonal sum of 3 or 4 scaled 2-fold Pfister forms
+    # splits into as many terms that re-expand to it, and the complement
+    # of the first subform found at the anchors splits too, so no sum
+    # here needs _orthogonal_terms to back up (none did in a sweep of
+    # 29 098 such sums over these fields, F3[t1..t3] and R[t1,t2])
+    raw = raw_field(field)
+    rng = random.Random(1402)
+    found = 0
+    while found < 20:
+        m = rng.choice((3, 4))
+        entries = []
+        for _ in range(m):
+            entries += raw.pfister_bits(rng.choice(raw.classes), (
+                rng.choice(raw.classes), rng.choice(raw.classes)))
+        v = raw.vector(entries)
+        if raw.an_dim(v) != len(entries):
+            continue
+        found += 1
+        bits = sorted(raw.an_bits(v), key=lambda b: (b & 1, b >> 1))
+        terms = _orthogonal_terms(field, bits, 2)
+        assert terms is not None and len(terms) == m, bits
+        total = (0,) * raw.size
+        for e, slots in terms:
+            sub = raw.vector(raw.pfister_bits(e, slots))
+            assert raw.an_dim(sub) == 4
+            total = raw.add(total, sub)
+        assert total == v, bits
+        _, _, comp = next(_pfister_subforms(field, bits, 2,
+                                            _anchors(field, bits)))
+        assert _orthogonal_terms(field, comp, 2) is not None, bits
 
 
 def test_classify_dimension_checks():

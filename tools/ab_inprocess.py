@@ -1,0 +1,165 @@
+"""Interleaved in-process timing of two rigidwitt trees on benchmark ops.
+
+Run from the root of a checkout, with a second checkout (say, the
+parent commit) as the baseline:
+
+    python3 tools/ab_inprocess.py BASELINE_CHECKOUT --workload dim16 \\
+        --seed 1101 --batches 10 --ops 60
+
+BASELINE_CHECKOUT/src/rigidwitt is loaded as the package ``rw_base`` and
+./src/rigidwitt as ``rw_work``, side by side in one interpreter.  One
+seeded op stream is drawn with the workload classes of
+perfbench/worker.py (imported, not changed), and each batch of --ops
+fresh ops runs on both trees, the order alternating from batch to
+batch.  Each tree keeps its own caches, and no op repeats, so a cache
+helps only within a batch, as in a benchmark run.  The answers of the
+first batch are checked on both trees by the benchmark's oracle, and
+its times are left out.
+
+Per op kind, and for all ops together, it prints the median and
+quartiles of the per-op times of each tree over all timed batches, the
+ratio work / base of the medians, and the share of batches whose median (and p90) each tree won.  The
+last line is the same as one JSON object.  A process-level benchmark
+run on a shared machine spreads more than these per-op times; this
+tool does not replace it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import gc
+import importlib
+import importlib.util
+import json
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.getcwd()
+PERFBENCH = os.path.join(ROOT, "perfbench")
+# workloads that run in this process (cli-oneshot spawns one per op)
+KINDS = ("gp3-low", "dim16", "search-small")
+
+
+def load(name: str, checkout: str):
+    """rigidwitt from checkout/src, imported as the package `name`."""
+    pkg = os.path.join(os.path.abspath(checkout), "src", "rigidwitt")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"),
+        submodule_search_locations=[pkg])
+    lib = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    for sub in ("errors", "pfnum", "qform", "sqclass"):
+        importlib.import_module(f"{name}.{sub}")
+    return lib
+
+
+def side(wl, lib, ops):
+    """A copy of the workload that calls lib, and the ops with forms
+    built from lib's own classes."""
+    other = copy.copy(wl)
+    other.lib = lib
+    sq = lib.sqclass
+    out = []
+    for op in ops:
+        op = copy.copy(op)
+        if op.bits is not None:
+            desc = sq.FieldDesc(sq.Base[op.field.desc.base.name],
+                                op.field.desc.nvars)
+            op.form = lib.qform.DiagonalForm(
+                desc, tuple(sq.SquareClass(desc, b) for b in op.bits))
+        out.append(op)
+    return other, out
+
+
+def run_batch(wl, ops, check: bool) -> dict:
+    """Per-kind op times in ms; with check, every answer goes through
+    the oracle first (untimed)."""
+    times: dict[str, list[float]] = {}
+    clock = time.perf_counter
+    gc.collect()
+    for op in ops:
+        t0 = clock()
+        answer = wl.call(op)
+        t1 = clock()
+        if check:
+            wl.check(op, answer)
+        times.setdefault(op.kind, []).append((t1 - t0) * 1e3)
+        times.setdefault("all", []).append((t1 - t0) * 1e3)
+    return times
+
+
+def p90(xs: list[float]) -> float:
+    return statistics.quantiles(xs, n=10, method="inclusive")[-1]
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("baseline", help="root of the baseline checkout")
+    ap.add_argument("--workload", choices=KINDS, default="dim16")
+    ap.add_argument("--seed", type=int, default=1101)
+    ap.add_argument("--batches", type=int, default=10)
+    ap.add_argument("--ops", type=int, default=60, help="ops per batch")
+    args = ap.parse_args(argv)
+
+    base, work = load("rw_base", args.baseline), load("rw_work", ROOT)
+    sys.path.insert(0, PERFBENCH)
+    import oracle
+    import worker
+
+    wl = worker.WORKLOADS[args.workload](args.seed)
+    wl.lib, wl.oracle = work, oracle
+    wl.prepare()
+    wl.fill(args.ops * (args.batches + 1))
+    sides = {"base": base, "work": work}
+    per = {name: {} for name in sides}
+    wins = {"median": {}, "p90": {}}
+    for b in range(args.batches + 1):
+        batch = wl.inputs[b * args.ops:(b + 1) * args.ops]
+        order = ("base", "work") if b % 2 else ("work", "base")
+        got = {name: run_batch(*side(wl, sides[name], batch), check=not b)
+               for name in order}
+        if not b:
+            continue
+        for name in sides:
+            for kind, xs in got[name].items():
+                per[name].setdefault(kind, []).extend(xs)
+        for kind in got["work"]:
+            for stat, fn in (("median", statistics.median), ("p90", p90)):
+                won = fn(got["work"][kind]) < fn(got["base"][kind])
+                wins[stat].setdefault(kind, []).append(won)
+
+    report = {}
+    print(f"{args.workload}, seed {args.seed}: {args.batches} timed batches"
+          f" of {args.ops} ops; per-op ms, median [q1, q3]")
+    for kind in sorted(per["work"]):
+        row = {}
+        for name in sides:
+            q1, med, q3 = quartiles(per[name][kind])
+            row[name] = {"median": med, "q1": q1, "q3": q3,
+                         "p90": p90(per[name][kind])}
+        row["ratio"] = row["work"]["median"] / row["base"]["median"]
+        row["work_won"] = {stat: sum(w[kind]) / len(w[kind])
+                           for stat, w in wins.items()}
+        report[kind] = row
+        print(f"  {kind:6} base {row['base']['median']:.3f}"
+              f" [{row['base']['q1']:.3f}, {row['base']['q3']:.3f}]"
+              f" p90 {row['base']['p90']:.3f} | work"
+              f" {row['work']['median']:.3f} [{row['work']['q1']:.3f},"
+              f" {row['work']['q3']:.3f}] p90 {row['work']['p90']:.3f}"
+              f" | ratio {row['ratio']:.3f}; work won"
+              f" {row['work_won']['median']:.0%} of batch medians,"
+              f" {row['work_won']['p90']:.0%} of batch p90s")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
