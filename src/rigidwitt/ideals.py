@@ -1,14 +1,16 @@
 """The fundamental-ideal filtration and residue-based decompositions.
 
-Membership in I^n is decided by the split exact sequence of the
-t-adic valuation, recursing into the residue field; forms in I^n are
-split into unimodular pieces, and quadratic extensions stay inside the
-four-base model family.
+Membership in I^n is decided in closed form on the Witt vector: the
+split exact sequence of the t-adic valuation, unrolled over every
+variable.  Forms in I^n are split into unimodular pieces, and quadratic
+extensions stay inside the four-base model family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -24,7 +26,9 @@ from .witt import (
     is_hyperbolic,
     represents,
     value_set,
-    _minus_one,
+    _LANE,
+    _form_vector,
+    _ring_params,
 )
 
 __all__ = [
@@ -38,38 +42,114 @@ __all__ = [
 
 
 def in_In(phi: DiagonalForm, n: int) -> bool:
-    """Membership of phi's Witt class in the n-th fundamental-ideal power."""
+    """Membership of phi's Witt class in the n-th fundamental-ideal power.
+
+    Decided in closed form on phi's Witt vector w (the coefficients by
+    H-index, witt._counts).  The split exact sequence of the t-adic
+    valuation gives, for the top variable t, phi = phi1 + t*phi2 =
+    (phi1 - phi2) + <<-t>> (x) phi2, and phi lies in I^n exactly when
+    the residue forms satisfy phi2 in I^(n-1) and phi1 - phi2 in I^n,
+    one variable fewer.  On w the entries with t are the lanes with t's
+    index bit set: writing (lo, hi) for the two halves, phi1 has vector
+    lo, phi2 has hi and phi1 - phi2 has lo - hi.  So one step of the
+    recursion maps (lo, hi) to (lo - hi, hi) along t's bit, and its two
+    children are the halves.  Steps along different bits commute; let T
+    be w after the step along every variable.  The node reached by
+    taking the hi half at the variables of a set S and the lo half at
+    the others, after all of them, is the lane T[S], asked to lie in
+    I^(n - |S|) of the base field k.  The recursion stops early where
+    the ideal reaches I^1 (even dimension) or I^0 (everything): a leaf
+    with |S| = n - 1 tests its dimension's parity, which is the sum of
+    its coefficients mod 2, and the steps it skips change only signs,
+    so that parity is the parity of T[S]'s coefficient sum.  Every S
+    with |S| <= n - 1 is tested once and no other, so for n >= 1:
+
+        phi in I^n  iff  T[S] in I^(n - |S|)(k) for every |S| <= n - 1,
+
+    with I^1(k) the even-dimensional classes.  Over F3 (W = Z/4, I^2 =
+    0) that is T[S] = 0 mod 4 for |S| <= n - 2 and T[S] even for |S| =
+    n - 1; over C (W = Z/2) T[S] = 0; over F3(i) (W = Z/2 x Z/2, I^2 =
+    0) both unit lanes of S are 0, or for |S| = n - 1 their sum is
+    even; over R (W = Z, I^m = 2^m Z) T[S] = 0 mod 2^(n - |S|).  On a
+    packed vector (witt._summed) the steps are lane operations: set the
+    guards, subtract, mask.  Over R and over fields too large to pack,
+    T[S] is summed from the sparse coefficients (_in_In_sparse).  phi's
+    vector is read once per form (witt._form_vector).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not n:
+        return True
     field = phi.field
-    minus_one = _minus_one(field)
-
-    def member(bits: list[int], nvars: int, n: int) -> bool:
-        if n <= 1:  # I is the ideal of even-dimensional forms
-            return n == 0 or len(bits) % 2 == 0
-        if nvars == 0:
-            return _in_In_base(field.base, bits, n)
-        # residue forms wrt the top variable: phi = (phi1 - phi2) +
-        # <<-t>> (x) phi2 in WF
-        top = 1 << nvars
-        even = [b for b in bits if not b & top]
-        odd = [b ^ top for b in bits if b & top]
-        return (member(odd, nvars - 1, n - 1)
-                and member(even + [b ^ minus_one for b in odd], nvars - 1, n))
-
-    return member([e.bits for e in phi], field.nvars, n)
+    w = _form_vector(phi)
+    if not isinstance(w, int):
+        return _in_In_sparse(field, w, n)
+    coeffs, steps, zero, pairs = _ideal_masks(field, n)
+    for shift, low, guard in steps:
+        w = ((w | guard) - (w >> shift & low)) & coeffs
+    return not w & zero and not (w ^ w >> _LANE) & pairs
 
 
-def _in_In_base(base: Base, bits: list[int], n: int) -> bool:
-    if base is Base.C:
-        return len(bits) % 2 == 0
-    p = bits.count(0)
-    if base is Base.R:
-        return (2 * p - len(bits)) % (1 << n) == 0
-    if base is Base.F3:  # W = Z/4 and I^2 = 0
-        return (2 * p - len(bits)) % 4 == 0
-    # the level-1 two-unit base: W = Z/2 x Z/2 and I^2 = 0
-    return p % 2 == 0 and len(bits) % 2 == 0
+@lru_cache(maxsize=256)
+def _ideal_masks(field: FieldDesc, n: int) -> tuple:
+    """in_In's masks for I^n, n >= 1, on packed witt._summed vectors.
+
+    (coeffs, steps, zero, pairs): the mask of every coefficient bit; one
+    (shift, low, guard) per variable, low the coefficient bits and guard
+    the guard bits of the lanes without the variable's bit, whose
+    partners lie shift bits up; the coefficient bits of T that must be
+    0; and, with the unit bit in the index (F3(i)), the lanes (S, 1)
+    whose sum with (S, u) must be even.
+    """
+    modulus, m, _ = _ring_params(field)
+    top = modulus - 1
+    first = m - field.nvars  # the index bit of t1
+    steps = []
+    for j in range(first, m):
+        lanes = sum(1 << _LANE * i for i in range(1 << m) if not i >> j & 1)
+        steps.append((_LANE << j, lanes * top, lanes * modulus))
+    zero = pairs = 0
+    for i in range(1 << m):
+        level = n - (i >> first).bit_count()
+        lane = 1 << _LANE * i
+        if level >= 2:  # I^2(k) = 0
+            zero |= lane * top
+        elif level == 1 and not first:  # an even coefficient
+            zero |= lane
+        elif level == 1 and not i & 1:
+            pairs |= lane
+    coeffs = sum(top << _LANE * i for i in range(1 << m))
+    return coeffs, tuple(steps), zero, pairs
+
+
+def _in_In_sparse(field: FieldDesc, items: Iterable[tuple[int, int]],
+                  n: int) -> bool:
+    """in_In's criterion on the nonzero (H-index, coefficient) pairs.
+
+    The steps composed give T[S] as the sum of (-1)^(|V| - |S|) w[i]
+    over the indices i whose set V of variables contains S, so each
+    coefficient is spread over the subsets of V of size below n, and
+    only those lanes are tested.
+    """
+    modulus, m, _ = _ring_params(field)
+    first = m - field.nvars  # the index bit of t1
+    units = (1 << first) - 1  # the unit bit, over F3(i)
+    lanes: dict[int, int] = {}
+    for i, c in items:
+        have = [1 << j for j in range(first, m) if i >> j & 1]
+        for k in range(min(n, len(have) + 1)):
+            signed = -c if (len(have) - k) % 2 else c
+            for part in combinations(have, k):
+                key = sum(part) | i & units
+                lanes[key] = lanes.get(key, 0) + signed
+    pairs: dict[int, int] = {}
+    for key, c in lanes.items():
+        level = n - (key >> first).bit_count()
+        if first and level == 1:  # F3(i): the two unit lanes together
+            pairs[key >> 1] = pairs.get(key >> 1, 0) + c
+        elif c % (modulus if modulus and level >= 2 else 1 << level):
+            return False
+    return all(c % 2 == 0 for c in pairs.values())
 
 
 @dataclass(frozen=True)

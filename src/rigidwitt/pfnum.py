@@ -24,7 +24,6 @@ built only for the certificate and the public outputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -60,11 +59,13 @@ from .witt import (
     _counts,
     _flex,
     _form,
+    _form_vector,
     _in_class_order,
     _minus_one,
     _read_off,
     _ring_params,
     _split_off,
+    _summed,
     _value_set,
     _values,
 )
@@ -110,14 +111,18 @@ class PfisterCertificate:
     target: DiagonalForm  # canonical anisotropic representative
 
     def verify(self) -> bool:
-        """Whether the terms, expanded on raw bits, sum to the target's
-        Witt class."""
+        """Whether the terms, expanded on their classes' bits, sum to the
+        target's Witt class (whose vector is read once per form, see
+        _form_vector)."""
         field = self.target.field
-        terms = [b for t in self.terms for b in _expand(field, _raw(t))]
-        return _counts(field, terms) == _counts(
-            field, (e.bits for e in self.target))
+        entries: list[int] = []
+        for t in self.terms:
+            entries += _expand(field, _raw(t))
+        return _summed(field, entries) == _form_vector(self.target)
 
     def to_json_dict(self) -> dict:
+        import hashlib  # only commands that print a certificate need it
+
         from .sqclass import format_square_class
 
         key = ",".join(str(e.bits) for e in self.target.entries)
@@ -149,20 +154,21 @@ def _expand(field: FieldDesc, term: tuple) -> list[int]:
     scalar, slots = term
     out = [scalar]
     for a in slots:
-        out += [e ^ a ^ minus_one for e in out]
+        na = a ^ minus_one
+        out += [e ^ na for e in out]
     return out
 
 
 def _raw(spec: PfisterSpec) -> tuple:
     """A PfisterSpec as a raw term (scalar, slots)."""
-    return spec.scalar.bits, tuple(s.bits for s in spec.slots)
+    return spec.scalar.bits, tuple([s.bits for s in spec.slots])
 
 
 def _spec(field: FieldDesc, term: tuple) -> PfisterSpec:
     """The PfisterSpec of a raw term (scalar, slots)."""
     scalar, slots = term
     return PfisterSpec(SquareClass(field, scalar),
-                       tuple(SquareClass(field, s) for s in slots))
+                       tuple([SquareClass(field, s) for s in slots]))
 
 
 def _canon(field: FieldDesc, an: Sequence[int]) -> list[int]:
@@ -181,7 +187,7 @@ def _minus(field: FieldDesc, bits: Sequence[int], term: tuple) -> list[int]:
 def _certificate(n: int, terms: Sequence[tuple],
                  target: DiagonalForm) -> PfisterCertificate:
     cert = PfisterCertificate(
-        n, tuple(_spec(target.field, t) for t in terms), target)
+        n, tuple([_spec(target.field, t) for t in terms]), target)
     if not cert.verify():
         raise InternalContradictionError(
             f"certificate failed verification for {format_form(target)}")
@@ -824,19 +830,25 @@ def _tensor_reduction(
     """A factorization <bits> = <1,t> (x) tau with tau free of t's variable.
 
     The form with these entries must be anisotropic.  Returns
-    (t, residue field, tau) or None, with tau the canonical entries of
-    the anisotropic part over the residue field after moving t onto the
-    last variable.  Pfister numbers are preserved: GP_n of the product
-    equals GP_{n-1} of tau.  The residue forms are anisotropic, so they
-    are isometric exactly when their canonical diagonalizations agree.
+    (t, residue field, tau) or None, with tau the canonical entries over
+    the residue field after moving t onto the last variable.  Pfister
+    numbers are preserved: GP_n of the product equals GP_{n-1} of tau.
+    The residue forms even and odd along t_i are anisotropic, so they
+    are isometric exactly when their canonical diagonalizations agree;
+    u*odd = even gives t = u*t_i.  A variable is scanned only when its
+    halves pass _may_match, which every such u makes them do.  tau is
+    u*odd under class_map(t), which keeps it anisotropic: two of its
+    entries differ by neither t nor -t, which hold t_i, so no two
+    H-indices merge.
     """
     flex = _flex(field)
+    masked = [b & ~flex for b in bits]
     for i in range(field.nvars, 0, -1):
         bit = 1 << i
+        if not _may_match(masked, bit):
+            continue
         even = [b for b in bits if not b & bit]
         odd = [b ^ bit for b in bits if b & bit]
-        if not odd or len(even) != len(odd):
-            continue
         target = _canon_bits(field, even)
         a = _values(even, flex)[0]
         for b in _values(odd, flex):
@@ -844,9 +856,36 @@ def _tensor_reduction(
             if _canon_bits(field, [u ^ x for x in odd]) == target:
                 project, _ = class_map(u ^ bit)
                 res = field.residue()
-                tau = sorted(project(u ^ x) for x in odd)
-                return u ^ bit, res, _canon(res, _an_bits(res, tuple(tau)))
+                return u ^ bit, res, _canon(res, [project(u ^ x)
+                                                  for x in odd])
     return None
+
+
+def _may_match(masked: Sequence[int], bit: int) -> bool:
+    """Whether the halves of a form along a variable's bit have as many
+    entries, and some class u carries every entry with the bit into the
+    set of those without it; masked holds the entries, flex bit
+    cleared.
+
+    This is necessary for u*odd and even to have one canonical
+    diagonalization, since their entries then agree up to the flex bit
+    (the move <x,x> = <-x,-x>).  u carries the first entry with the bit
+    onto some x, which leaves one candidate per x; a wrong one mostly
+    fails at the first entry tried.
+    """
+    ys = [m for m in masked if m & bit]
+    if not ys or 2 * len(ys) != len(masked):
+        return False
+    targets = {m for m in masked if not m & bit}
+    y0, rest = ys[0], ys[1:]
+    for x in targets:
+        u = x ^ y0
+        for y in rest:
+            if u ^ y not in targets:
+                break
+        else:
+            return True
+    return False
 
 
 # --- bounds ---------------------------------------------------------------

@@ -8,6 +8,7 @@ phi + -psi; decompositions peel raw entry lists (witt._split_off).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,6 +26,13 @@ from .sqclass import (
 )
 
 
+_BITS = attrgetter("bits")
+
+
+def _unit_bit(e: SquareClass) -> int:
+    return e.bits & 1
+
+
 @dataclass(frozen=True)
 class DiagonalForm:
     """A diagonal quadratic form: a finite multiset of square classes."""
@@ -33,12 +41,14 @@ class DiagonalForm:
     entries: tuple[SquareClass, ...]
 
     def __post_init__(self) -> None:
+        field = self.field
         for e in self.entries:
-            if e.field != self.field:
+            if e.field is not field and e.field != field:
                 raise FieldMismatchError(
-                    f"entry over {e.field} in a form over {self.field}")
-        ordered = tuple(sorted(self.entries, key=SquareClass.sort_key))
-        object.__setattr__(self, "entries", ordered)
+                    f"entry over {e.field} in a form over {field}")
+        # SquareClass.sort_key: by the bits, then stably by the unit bit
+        ordered = sorted(sorted(self.entries, key=_BITS), key=_unit_bit)
+        object.__setattr__(self, "entries", tuple(ordered))
 
     @property
     def dim(self) -> int:

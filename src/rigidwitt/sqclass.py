@@ -110,11 +110,11 @@ class SquareClass:
     bits: int
 
     def __post_init__(self) -> None:
-        mask = (1 << (self.field.nvars + 1)) - 1
-        bits = self.bits & mask
-        if self.field.base is Base.C:
-            bits &= ~1  # -1 is a square
-        object.__setattr__(self, "bits", bits)
+        field, bits = self.field, self.bits
+        if bits >> field.nvars + 1 or (
+                bits & 1 and field.base is Base.C):  # -1 is a square
+            object.__setattr__(self, "bits", bits & (2 << field.nvars) - (
+                2 if field.base is Base.C else 1))
 
     @property
     def unit(self) -> int:

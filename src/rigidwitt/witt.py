@@ -4,9 +4,11 @@ The Witt ring of every model is the group ring (Z/nZ)[H] for a subgroup
 H of the square-class group, so a form's Witt class is a coefficient
 vector and its anisotropic part is read off that vector.  One raw-bit
 helper counts the vector's nonzero coefficients; anisotropic parts,
-Witt indices, value sets and Witt-class equality all come from it, and
-the dense vector is built from it only where it is asked for.  The
-raw-bit helpers are shared with qform and pfnum.
+value sets and Witt-class equality come from it, and the dense vector
+is built from it only where it is asked for.  A form's vector is also
+kept on the form as one comparable value (_form_vector): anisotropic
+dimensions, Witt indices, I^n membership and certificate checks read
+it.  The raw-bit helpers are shared with qform and pfnum.
 """
 
 from __future__ import annotations
@@ -69,6 +71,49 @@ def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
             if (r := c % modulus if modulus else c)}
 
 
+_LANE = 8  # bits per coefficient lane of a _summed vector: one byte
+_DENSE_BITS = 10  # H-index bits up to which _summed packs (1 KB at most)
+
+
+def _summed(field: FieldDesc, bits: Iterable[int]):
+    """The Witt vector of the form with these entries as one value: two
+    entry lists give equal values exactly when their forms are Witt
+    equivalent.
+
+    Over a finite ring (Z/m)[H] with at most 2^_DENSE_BITS indices it is
+    an int with one byte lane per H-index holding the coefficient in
+    [0, m), so a guard bit sits above it as in pfnum._Packed.  Each
+    entry adds 1 to its lane, or m - 1 = -1 for a class with the unit
+    bit when H is the unit-bit-0 subgroup, as in _counts; a lane that
+    wraps at 256 loses nothing mod m, and the lanes are reduced mod m by
+    masking their low bits.  Over R (coefficients in Z) and over larger
+    groups it is the frozen set of the _counts items.  Byte lanes let the
+    entries be counted in a bytearray, with no carry between lanes;
+    _Packed keeps narrower lanes for the generator sets it stores.
+    """
+    modulus, m, split_units = _ring_params(field)
+    if not modulus or m > _DENSE_BITS:
+        return frozenset(_counts(field, bits).items())
+    shift = field.nvars + 1 - m
+    unit = (modulus - 2) * split_units
+    lanes = bytearray(1 << m)
+    for b in bits:
+        i = b >> shift
+        lanes[i] = lanes[i] + 1 + unit * (b & 1) & 255
+    return int.from_bytes(lanes, "little") & int.from_bytes(
+        bytes((modulus - 1,)) * len(lanes), "little")
+
+
+def _form_vector(phi: DiagonalForm):
+    """_summed of phi's entries, computed once per form: a form never
+    changes, so the value is kept on the object, outside its fields."""
+    vector = phi.__dict__.get("_summed")
+    if vector is None:
+        vector = _summed(phi.field, [e.bits for e in phi.entries])
+        object.__setattr__(phi, "_summed", vector)
+    return vector
+
+
 def _read_off(field: FieldDesc,
               items: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The anisotropic representative of the Witt class with these
@@ -96,19 +141,41 @@ def _an_bits(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
 def _form(field: FieldDesc, an: Sequence[int]) -> DiagonalForm:
     """The canonical diagonalization of the anisotropic form with these
     entries."""
-    return DiagonalForm(field, tuple(
-        SquareClass(field, b) for b in _canon_bits(field, an)))
+    return DiagonalForm(field, tuple([SquareClass(field, b)
+                                      for b in _canon_bits(field, an)]))
 
 
 def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
+    """The canonical anisotropic form Witt-equivalent to phi; phi itself
+    when it is that form already.
+
+    phi is that form exactly when it is anisotropic and no class with
+    the flex bit occurs twice in it.  An anisotropic form has as many
+    entries at each Witt coefficient c as the anisotropic part, 1 or,
+    for c = 2 over F3, 2; every DiagonalForm keeps its entries in the
+    class order, and _an_bits writes a doubled class <-x,-x> = <x,x>
+    without the unit bit.
+    """
     field = phi.field
-    return _form(field, _an_bits(field, tuple(sorted(e.bits for e in phi))))
+    flex = _flex(field)
+    flexed = [e.bits for e in phi.entries if e.bits & flex]
+    if _an_dim(phi) == phi.dim and len(set(flexed)) == len(flexed):
+        return phi
+    return _form(field, _an_bits(field, tuple(sorted(
+        e.bits for e in phi.entries))))
 
 
 def _an_dim(phi: DiagonalForm) -> int:
-    """phi's anisotropic dimension, on raw bits: witt_index and the
-    isotropy tests read it and build no form."""
-    return len(_an_bits(phi.field, tuple(sorted(e.bits for e in phi))))
+    """phi's anisotropic dimension, read off its Witt vector: min(c, m -
+    c) per coefficient c over Z/m, |c| over Z.  witt_index, the isotropy
+    tests and anisotropic_part read it and build no form."""
+    field = phi.field
+    w = _form_vector(phi)
+    if isinstance(w, int):  # byte lanes: 1 and 3 count 1, 2 counts 2
+        lo = int.from_bytes(b"\x01" * (1 << _ring_params(field)[1]), "little")
+        return (w & lo).bit_count() + 2 * (w >> 1 & lo & ~w).bit_count()
+    modulus = _ring_params(field)[0]
+    return sum(min(c, modulus - c) if modulus else abs(c) for _, c in w)
 
 
 def witt_index(phi: DiagonalForm) -> int:

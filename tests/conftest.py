@@ -14,7 +14,11 @@ the form constructors, to hand forms to the library), so they share no
 code with the library's Witt engine or Pfister search.  The `springer`
 oracle reaches anisotropic parts another way, by Springer's theorem on
 the residue forms of the top Laurent variable; the library reads them
-off the group ring.
+off the group ring.  `ideal_recursion` decides I^n membership by the
+same residue recursion; the library uses a closed form on the Witt
+vector.  `tensor_scan` is the exception: it keeps an earlier version of
+the library's tensor reduction, built on the library's own helpers, to
+pin the current one to the same outputs.
 """
 
 import collections
@@ -240,6 +244,79 @@ def springer():
     comes out without the unit bit, as in the library's canonical form."""
     return lambda field, bits: sorted(
         _springer(field.base, field.nvars, list(bits)))
+
+
+def _in_In_recursion(base, nvars, bits, n):
+    """Membership in I^n of the form with these entries over
+    base[t1..t_nvars], by the split exact sequence of the top variable t:
+    phi = (phi1 - phi2) + <<-t>> (x) phi2 lies in I^n iff phi2 lies in
+    I^(n-1) and phi1 - phi2 in I^n over the residue field, with phi1
+    the entries without t and phi2 those with t (t divided out).  I^1
+    is the even-dimensional forms; at the base W(F3) = Z/4 and W(F3(i))
+    = Z/2 x Z/2 have I^2 = 0, W(C) = Z/2 has I = 0, and I^n(R) is
+    2^n Z in W(R) = Z."""
+    if n <= 1:
+        return n == 0 or len(bits) % 2 == 0
+    if nvars == 0:
+        p = bits.count(0)
+        if base is Base.C:
+            return len(bits) % 2 == 0
+        if base is Base.R:
+            return (2 * p - len(bits)) % (1 << n) == 0
+        if base is Base.F3:
+            return (2 * p - len(bits)) % 4 == 0
+        return p % 2 == 0 and len(bits) % 2 == 0
+    top = 1 << nvars
+    minus_one = 1 if base in (Base.F3, Base.R) else 0
+    even = [b for b in bits if not b & top]
+    odd = [b ^ top for b in bits if b & top]
+    return (_in_In_recursion(base, nvars - 1, odd, n - 1)
+            and _in_In_recursion(base, nvars - 1,
+                                 even + [b ^ minus_one for b in odd], n))
+
+
+@pytest.fixture(scope="session")
+def ideal_recursion():
+    """ideal_recursion(field, bits, n): whether the form with these
+    entries lies in I^n, by the residue recursion."""
+    return lambda field, bits, n: _in_In_recursion(
+        field.base, field.nvars, list(bits), n)
+
+
+def _tensor_scan(field, bits):
+    """The tensor reduction as it was before the translation filter: for
+    every variable with halves of one size, each class u = a*b with a
+    the least value of the even half and b a value of the odd half is
+    tried by canonicalizing u*odd, and tau is read off as an
+    anisotropic part."""
+    from rigidwitt.pfnum import _canon
+    from rigidwitt.qform import _canon_bits
+    from rigidwitt.sqclass import class_map
+    from rigidwitt.witt import _an_bits, _flex, _values
+
+    flex = _flex(field)
+    for i in range(field.nvars, 0, -1):
+        bit = 1 << i
+        even = [b for b in bits if not b & bit]
+        odd = [b ^ bit for b in bits if b & bit]
+        if not odd or len(even) != len(odd):
+            continue
+        target = _canon_bits(field, even)
+        a = _values(even, flex)[0]
+        for b in _values(odd, flex):
+            u = a ^ b
+            if _canon_bits(field, [u ^ x for x in odd]) == target:
+                project, _ = class_map(u ^ bit)
+                res = field.residue()
+                tau = sorted(project(u ^ x) for x in odd)
+                return u ^ bit, res, _canon(res, _an_bits(res, tuple(tau)))
+    return None
+
+
+@pytest.fixture(scope="session")
+def tensor_scan():
+    """tensor_scan(field, bits): the earlier tensor reduction's output."""
+    return _tensor_scan
 
 
 @functools.lru_cache(maxsize=None)

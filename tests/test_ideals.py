@@ -25,7 +25,7 @@ from rigidwitt.qform import (
     parse_form,
     pfister,
 )
-from rigidwitt.sqclass import Base, FieldDesc
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 from rigidwitt.witt import group_ring_equal, is_hyperbolic
 
 F2 = FieldDesc(Base.F3, 2)
@@ -83,6 +83,47 @@ def test_in_In_matches_ideal_power_oracle(field, raw_field, ideal_power):
         v = raw.vector([e.bits for e in phi.entries])
         for n, members in powers.items():
             assert in_In(phi, n) == (v in members), (format_form(phi), n)
+
+
+@pytest.mark.parametrize("base", list(Base), ids=lambda b: b.value)
+def test_in_In_matches_the_residue_recursion(base, raw_field,
+                                             ideal_recursion):
+    # the closed form against the recursion it unrolls, R included (its
+    # Witt ring is infinite, so the ideal-power oracle above skips it):
+    # seeded random forms, sums of scaled Pfister forms, isotropic forms
+    # (a random form plus a hyperbolic copy of part of it) and long
+    # forms, whose byte lanes wrap; 11 variables take the sparse path
+    rng = random.Random(1509)
+    for nvars in (0, 1, 2, 3, 4, 5, 11):
+        field = FieldDesc(base, nvars)
+        raw = raw_field(field)
+        for trial in range(100 if nvars < 6 else 12):
+            kind = trial % 4
+            if kind == 0:
+                bits = [rng.choice(raw.classes)
+                        for _ in range(rng.randrange(0, 13))]
+            elif kind == 1:
+                bits = []
+                for _ in range(rng.randrange(1, 4)):
+                    bits += raw.pfister_bits(
+                        rng.choice(raw.classes),
+                        [rng.choice(raw.classes)
+                         for _ in range(rng.randrange(1, 5))])
+            elif kind == 2:
+                bits = [rng.choice(raw.classes)
+                        for _ in range(rng.randrange(1, 9))]
+                bits += [b ^ raw.minus_one for b in bits[:rng.randrange(
+                    1, len(bits) + 1)]]
+            else:
+                bits = [rng.choice(raw.classes)
+                        for _ in range(rng.randrange(80, 400))]
+            phi = DiagonalForm(field, tuple(
+                SquareClass(field, b) for b in bits))
+            for n in range(7):
+                assert in_In(phi, n) == ideal_recursion(field, bits, n), (
+                    format_form(phi), n)
+    with pytest.raises(ValueError):
+        in_In(phi, -1)
 
 
 def test_real_base_signature_criterion():

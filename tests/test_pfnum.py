@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from rigidwitt import pfnum
 from rigidwitt.errors import (
     DepthCapExceededError,
     FieldMismatchError,
+    InternalContradictionError,
     IsotropicInputError,
     NotInIdealError,
     RigidWittError,
@@ -28,6 +30,7 @@ from rigidwitt.errors import (
 from rigidwitt.ideals import extend_scalars_quadratic, in_In, lift_form
 from rigidwitt.pfnum import (
     BoundPoly,
+    PfisterCertificate,
     RESULT_LOG,
     classify14,
     classify16,
@@ -52,6 +55,7 @@ from rigidwitt.pfnum import (
     _orthogonal_terms,
     _pass_terms,
     _pfister_subforms,
+    _raw,
     _search_sum,
     _spec,
     _sumset,
@@ -520,6 +524,69 @@ def test_tensor_reduction_sound_on_I3_forms(gp_lookup):
             look, _random_class(look, rng, 3, dim, (2, 3))[1])
             for _ in range(40))
         assert hits
+
+
+@pytest.mark.parametrize("field", [
+    F5, FieldDesc(Base.R, 3), FieldDesc(Base.C, 4),
+    FieldDesc(Base.SQUARE_MINUS_ONE, 3)], ids=str)
+def test_tensor_reduction_matches_the_candidate_scan(field, raw_field,
+                                                     tensor_scan):
+    # the translation filter skips only variables where no unit works,
+    # and tau needs no anisotropic read-off: the same (t, residue field,
+    # tau) or None as the scan over every candidate, on seeded I^2 and
+    # I^3 classes and on products <1,t> (x) tau built to factor
+    raw = raw_field(field)
+    rng = random.Random(1514)
+    found = 0
+    for n in (2, 3):
+        for _ in range(100):
+            v = (0,) * raw.size
+            for _ in range(rng.randrange(1, 4)):
+                v = raw.add(v, raw.vector(raw.pfister_bits(
+                    rng.choice(raw.classes),
+                    [rng.choice(raw.classes) for _ in range(n)])))
+            bits = [e.bits for e in raw.form(v).entries]
+            got = _tensor_reduction(field, bits)
+            assert got == tensor_scan(field, bits), format_form(raw.form(v))
+            found += got is not None
+    for _ in range(120):
+        # t has t_i as its top variable, tau lies below it
+        i = rng.randrange(1, field.nvars + 1)
+        t = rng.choice([c for c in raw.classes if c.bit_length() == i + 1])
+        low = [c for c in raw.classes if c < 1 << i]
+        tau = [rng.choice(low) for _ in range(rng.choice((1, 2, 4)))]
+        product = raw.an_bits(raw.vector(tau + [t ^ b for b in tau]))
+        if len(product) < 2 * len(tau):
+            continue
+        bits = [e.bits for e in raw.form(raw.vector(product)).entries]
+        got = _tensor_reduction(field, bits)
+        assert got is not None
+        assert got == tensor_scan(field, bits), bits
+        found += 1
+    assert found
+
+
+def test_certificate_verification_rejects_wrong_terms():
+    # verify re-expands the terms' classes against the target's vector
+    rng = random.Random(1515)
+    phi = random_In_form(F5, 3, 14, rng)
+    _k, cert = pfister_number(phi, 3)
+    assert cert.verify()
+    assert not PfisterCertificate(3, cert.terms[:1], cert.target).verify()
+    swapped = PfisterSpec(cert.terms[0].scalar * F5.var(1),
+                          cert.terms[0].slots)
+    assert not PfisterCertificate(
+        3, (swapped,) + cert.terms[1:], cert.target).verify()
+    with pytest.raises(InternalContradictionError):
+        pfnum._certificate(3, [_raw(t) for t in cert.terms[:1]], cert.target)
+
+
+def test_certificate_round_trips_through_pickle():
+    # the Witt vector a form keeps stays outside its fields and equality
+    phi = random_In_form(F5, 3, 12, random.Random(1516))
+    _k, cert = pfister_number(phi, 3)
+    back = pickle.loads(pickle.dumps(cert))
+    assert back == cert and back.verify()
 
 
 # --- error paths ----------------------------------------------------------
@@ -1039,14 +1106,15 @@ def _objects_built(monkeypatch, run):
 
 def test_gp3_routes_build_few_square_classes(raw_field, monkeypatch):
     # the engine runs on raw bits and builds objects only for what it
-    # returns: one DiagonalForm per pfister_number call (the certificate
-    # target), square classes for the certificate and the report.  The
-    # cases: a <<-1>>-divisible dim-12 form, classify14, a tensor-reduced
-    # dim-8 form, a dim-16 form that no tensor reduction factors, and an
-    # unscaled P_2 op of the generator search with a cold generator
-    # cache.  Bounds: the counts measured when the whole engine moved to
-    # raw bits, plus 25 % (the object-level engine built 27, 43, 30, 52
-    # and 51 square classes).
+    # returns: at most one DiagonalForm per pfister_number call (the
+    # certificate target; none when the input is already its canonical
+    # anisotropic form), square classes for the certificate and the
+    # report.  The cases: a <<-1>>-divisible dim-12 form, classify14, a
+    # tensor-reduced dim-8 form, a dim-16 form that no tensor reduction
+    # factors, and an unscaled P_2 op of the generator search with a cold
+    # generator cache.  Bounds: the counts measured when the whole engine
+    # moved to raw bits, plus 25 % (the object-level engine built 27, 43,
+    # 30, 52 and 51 square classes).
     raw = raw_field(F5)
     rng = random.Random(77)
     _, phi12 = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
@@ -1067,7 +1135,7 @@ def test_gp3_routes_build_few_square_classes(raw_field, monkeypatch):
                        (lambda: pfister_number(phi16, 3), 35),
                        (search, 17)):
         classes, forms = _objects_built(monkeypatch, run)
-        assert forms == 1 and classes <= bound, (classes, forms)
+        assert forms <= 1 and classes <= bound, (classes, forms)
     classes, _ = _objects_built(monkeypatch, lambda: classify14(phi14))
     assert classes <= 46
 

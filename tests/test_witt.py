@@ -54,6 +54,38 @@ def test_base_field_f3():
     assert format_form(anisotropic_part(phi)) == "<-1>"  # 3 = -1 mod squares
 
 
+@pytest.mark.parametrize("field", [
+    FieldDesc(Base.F3, 3), FieldDesc(Base.R, 2), FieldDesc(Base.C, 3),
+    FieldDesc(Base.SQUARE_MINUS_ONE, 2)], ids=str)
+def test_anisotropic_part_returns_a_canonical_input_itself(field):
+    # a canonical anisotropic form comes back as the same object; a form
+    # built from its entries in another order is that form, and so is
+    # returned itself too
+    rng = random.Random(808)
+    classes = list(field.classes())
+    for _ in range(60):
+        phi = DiagonalForm(field, tuple(
+            rng.choice(classes) for _ in range(rng.randrange(0, 10))))
+        an = anisotropic_part(phi)
+        assert anisotropic_part(an) is an
+        shuffled = DiagonalForm(field, tuple(
+            rng.sample(an.entries, an.dim)))
+        assert shuffled == an
+        assert anisotropic_part(shuffled) is shuffled
+
+
+def test_anisotropic_part_of_a_non_canonical_input():
+    # a doubled class written with the unit bit (<-x,-x> = <x,x> at
+    # level 2) and an isotropic form give a new, canonical form
+    phi = _f("<-t1,-t1,t2>")
+    an = anisotropic_part(phi)
+    assert an is not phi and an == _f("<t1,t1,t2>")
+    assert anisotropic_part(an) is an
+    iso = _f("<t2,1,-1,t1>")
+    assert anisotropic_part(iso) == _f("<t1,t2>")
+    assert anisotropic_part(_f("<1,-1>")) == _f("<>")
+
+
 def test_generic_form_anisotropic():
     phi = _f("<1,t1,t2,t1*t2>")
     assert is_anisotropic(phi)

@@ -16,12 +16,15 @@ helps only within a batch, as in a benchmark run.  The answers of the
 first batch are checked on both trees by the benchmark's oracle, and
 its times are left out.
 
-Per op kind, and for all ops together, it prints the median and
-quartiles of the per-op times of each tree over all timed batches, the
-ratio work / base of the medians, and the share of batches whose median (and p90) each tree won.  The
-last line is the same as one JSON object.  A process-level benchmark
-run on a shared machine spreads more than these per-op times; this
-tool does not replace it.
+Ops are keyed by kind and dimension (``pn/8``, ``pn/12``, ``c16``: the
+dimension is left out where the kind names it), so a change can show
+which dimension it moved.  Per key, and for all ops together, it prints
+the median and quartiles of the per-op times of each tree over all
+timed batches, the ratio work / base of the medians, and the share of
+batches whose median (and p90) each tree won.  The last line is the
+same as one JSON object.  A process-level benchmark run on a shared
+machine spreads more than these per-op times; this tool does not
+replace it.
 """
 
 from __future__ import annotations
@@ -87,9 +90,15 @@ def run_batch(wl, ops, check: bool) -> dict:
         t1 = clock()
         if check:
             wl.check(op, answer)
-        times.setdefault(op.kind, []).append((t1 - t0) * 1e3)
+        times.setdefault(key(op), []).append((t1 - t0) * 1e3)
         times.setdefault("all", []).append((t1 - t0) * 1e3)
     return times
+
+
+def key(op) -> str:
+    """The op's kind and dimension, as in pn/12; c14 names its own."""
+    dim = str(len(op.bits))
+    return op.kind if dim in op.kind else f"{op.kind}/{dim}"
 
 
 def p90(xs: list[float]) -> float:
@@ -149,7 +158,7 @@ def main(argv=None) -> int:
         row["work_won"] = {stat: sum(w[kind]) / len(w[kind])
                            for stat, w in wins.items()}
         report[kind] = row
-        print(f"  {kind:6} base {row['base']['median']:.3f}"
+        print(f"  {kind:8} base {row['base']['median']:.3f}"
               f" [{row['base']['q1']:.3f}, {row['base']['q3']:.3f}]"
               f" p90 {row['base']['p90']:.3f} | work"
               f" {row['work']['median']:.3f} [{row['work']['q1']:.3f},"
