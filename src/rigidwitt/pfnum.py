@@ -30,8 +30,7 @@ import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     DepthCapExceededError,
@@ -69,6 +68,9 @@ from .witt import (
     _value_set,
     _values,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PfisterCertificate",
@@ -920,6 +922,8 @@ class BoundPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        from fractions import Fraction  # only the bound polynomials need it
+
         trimmed = list(self.coeffs)
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed.pop()
@@ -931,6 +935,8 @@ class BoundPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -963,6 +969,8 @@ class BoundPoly:
 
 def _bernoulli(n: int) -> list[Fraction]:
     """B_0 .. B_n with the B_1 = +1/2 convention."""
+    from fractions import Fraction
+
     out = [Fraction(1)]
     for m in range(1, n + 1):
         acc = Fraction(0)
@@ -977,15 +985,15 @@ def _bernoulli(n: int) -> list[Fraction]:
 def _power_sum_poly(m: int) -> BoundPoly:
     """p with p(n) = 1^m + ... + n^m, via Bernoulli numbers."""
     bern = _bernoulli(m)
-    coeffs = [Fraction(0)] * (m + 2)
+    coeffs = [0] * (m + 2)
     for j in range(m + 1):
-        coeffs[m + 1 - j] = Fraction(math.comb(m + 1, j), m + 1) * bern[j]
+        coeffs[m + 1 - j] = math.comb(m + 1, j) * bern[j] / (m + 1)
     return BoundPoly(tuple(coeffs))
 
 
 def faulhaber_sum(q: BoundPoly) -> BoundPoly:
     """The polynomial p with p(n) = q(1) + q(2) + ... + q(n), exactly."""
-    total = BoundPoly((Fraction(0),))
+    total = BoundPoly((0,))
     for m, c in enumerate(q.coeffs):
         total = total + _power_sum_poly(m).scaled(c)
     return total
@@ -994,6 +1002,8 @@ def faulhaber_sum(q: BoundPoly) -> BoundPoly:
 def poly_bound(n: int) -> BoundPoly:
     """The degree n-1 polynomial bound for GP_n: p_3 = X^2/16,
     p_n = 1 + 2 p_{n-1}(X/2)."""
+    from fractions import Fraction
+
     if n < 3:
         raise ValueError("polynomial bounds start at fold 3")
     p = BoundPoly((0, 0, Fraction(1, 16)))
@@ -1037,6 +1047,17 @@ def pfister_number(
     when exactness cannot be certified within the cap; a returned value
     is always exactly minimal, with a verified certificate.
     """
+    k, terms, an = _exact_terms(phi, n, unscaled, depth_cap)
+    return k, _certificate(n, terms, an)
+
+
+def _exact_terms(
+    phi: DiagonalForm, n: int, unscaled: bool, depth_cap: int | None,
+) -> tuple[int, list[tuple], DiagonalForm]:
+    """The step pfister_number shares with the classification reports:
+    the I^n check, phi's anisotropic part an, the ladder and the
+    RESULT_LOG record.  Returns (k, raw terms, an); each caller builds
+    its own certificate from them, once."""
     if n < 1:
         raise ValueError("fold must be at least 1")
     if not in_In(phi, n):
@@ -1044,7 +1065,6 @@ def pfister_number(
     an = anisotropic_part(phi)
     bits = [e.bits for e in an.entries]
     k, terms = _pfister_number_impl(phi.field, bits, n, unscaled, depth_cap)
-    cert = _certificate(n, terms, an)
     RESULT_LOG.append({
         "field": phi.field,
         "form": tuple(bits),
@@ -1053,7 +1073,7 @@ def pfister_number(
         "unscaled": unscaled,
         "value": k,
     })
-    return k, cert
+    return k, terms, an
 
 
 def _pfister_number_impl(
@@ -1197,36 +1217,54 @@ def classify14(phi: DiagonalForm) -> dict:
     witness.  The 8-dimensional terms t1, t2 of any certificate sum to a
     14-dimensional form, so t1 + t2 is isotropic and some s lies in
     D(t1) and -D(t2); Pfister forms are round, so t1 = s*tau1 and
-    t2 = -s*tau2.  The least such s in the class order is used.
+    t2 = -s*tau2.  The least such s in the class order is used, and the
+    ladder's terms are rescaled to it before the one certificate is
+    built.
+
+    Witness.  s*tau1 + -s*tau2 is s*tau1' + -s*tau2' plus the hyperbolic
+    plane <s, -s>, and both forms are 14-dimensional, so phi is
+    isometric to s*tau1' + -s*tau2'.  With tau1 = <<a, b, c>> = <<a, b>>
+    + -c*<<a, b>>, the pure part tau1' holds -c*<<a, b>>, so
+    (-c*s)*<<a, b>> is a GP_2 subform of phi; its complement is split
+    off phi's entries.
     """
     if phi.dim != 14:
         raise ValueError("classify14 requires a 14-dimensional form")
     if is_isotropic(phi):
         raise IsotropicInputError("form must be anisotropic")
-    k, cert = pfister_number(phi, 3)
-    subform = find_GP2_subform(phi)
-    if subform is None:
-        raise InternalContradictionError(
-            "14-dimensional I^3 form without a GP_2 subform")
+    k, terms, an = _exact_terms(phi, 3, False, None)
     field = phi.field
     flex, minus_one = _flex(field), _minus_one(field)
-    (_, slots1), (_, slots2) = terms = [_raw(t) for t in cert.terms]
+    (_, slots1), (_, slots2) = terms
     negs = {v ^ minus_one for v in _values(_expand(field, terms[1]), flex)}
     s = next((v for v in _values(_expand(field, terms[0]), flex)
               if v in negs), None)
     if s is None:
         raise InternalContradictionError(
             "14-dimensional I^3 form with terms of no common value")
+    a, b, c = slots1
+    sub = (s ^ c ^ minus_one, (a, b))
     return {
         "gp3": k,
         "certificate": _certificate(
-            3, [(s, slots1), (s ^ minus_one, slots2)], cert.target),
-        "gp2_subform": subform[0],
-        "gp2_complement": subform[1],
+            3, [(s, slots1), (s ^ minus_one, slots2)], an),
+        "gp2_subform": _spec(field, sub),
+        "gp2_complement": _complement(field, an, sub),
         "conditions_i_iii": True,
         "shape_ii": True,
         "shape_scalar": SquareClass(field, s),
     }
+
+
+def _complement(field: FieldDesc, an: DiagonalForm,
+                term: tuple) -> DiagonalForm:
+    """The complement of the scaled Pfister subform term of the
+    anisotropic form an, split off its entries by Witt cancellation."""
+    flex = _flex(field)
+    rest = [e.bits for e in an.entries]
+    if not all(_split_off(rest, y, flex) for y in _expand(field, term)):
+        raise InternalContradictionError("GP_2 witness is not a subform")
+    return _form(field, rest)
 
 
 def _biquadratic_splitting(field: FieldDesc,
@@ -1239,16 +1277,24 @@ def _biquadratic_splitting(field: FieldDesc,
     image c is trivial exactly when b is 1 or a, and c comes from c's
     lift and its product with a.  The lift comes first unless a has the
     unit bit, and the first pair's a has not: else b or ab would lack
-    it, come before a and lead a pair for the same extension.  Only split
-    candidates of the image over F(sqrt a) are tried: when it is
-    hyperbolic, the images of the two classes after 1, which hold the
-    first b outside {1, a}.
+    it, come before a and lead a pair for the same extension.
+
+    Candidates.  Let an be the anisotropic part over F(sqrt a) and x0
+    its first entry.  When an is hyperbolic over F(sqrt a, sqrt c) it is
+    <<c>> * rho (Lam, Ch. VII, 3), and -c*<<c>> = <-c, 1> is <<c>>, so
+    -c is a similarity factor: -c*an = an.  Then -c*x0 = y lies in D(an)
+    and c = -x0*y.  So only such c are tried, and only when the shifted
+    value set -c*D(an) is D(an) and -c*an has an's canonical entries;
+    the exact splitting test decides.  Every c that splits passes, so
+    the scan returns the same first pair as one over all classes.  When
+    an is hyperbolic already, the images of the two classes after 1
+    hold the first b outside {1, a}.
     """
     classes = field.class_bits()
     for a in classes[1:]:
         mid_field, mid = _extension_bits(field, bits, a)
         an = _an_bits(mid_field, tuple(sorted(mid)))
-        cands = (_split_candidates(mid_field, an) if an else
+        cands = (_similarity_candidates(mid_field, an) if an else
                  set(_extension_bits(field, classes[1:3], a)[1]) - {0})
         lift = class_map(a)[1] if a >> 1 else (lambda c: c)
         for c in sorted(cands, key=lambda c: _class_order(lift(c))):
@@ -1257,38 +1303,67 @@ def _biquadratic_splitting(field: FieldDesc,
     return None
 
 
+def _similarity_candidates(field: FieldDesc, an: Sequence[int]) -> list[int]:
+    """The c != 1 with c = -x0*y for the first entry x0 of the nonzero
+    anisotropic form an and some y in D(an), such that -c*an is
+    isometric to an (see _biquadratic_splitting).  Below level infinity
+    D(an) already fixes an; over R it forgets multiplicities, which the
+    canonical entries keep."""
+    flex, minus_one = _flex(field), _minus_one(field)
+    member = _value_set(an, flex)
+    key = _canon_bits(field, an)
+    out = []
+    for y in member:
+        shift = an[0] ^ y  # -c
+        if (shift ^ minus_one
+                and {shift ^ v for v in member} == member
+                and _canon_bits(field, [shift ^ b for b in an]) == key):
+            out.append(shift ^ minus_one)
+    return out
+
+
 def classify16(phi: DiagonalForm) -> dict:
     """Full classification data for an anisotropic 16-dimensional I^3 form.
 
     GP_3 is at most 3; the report adds a certificate, a GP_2-subform
     witness, an isometric decomposition into four GP_2 forms, and a
     biquadratic splitting pair.
+
+    Witnesses.  At GP_3 = 2 the two certificate terms have dimension
+    16 = 2 * 2^3 and sum to phi in W(F), so they are an isometric
+    orthogonal split of the anisotropic phi; each term e*<<a, b, c>> is
+    e*<<a, b>> + (-c*e)*<<a, b>>, which gives the four GP_2 summands
+    with no walk.  At GP_3 = 3 the summands come from the anchored
+    orthogonal decomposition.  The GP_2 subform is the first summand,
+    its complement split off phi's entries.
     """
     if phi.dim != 16:
         raise ValueError("classify16 requires a 16-dimensional form")
     if is_isotropic(phi):
         raise IsotropicInputError("form must be anisotropic")
-    k, cert = pfister_number(phi, 3)
+    k, terms, an = _exact_terms(phi, 3, False, None)
     if k > 3:
         raise InternalContradictionError("GP_3 above 3 for a 16-dim I^3 form")
-    subform = find_GP2_subform(phi)
-    if subform is None:
-        raise InternalContradictionError(
-            "16-dimensional I^3 form without a GP_2 subform")
+    cert = _certificate(3, terms, an)
     field = phi.field
-    bits = [e.bits for e in phi.entries]
-    four = _orthogonal_terms(field, bits, 2)
-    if four is None:
-        raise InternalContradictionError(
-            "no isometric decomposition into four GP_2 forms")
+    bits = [e.bits for e in an.entries]
+    if k == 2:
+        minus_one = _minus_one(field)
+        four = [half for e, (a, b, c) in terms
+                for half in ((e, (a, b)), (e ^ c ^ minus_one, (a, b)))]
+    else:
+        four = _orthogonal_terms(field, bits, 2)
+        if four is None:
+            raise InternalContradictionError(
+                "no isometric decomposition into four GP_2 forms")
     pair = _biquadratic_splitting(field, bits)
     if pair is None:
         raise InternalContradictionError("no biquadratic splitting pair")
     return {
         "gp3": k,
         "certificate": cert,
-        "gp2_subform": subform[0],
-        "gp2_complement": subform[1],
+        "gp2_subform": _spec(field, four[0]),
+        "gp2_complement": _complement(field, an, four[0]),
         "gp2_decomposition": [_spec(field, t) for t in four],
         "splitting_pair": tuple(SquareClass(field, b) for b in pair),
     }

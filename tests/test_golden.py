@@ -29,7 +29,7 @@ from rigidwitt.pfnum import (
 from rigidwitt.qform import DiagonalForm, PfisterSpec
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 
-GOLDEN = "0c62e527551eb61c6de1642a3e15993a2f9d396778dbd2d6de1d3336fcdd4d3e"
+GOLDEN = "a77c44d2f0c0fbb026f94a77c802286cdf01dbf82b66c5b11ac3502db4c15920"
 VALUES = "7521f212e6e97827ee46cddcc9c3e6e66087cf2f20ade8654ce7f9b57211419a"
 
 F5 = FieldDesc(Base.F3, 5)

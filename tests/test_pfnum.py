@@ -1140,24 +1140,33 @@ def test_gp3_routes_build_few_square_classes(raw_field, monkeypatch):
     assert classes <= 46
 
 
+def _count_calls(monkeypatch, names):
+    """A dict that counts the calls pfnum makes to each of its globals
+    `names` from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, inner=getattr(pfnum, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(pfnum, name, counted)
+    return calls
+
+
 def test_split_candidates_bound_the_splitting_scans(raw_field, monkeypatch):
-    # classify16 over F3[t1..t10] tests only split candidates for the
-    # biquadratic pair (bound: the 1 407 calls
-    # measured when the scans moved to candidates, plus 25 %; the scans
-    # over every class made 36 863 for this form)
-    field = FieldDesc(Base.F3, 10)
-    _, phi = _random_class(raw_field(field), random.Random(1610), 3, 16,
-                           (2, 3))
-    calls = [0]
-    splits = pfnum._splits
-
-    def counted(*args):
-        calls[0] += 1
-        return splits(*args)
-
-    monkeypatch.setattr(pfnum, "_splits", counted)
-    classify16(phi)
-    assert 0 < calls[0] <= 1758, calls[0]
+    # classify16 over F3[t1..t10] and F3[t1..t12] tests only similarity
+    # factors for the biquadratic pair (bounds: the 19 and 79 calls
+    # measured when the scans moved to them, plus 25 %; the scans over
+    # split candidates made 1 407 and 6 147, those over every class
+    # 36 863 for the first form)
+    calls = _count_calls(monkeypatch, ["_splits"])
+    for nvars, bound in ((10, 23), (12, 98)):
+        field = FieldDesc(Base.F3, nvars)
+        _, phi = _random_class(raw_field(field), random.Random(1610), 3, 16,
+                               (2, 3))
+        calls["_splits"] = 0
+        classify16(phi)
+        assert 0 < calls["_splits"] <= bound, (nvars, calls)
 
 
 def test_echelon_walk_bounds_the_dim16_disproof(gp_lookup, monkeypatch):
@@ -1170,18 +1179,7 @@ def test_echelon_walk_bounds_the_dim16_disproof(gp_lookup, monkeypatch):
     # subforms (bound: 42 plus 25 %; 57, 69, 57 and 57 without it)
     look = gp_lookup(F5, 3)
     rng = random.Random(16)
-    calls = {"_split_off": 0, "_canon_bits": 0}
-
-    def counting(name):
-        inner = getattr(pfnum, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return inner(*args)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(pfnum, name, counting(name))
+    calls = _count_calls(monkeypatch, ["_split_off", "_canon_bits"])
     forms = 0
     while forms < 4:
         v, phi = _random_class(look, rng, 3, 16, (3,))
@@ -1222,6 +1220,47 @@ def test_classify16_report(raw_field):
     a, b = (c.bits for c in rep["splitting_pair"])
     assert b not in (0, a)
     assert raw_field(F5).hyperbolic_over([e.bits for e in phi], (a, b))
+
+
+@pytest.mark.parametrize("field", [F5, FieldDesc(Base.R, 4)], ids=str)
+def test_classification_witnesses_come_from_the_ladder(field, gp_lookup,
+                                                       monkeypatch):
+    # each report builds one certificate and walks no GP_2 subform with
+    # find_GP2_subform; its witnesses re-expand here: at dimension 16 the
+    # four GP_2 summands (from the certificate at GP_3 = 2, from one
+    # walk at 3) sum to phi, each anisotropic of dimension 4, and at
+    # dimensions 14 and 16 the GP_2 subform plus its complement is phi
+    look = gp_lookup(field, 3)
+    rng = random.Random(1416)
+    calls = _count_calls(monkeypatch, ["_certificate", "find_GP2_subform"])
+    for dim, classify, want in ((14, classify14, {2: 4}),
+                                (16, classify16, {2: 4, 3: 4})):
+        for _ in range(400):
+            if not want:
+                break
+            v, phi = _random_class(look, rng, 3, dim, (2, 3))
+            k = 2 if look.terms(v) is not None else 3
+            if not want.get(k):
+                continue
+            want[k] -= 1
+            if not want[k]:
+                del want[k]
+            calls.update(dict.fromkeys(calls, 0))
+            rep = classify(phi)
+            assert rep["gp3"] == k, format_form(phi)
+            assert calls == {"_certificate": 1, "find_GP2_subform": 0}
+            sub, comp = rep["gp2_subform"], rep["gp2_complement"]
+            assert len(sub.slots) == 2 and comp.dim == dim - 4
+            assert look.an_dim(look.spec_vector(sub)) == 4
+            assert look.add(look.spec_vector(sub), look.vector(
+                [e.bits for e in comp.entries])) == v, format_form(phi)
+            if dim == 16:
+                four = rep["gp2_decomposition"]
+                assert len(four) == 4 and _spec_sum(look, four) == v
+                assert all(len(t.slots) == 2
+                           and look.an_dim(look.spec_vector(t)) == 4
+                           for t in four), format_form(phi)
+        assert not want, (dim, want)
 
 
 def test_splitting_pair_is_the_first_oracle_pair(raw_field):

@@ -17,12 +17,13 @@ first batch are checked on both trees by the benchmark's oracle, and
 its times are left out.
 
 Ops are keyed by kind and dimension (``pn/8``, ``pn/12``, ``c16``: the
-dimension is left out where the kind names it), so a change can show
-which dimension it moved.  Per key, and for all ops together, it prints
-the median and quartiles of the per-op times of each tree over all
-timed batches, the ratio work / base of the medians, and the share of
-batches whose median (and p90) each tree won.  The last line is the
-same as one JSON object.  A process-level benchmark run on a shared
+dimension is left out where the kind names it), and ``dim16`` ops also
+by the GP_3 they were drawn with (``c16/k2``, ``c16/k3``), so a change
+can show which dimension and op shape it moved.  Per key, and for all
+ops together, it prints the median and quartiles of the per-op times of
+each tree over all timed batches, the ratio work / base of the medians,
+and the share of batches whose median (and p90) each tree won.  The
+last line is the same as one JSON object.  A process-level benchmark run on a shared
 machine spreads more than these per-op times; this tool does not
 replace it.
 """
@@ -96,9 +97,11 @@ def run_batch(wl, ops, check: bool) -> dict:
 
 
 def key(op) -> str:
-    """The op's kind and dimension, as in pn/12; c14 names its own."""
+    """The op's kind and dimension, as in pn/12 (c14 names its own),
+    then the GP_3 a dim16 op was drawn with, as in c16/k3."""
     dim = str(len(op.bits))
-    return op.kind if dim in op.kind else f"{op.kind}/{dim}"
+    out = op.kind if dim in op.kind else f"{op.kind}/{dim}"
+    return f"{out}/k{op.arg}" if isinstance(op.arg, int) else out
 
 
 def p90(xs: list[float]) -> float:

@@ -13,8 +13,10 @@ globals, is wrapped by a timer there.  Each of ROUNDS rounds clears the
 library caches, builds the ops' forms afresh, and runs each op on both
 trees, alternating which goes first, so both see the same machine
 state.  Only the last round is reported: per layer (a tensor reduction
-also by dimension and by whether it factored), the median per-call
-time in microseconds on each tree and their ratio.
+also by dimension and by whether it factored, a certificate also by the
+kind of op that built it, as in _certificate/c14), the median per-call
+time in microseconds on each tree, their ratio, and the calls per op of
+that kind on each tree.
 """
 
 from __future__ import annotations
@@ -27,19 +29,23 @@ import time
 
 from ab_inprocess import KINDS, PERFBENCH, ROOT, load, side
 
-LAYERS = ("in_In", "anisotropic_part", "_certificate", "_tensor_reduction")
+LAYERS = ("in_In", "anisotropic_part", "_certificate", "_tensor_reduction",
+          "_biquadratic_splitting", "find_GP2_subform")
 ROUNDS = 3
 SEED = 1101
 
 
-def label(name: str, args: tuple, out) -> str:
+def label(name: str, args: tuple, out, kind: str) -> str:
     if name == "_tensor_reduction":
         return f"{name}/d{len(args[1])}/{'hit' if out else 'miss'}"
+    if name == "_certificate":
+        return f"{name}/{kind}"
     return name
 
 
-def wrap(lib, name: str, record: dict) -> None:
-    """Time every call pfnum makes to its global `name`."""
+def wrap(lib, name: str, record: dict, current: list) -> None:
+    """Time every call pfnum makes to its global `name`; current[0] is
+    the kind of the op running."""
     fn = getattr(lib.pfnum, name)
     clock = time.perf_counter
 
@@ -47,7 +53,8 @@ def wrap(lib, name: str, record: dict) -> None:
         t0 = clock()
         out = fn(*args, **kwargs)
         elapsed = clock() - t0
-        record.setdefault(label(name, args, out), []).append(elapsed * 1e6)
+        record.setdefault(label(name, args, out, current[0]), []).append(
+            elapsed * 1e6)
         return out
 
     setattr(lib.pfnum, name, timed)
@@ -71,9 +78,10 @@ def main(argv=None) -> int:
     wl.prepare()
     wl.fill(args.ops)
     records = {name: {} for name in libs}
+    current = [""]
     for name, lib in libs.items():
         for layer in LAYERS:
-            wrap(lib, layer, records[name])
+            wrap(lib, layer, records[name], current)
     for r in range(ROUNDS):
         sides = {}
         for name, lib in libs.items():
@@ -84,6 +92,7 @@ def main(argv=None) -> int:
         gc.collect()
         for i in range(len(wl.inputs)):
             order = ("base", "work") if (i + r) % 2 else ("work", "base")
+            current[0] = wl.inputs[i].kind
             for name in order:
                 other, ops = sides[name]
                 try:
@@ -91,14 +100,19 @@ def main(argv=None) -> int:
                 except libs[name].errors.DepthCapExceededError:
                     pass
 
-    print(f"{args.workload}, seed {SEED}: {args.ops} ops, last of"
-          f" {ROUNDS} rounds; median us per call")
-    for key in sorted(records["work"]):
-        base = statistics.median(records["base"].get(key, [0.0]))
-        work = statistics.median(records["work"][key])
-        ratio = f"{work / base:.3f}" if base else "-"
-        print(f"  {key:32} base {base:8.2f} | work {work:8.2f}"
-              f" | ratio {ratio} ({len(records['work'][key])} calls)")
+    ops = {}
+    for op in wl.inputs:
+        ops[op.kind] = ops.get(op.kind, 0) + 1
+    print(f"{args.workload}, seed {SEED}: {args.ops} ops ({ops}), last of"
+          f" {ROUNDS} rounds; median us per call, calls per op")
+    for key in sorted(set(records["base"]) | set(records["work"])):
+        base, work = (records[name].get(key, []) for name in libs)
+        med = [statistics.median(xs) if xs else 0.0 for xs in (base, work)]
+        ratio = f"{med[1] / med[0]:.3f}" if med[0] and med[1] else "-"
+        per = ops.get(key.rsplit("/", 1)[-1], len(wl.inputs))
+        print(f"  {key:32} base {med[0]:8.2f} | work {med[1]:8.2f}"
+              f" | ratio {ratio} | calls per op {len(base) / per:.2f}"
+              f" / {len(work) / per:.2f}")
     return 0
 
 
