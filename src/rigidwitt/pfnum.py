@@ -555,16 +555,29 @@ def _splits(field: FieldDesc, bits: Sequence[int], a: int) -> bool:
 
 
 def _split_candidates(field: FieldDesc, bits: Sequence[int]) -> list[int]:
-    """The b != 1 over whose F(sqrt b) the anisotropic form with these
-    entries may split, in the class order: a multiple <<b>> rho = rho +
-    -b*rho has entries x and -bx in D(phi), so b = -xy for values x, y.
-    Every b != 1 for the zero form."""
+    """The b != 1 over whose F(sqrt b) the anisotropic form an with these
+    entries may split, in the class order.  An anisotropic form that is
+    hyperbolic over F(sqrt b) is <<b>> * rho (Lam, Ch. VII, 3), and
+    -b*<<b>> = <-b, 1> is <<b>>, so -b is a similarity factor: -b*an is
+    isometric to an.  Then -b*x0 = y lies in D(an) for an's first entry
+    x0, and b = -x0*y.  So only such b are kept, and only when the
+    shifted value set -b*D(an) is D(an) and -b*an has an's canonical
+    entries; below level infinity D(an) already fixes an, over R it
+    forgets multiplicities, which the canonical entries keep.  Every b
+    that splits the form passes.  Every b != 1 for the zero form."""
     if not bits:
         return field.class_bits()[1:]
-    minus_one = _minus_one(field)
-    vals = _values(bits, _flex(field))
-    cands = {x ^ y ^ minus_one for i, x in enumerate(vals) for y in vals[i:]}
-    return _in_class_order(cands - {0})
+    flex, minus_one = _flex(field), _minus_one(field)
+    member = _value_set(bits, flex)
+    key = _canon_bits(field, bits)
+    out = []
+    for y in member:
+        shift = bits[0] ^ y  # -b
+        if (shift ^ minus_one
+                and {shift ^ v for v in member} == member
+                and _canon_bits(field, [shift ^ x for x in bits]) == key):
+            out.append(shift ^ minus_one)
+    return _in_class_order(out)
 
 
 def divisible_by_pfister(
@@ -1279,47 +1292,26 @@ def _biquadratic_splitting(field: FieldDesc,
     unit bit, and the first pair's a has not: else b or ab would lack
     it, come before a and lead a pair for the same extension.
 
-    Candidates.  Let an be the anisotropic part over F(sqrt a) and x0
-    its first entry.  When an is hyperbolic over F(sqrt a, sqrt c) it is
-    <<c>> * rho (Lam, Ch. VII, 3), and -c*<<c>> = <-c, 1> is <<c>>, so
-    -c is a similarity factor: -c*an = an.  Then -c*x0 = y lies in D(an)
-    and c = -x0*y.  So only such c are tried, and only when the shifted
-    value set -c*D(an) is D(an) and -c*an has an's canonical entries;
-    the exact splitting test decides.  Every c that splits passes, so
-    the scan returns the same first pair as one over all classes.  When
-    an is hyperbolic already, the images of the two classes after 1
+    Candidates.  Let an be the anisotropic part over F(sqrt a).  When
+    an is hyperbolic over F(sqrt a, sqrt c) it is <<c>> * rho, so -c*an
+    is isometric to an and c = -x0*y for an's first entry x0 and a value
+    y of an; only such c are tried (_split_candidates), and the exact
+    splitting test decides.  Every c that splits passes, so the scan
+    returns the same first pair as one over all classes.  When an is
+    hyperbolic already, the images of the two classes after 1
     hold the first b outside {1, a}.
     """
     classes = field.class_bits()
     for a in classes[1:]:
         mid_field, mid = _extension_bits(field, bits, a)
         an = _an_bits(mid_field, tuple(sorted(mid)))
-        cands = (_similarity_candidates(mid_field, an) if an else
+        cands = (_split_candidates(mid_field, an) if an else
                  set(_extension_bits(field, classes[1:3], a)[1]) - {0})
         lift = class_map(a)[1] if a >> 1 else (lambda c: c)
         for c in sorted(cands, key=lambda c: _class_order(lift(c))):
             if _splits(mid_field, an, c):
                 return a, lift(c)
     return None
-
-
-def _similarity_candidates(field: FieldDesc, an: Sequence[int]) -> list[int]:
-    """The c != 1 with c = -x0*y for the first entry x0 of the nonzero
-    anisotropic form an and some y in D(an), such that -c*an is
-    isometric to an (see _biquadratic_splitting).  Below level infinity
-    D(an) already fixes an; over R it forgets multiplicities, which the
-    canonical entries keep."""
-    flex, minus_one = _flex(field), _minus_one(field)
-    member = _value_set(an, flex)
-    key = _canon_bits(field, an)
-    out = []
-    for y in member:
-        shift = an[0] ^ y  # -c
-        if (shift ^ minus_one
-                and {shift ^ v for v in member} == member
-                and _canon_bits(field, [shift ^ b for b in an]) == key):
-            out.append(shift ^ minus_one)
-    return out
 
 
 def classify16(phi: DiagonalForm) -> dict:

@@ -1156,9 +1156,9 @@ def _count_calls(monkeypatch, names):
 def test_split_candidates_bound_the_splitting_scans(raw_field, monkeypatch):
     # classify16 over F3[t1..t10] and F3[t1..t12] tests only similarity
     # factors for the biquadratic pair (bounds: the 19 and 79 calls
-    # measured when the scans moved to them, plus 25 %; the scans over
-    # split candidates made 1 407 and 6 147, those over every class
-    # 36 863 for the first form)
+    # measured when the split candidates became them, plus 25 %; with
+    # every b = -xy for values x, y they made 1 407 and 6 147, and the
+    # scans over every class 36 863 for the first form)
     calls = _count_calls(monkeypatch, ["_splits"])
     for nvars, bound in ((10, 23), (12, 98)):
         field = FieldDesc(Base.F3, nvars)
