@@ -28,6 +28,7 @@ from .witt import (
     value_set,
     _LANE,
     _form_vector,
+    _lanes,
     _ring_params,
 )
 
@@ -45,7 +46,7 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
     """Membership of phi's Witt class in the n-th fundamental-ideal power.
 
     Decided in closed form on phi's Witt vector w (the coefficients by
-    H-index, witt._counts).  The split exact sequence of the t-adic
+    H-index, witt._pack).  The split exact sequence of the t-adic
     valuation gives, for the top variable t, phi = phi1 + t*phi2 =
     (phi1 - phi2) + <<-t>> (x) phi2, and phi lies in I^n exactly when
     the residue forms satisfy phi2 in I^(n-1) and phi1 - phi2 in I^n,
@@ -70,11 +71,11 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
     0) that is T[S] = 0 mod 4 for |S| <= n - 2 and T[S] even for |S| =
     n - 1; over C (W = Z/2) T[S] = 0; over F3(i) (W = Z/2 x Z/2, I^2 =
     0) both unit lanes of S are 0, or for |S| = n - 1 their sum is
-    even; over R (W = Z, I^m = 2^m Z) T[S] = 0 mod 2^(n - |S|).  On a
-    packed vector (witt._summed) the steps are lane operations: set the
-    guards, subtract, mask.  Over R and over fields too large to pack,
-    T[S] is summed from the sparse coefficients (_in_In_sparse).  phi's
-    vector is read once per form (witt._form_vector).
+    even; over R (W = Z, I^m = 2^m Z) T[S] = 0 mod 2^(n - |S|).  phi's
+    vector is read once per form (witt._form_vector).  On a packed
+    vector the steps are lane operations: set the guards, subtract,
+    mask.  On a sparse one (over R and over groups too large to pack),
+    T[S] is summed from the nonzero coefficients (_in_In_sparse).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -92,7 +93,8 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
 
 @lru_cache(maxsize=256)
 def _ideal_masks(field: FieldDesc, n: int) -> tuple:
-    """in_In's masks for I^n, n >= 1, on packed witt._summed vectors.
+    """in_In's masks for I^n, n >= 1, on packed vectors (witt._pack),
+    with witt's lane width and coefficient mask.
 
     (coeffs, steps, zero, pairs): the mask of every coefficient bit; one
     (shift, low, guard) per variable, low the coefficient bits and guard
@@ -101,7 +103,8 @@ def _ideal_masks(field: FieldDesc, n: int) -> tuple:
     0; and, with the unit bit in the index (F3(i)), the lanes (S, 1)
     whose sum with (S, u) must be even.
     """
-    modulus, m, _ = _ring_params(field)
+    modulus, _, _, coeffs = _lanes(field)
+    m = _ring_params(field)[1]
     top = modulus - 1
     first = m - field.nvars  # the index bit of t1
     steps = []
@@ -118,13 +121,13 @@ def _ideal_masks(field: FieldDesc, n: int) -> tuple:
             zero |= lane
         elif level == 1 and not i & 1:
             pairs |= lane
-    coeffs = sum(top << _LANE * i for i in range(1 << m))
     return coeffs, tuple(steps), zero, pairs
 
 
 def _in_In_sparse(field: FieldDesc, items: Iterable[tuple[int, int]],
                   n: int) -> bool:
-    """in_In's criterion on the nonzero (H-index, coefficient) pairs.
+    """in_In's criterion on a sparse vector (witt._pack), the nonzero
+    (H-index, coefficient) pairs.
 
     The steps composed give T[S] as the sum of (-1)^(|V| - |S|) w[i]
     over the indices i whose set V of variables contains S, so each

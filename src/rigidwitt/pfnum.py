@@ -9,8 +9,8 @@ term extended from a 2-fold Pfister subform and the rest decided at
 k - 1; the anchored two-term split; GP_2 peeling; for scaled n = 2, 3
 at k = 3 one pass over the generator classes that asks the rules at
 k = 2 about each remainder; and otherwise a complete search over the
-generator classes on Witt vectors packed into Python ints (with the
-2-sumset of the generators when it is small enough to store).  The
+generator classes on their Witt vectors (witt._pack, with the 2-sumset
+of the generators when it is small enough to store).  The
 generator classes are built fold by fold, each fold and the generator
 set only when its measured size is within a fixed step budget, and a
 search is refused when it would take more steps than that budget.
@@ -30,7 +30,7 @@ import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     DepthCapExceededError,
@@ -55,16 +55,17 @@ from .witt import (
     is_isotropic,
     _an_bits,
     _class_order,
-    _counts,
+    _diffs,
+    _dims,
     _flex,
     _form,
     _form_vector,
     _in_class_order,
     _minus_one,
-    _read_off,
-    _ring_params,
+    _neg,
+    _pack,
     _split_off,
-    _summed,
+    _unsigned,
     _value_set,
     _values,
 )
@@ -98,8 +99,8 @@ __all__ = [
 RESULT_LOG: deque[dict] = deque(maxlen=4096)
 
 _MAX_SUMSET = 1 << 16  # generator pairs behind a stored 2-sumset
-_MAX_SEARCH_COST = 1 << 23  # packed differences one build or search may take
-_READ_COST = 64  # packed differences one _an_bits read or one pack costs
+_MAX_SEARCH_COST = 1 << 23  # vector differences one build or search may take
+_READ_COST = 64  # vector differences one _an_bits read or one pack costs
 
 
 # --- certificates ---------------------------------------------------------
@@ -120,7 +121,7 @@ class PfisterCertificate:
         entries: list[int] = []
         for t in self.terms:
             entries += _expand(field, _raw(t))
-        return _summed(field, entries) == _form_vector(self.target)
+        return _pack(field, entries) == _form_vector(self.target)
 
     def to_json_dict(self) -> dict:
         import hashlib  # only commands that print a certificate need it
@@ -196,77 +197,6 @@ def _certificate(n: int, terms: Sequence[tuple],
     return cert
 
 
-# --- packed Witt vectors ---------------------------------------------------
-
-class _Packed:
-    """Witt vectors of one field as values that hash and subtract fast.
-
-    Over a finite Witt ring (Z/m)[H], m = 4 or 2, a vector is an int with
-    one lane of m.bit_length() bits per H-index: the coefficient in the
-    low bits and a guard bit above them, zero at rest.  A difference sets
-    every guard before subtracting, so no lane borrows from the next,
-    and masks the guards off again.  Over R (coefficients in Z, with no
-    bound on their size) a vector is the dense tuple.
-    """
-
-    def __init__(self, field: FieldDesc):
-        self.field = field
-        self.modulus, m, _ = _ring_params(field)
-        self.size = 1 << m
-        if self.modulus:
-            self.width = self.modulus.bit_length()
-            self.lo = sum(1 << self.width * i for i in range(self.size))
-            self.guard = self.lo * self.modulus
-            self.mask = self.lo * (self.modulus - 1)
-            self.zero = 0
-        else:
-            self.zero = (0,) * self.size
-
-    def pack(self, bits: Iterable[int]):
-        """The vector of the form with these entries."""
-        counts = _counts(self.field, bits)
-        if not self.modulus:
-            return tuple(counts.get(i, 0) for i in range(self.size))
-        return sum(c << self.width * i for i, c in counts.items())
-
-    def items(self, w) -> Iterable[tuple[int, int]]:
-        """(H-index, coefficient) pairs of w."""
-        if not self.modulus:
-            return enumerate(w)
-        top = self.modulus - 1
-        return ((i, w >> self.width * i & top) for i in range(self.size))
-
-    def diffs(self, w, xs: Iterable) -> Iterator:
-        """w - x for each x in xs, lazily."""
-        if not self.modulus:
-            return (tuple(map(operator.sub, w, x)) for x in xs)
-        top, mask = w | self.guard, self.mask
-        return ((top - x) & mask for x in xs)
-
-    def neg(self, w):
-        if not self.modulus:
-            return tuple(map(operator.neg, w))
-        return (self.guard - w) & self.mask
-
-    def unsigned(self, w):
-        """The lesser of w and -w."""
-        return min(w, self.neg(w))
-
-    def lazy_dims(self, ws: Iterable) -> Iterator[int]:
-        """Dimensions of the anisotropic forms in the classes ws, lazily:
-        1 for a coefficient 1 or -1, 2 for a coefficient 2 mod 4, |c|
-        over Z."""
-        if not self.modulus:
-            return (sum(map(abs, w)) for w in ws)
-        lo = self.lo
-        return ((w & lo).bit_count() + 2 * ((w >> 1) & lo & ~w).bit_count()
-                for w in ws)
-
-    def dims(self, ws: Iterable) -> list[int]:
-        """lazy_dims(ws) as a list."""
-        return list(self.lazy_dims(ws))
-
-
 # --- generator enumeration ------------------------------------------------
 
 _GEN_CACHE: dict = {}
@@ -301,7 +231,7 @@ def _pfister_set(field: FieldDesc, n: int) -> dict:
 def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
     """All nonzero Witt classes of (un)scaled n-fold Pfister forms.
 
-    Maps the packed Witt vector (see _Packed) to a raw term.
+    Maps the Witt vector (witt._pack) to a raw term.
     """
     key = (field, n, unscaled)
     cached = _GEN_CACHE.get(("G", key))
@@ -311,11 +241,10 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
         scalars = (0, _minus_one(field))
     else:
         scalars = field.class_bits()
-    pack = _Packed(field).pack
     out: dict = {}
     for bits, slots in _pfister_set(field, n).items():
         for c in scalars:
-            out.setdefault(pack([c ^ b for b in bits]), (c, slots))
+            out.setdefault(_pack(field, [c ^ b for b in bits]), (c, slots))
     _GEN_CACHE[("G", key)] = out
     return out
 
@@ -326,7 +255,7 @@ def _build_refusal(field: FieldDesc, n: int, unscaled: bool) -> str | None:
     Each missing fold S_j is measured before it is built: it reads
     len(classes) * |S_(j-1)| anisotropic parts.  G_n then packs
     |S_n| * len(scalars) vectors.  A read or a pack weighs _READ_COST
-    packed differences.  The folds found within budget are built and
+    vector differences.  The folds found within budget are built and
     stored here; G_n is built by its first user.
     """
     if ("G", (field, n, unscaled)) in _GEN_CACHE:
@@ -348,12 +277,12 @@ def _build_refusal(field: FieldDesc, n: int, unscaled: bool) -> str | None:
 
 
 def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
-    """S2, the packed sums of at most two generator classes (zero, every
-    generator and every pair, a class doubled included), up to sign;
-    None when there are more than _MAX_SUMSET pairs.
+    """S2, the Witt vectors of the sums of at most two generator classes
+    (zero, every generator and every pair, a class doubled included), up
+    to sign; None when there are more than _MAX_SUMSET pairs.
 
     Scaling by -1 keeps a generator a generator, so S2 = -S2, and only
-    the lesser of s and -s is stored (see _Packed.unsigned).
+    the lesser of s and -s is stored (witt._unsigned).
     """
     size = len(_generators(field, n, unscaled))
     if size * (size + 1) // 2 > _MAX_SUMSET:
@@ -362,13 +291,12 @@ def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
     cached = _GEN_CACHE.get(key)
     if cached is None:
         gens = list(_generators(field, n, unscaled))
-        pk = _Packed(field)
-        negs = [pk.neg(g) for g in gens]
-        cached = {pk.unsigned(pk.zero), *map(pk.unsigned, gens)}
+        negs = [_neg(field, g) for g in gens]
+        cached = set(_unsigned(field, [_pack(field, ()), *gens]))
         for i, g in enumerate(gens):
             # g - (-h) = g + h and -g - h = -(g + h), for h from g on
-            cached.update(map(min, pk.diffs(g, negs[i:]),
-                              pk.diffs(negs[i], gens[i:])))
+            cached.update(map(min, _diffs(field, g, negs[i:]),
+                              _diffs(field, negs[i], gens[i:])))
         _GEN_CACHE[key] = cached
     return cached
 
@@ -379,10 +307,9 @@ def enumerate_GPn_classes(
     """Nonzero GP_n Witt classes with one Pfister witness each."""
     if n < 1:
         raise ValueError("fold must be at least 1")
-    gens = _generators(field, n, unscaled)
-    items = _Packed(field).items
-    out = [(_form(field, _read_off(field, items(v))), _spec(field, term))
-           for v, term in gens.items()]
+    out = [(_form(field, _an_bits(field, tuple(sorted(_expand(field, t))))),
+            _spec(field, t))
+           for t in _generators(field, n, unscaled).values()]
     out.sort(key=lambda pair: tuple(e.bits for e in pair[0].entries))
     return out
 
@@ -627,7 +554,7 @@ def divisible_by_pfister(
                     "form splits over the extension but peeling got stuck")
             return False, None
     product = [x ^ p for x in quotient for p in pi]
-    if _counts(field, product) != _counts(field, bits):
+    if _pack(field, product) != _form_vector(phi):
         raise InternalContradictionError("peeled quotient fails to verify")
     return True, DiagonalForm(field, tuple(
         SquareClass(field, x) for x in quotient))
@@ -672,39 +599,44 @@ def _search_sum(
     by 2^n (k - 1).  Callers must keep the build and the search within
     _MAX_SEARCH_COST first (see _build_refusal and _search_cost).
     """
-    pk = _Packed(field)
     gens = _generators(field, n, unscaled)
     sums = _sumset(field, n, unscaled) if k >= 3 else None
 
     def search(w, j: int) -> list[tuple] | None:
-        if w == pk.zero:
+        if not w:
             return []
         if w in gens:
             return [gens[w]]
         if j <= 1:
             return None
         if j == 2:
-            for term, r in zip(gens.values(), pk.diffs(w, gens)):
+            for term, r in zip(gens.values(), _diffs(field, w, gens)):
                 hit = gens.get(r)
                 if hit is not None:
                     return [term, hit]
             return None
         if sums is not None and j == 3:
-            for term, r in zip(gens.values(), pk.diffs(w, gens)):
-                if pk.unsigned(r) in sums:
+            for (g, term), u in zip(gens.items(), _unsigned(
+                    field, _diffs(field, w, gens))):
+                if u in sums:
+                    (r,) = _diffs(field, w, (g,))
                     return [term] + search(r, 2)
             return None
         if sums is not None and j == 4:
-            for s in sums:
-                signed = (s, pk.neg(s))
-                for t, r in zip(signed, pk.diffs(w, signed)):
-                    if pk.unsigned(r) in sums:
-                        return search(t, 2) + search(r, 2)
+            # w - s, and -w - s = -(w + s), for each s in S2
+            for s, u, v in zip(sums, _unsigned(field, _diffs(field, w, sums)),
+                               _unsigned(field, _diffs(
+                                   field, _neg(field, w), sums))):
+                if u in sums or v in sums:
+                    t = s if u in sums else _neg(field, s)
+                    (r,) = _diffs(field, w, (t,))
+                    return search(t, 2) + search(r, 2)
             return None
         bound = (1 << n) * (j - 1)
-        rs = list(pk.diffs(w, gens))
+        rs = list(_diffs(field, w, gens))
         cands = sorted(
-            (c for c in zip(pk.dims(rs), rs, gens.values()) if c[0] <= bound),
+            (c for c in zip(_dims(field, rs), rs, gens.values())
+             if c[0] <= bound),
             key=operator.itemgetter(0))
         for _dim, r, term in cands:
             rest = search(r, j - 1)
@@ -712,11 +644,11 @@ def _search_sum(
                 return [term] + rest
         return None
 
-    return search(pk.pack(bits), k)
+    return search(_pack(field, bits), k)
 
 
 def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
-    """About how many packed differences _search_sum may take for k."""
+    """About how many vector differences _search_sum may take for k."""
     size = len(_generators(field, n, unscaled))
     sums = _sumset(field, n, unscaled) if k >= 3 else None
     if k <= 2 or (k == 3 and sums is not None):
@@ -743,20 +675,19 @@ def _pass_terms(field: FieldDesc, bits: Sequence[int], n: int,
     has ruled out two.
 
     G_n is closed under -1, so v is a sum of three exactly when v - g
-    is a sum of at most two for some generator g, and the packed
-    dimension of v - g decides that: below 2^(n+1) always (_PASS_DIMS),
-    at 2^(n+1) exactly when the anchored split succeeds, above it
-    never.  One lazy pass over G_n returns at the first remainder below
+    is a sum of at most two for some generator g, and the anisotropic
+    dimension of v - g (witt._dims) decides that: below 2^(n+1) always
+    (_PASS_DIMS), at 2^(n+1) exactly when the anchored split succeeds,
+    above it never.  One lazy pass over G_n returns at the first remainder below
     2^(n+1) and keeps those of dimension 2^(n+1) for the split after
     it.  The two terms come from _decide_k at k = 2, never from the
     generator search.
     """
     gens = _generators(field, n, False)
-    pk = _Packed(field)
     top = 2 << n
     full = []
-    for term, dim in zip(gens.values(),
-                         pk.lazy_dims(pk.diffs(pk.pack(bits), gens))):
+    for term, dim in zip(gens.values(), _dims(field, _diffs(
+            field, _pack(field, bits), gens))):
         if dim < top:
             if dim not in _PASS_DIMS[n]:
                 raise InternalContradictionError(

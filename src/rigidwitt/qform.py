@@ -1,8 +1,9 @@
 """Diagonal quadratic forms over rigid-field models.
 
 Forms are multisets of square classes stored as sorted tuples.  Isometry
-and subform tests and complements read the raw anisotropic part of
-phi + -psi; decompositions peel raw entry lists (witt._split_off).
+and subform tests read the forms' Witt vectors (witt._form_vector),
+complements the raw anisotropic part of phi + -psi; decompositions peel
+raw entry lists (witt._split_off).
 """
 
 from __future__ import annotations
@@ -170,25 +171,25 @@ def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(b & ~1 if count[b] == 2 else b for b in bits))
 
 
-def _an_difference(phi: DiagonalForm, psi: DiagonalForm) -> tuple[int, ...]:
-    """The anisotropic part of phi + -psi, on raw bits."""
-    from .witt import _an_bits, _minus_one
-
-    minus_one = _minus_one(phi.field)
-    return _an_bits(phi.field, tuple(sorted(
-        [e.bits for e in phi] + [e.bits ^ minus_one for e in psi])))
-
-
 def is_isometric(phi: DiagonalForm, psi: DiagonalForm) -> bool:
+    """Equal dimension and equal Witt vectors: by Witt cancellation,
+    Witt-equivalent forms of one dimension are isometric."""
+    from .witt import _form_vector
+
     _check_fields(phi, psi)
-    return phi.dim == psi.dim and not _an_difference(phi, psi)
+    return phi.dim == psi.dim and _form_vector(phi) == _form_vector(psi)
 
 
 def is_subform(psi: DiagonalForm, phi: DiagonalForm) -> bool:
     """Witt-index criterion: psi embeds iff i_W(phi + (-psi)) >= dim psi,
-    i.e. iff dim an(phi + (-psi)) <= dim phi - dim psi."""
+    i.e. iff dim an(phi + (-psi)) <= dim phi - dim psi, read off the
+    difference of their Witt vectors."""
+    from .witt import _diffs, _dims, _form_vector
+
     _check_fields(psi, phi)
-    return len(_an_difference(phi, psi)) <= phi.dim - psi.dim
+    (an_dim,) = _dims(phi.field, _diffs(
+        phi.field, _form_vector(phi), (_form_vector(psi),)))
+    return an_dim <= phi.dim - psi.dim
 
 
 def complement(psi: DiagonalForm, phi: DiagonalForm) -> DiagonalForm:
@@ -198,7 +199,9 @@ def complement(psi: DiagonalForm, phi: DiagonalForm) -> DiagonalForm:
     if witt.is_isotropic(phi):
         raise IsotropicInputError("complement requires an anisotropic ambient")
     _check_fields(psi, phi)
-    an = _an_difference(phi, psi)
+    minus_one = witt._minus_one(phi.field)
+    an = witt._an_bits(phi.field, tuple(sorted(
+        [e.bits for e in phi] + [e.bits ^ minus_one for e in psi])))
     if len(an) > phi.dim - psi.dim:
         raise NotASubformError(f"{psi} is not a subform of {phi}")
     return witt._form(phi.field, an)

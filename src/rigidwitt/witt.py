@@ -3,19 +3,23 @@
 The Witt ring of every model is the group ring (Z/nZ)[H] for a subgroup
 H of the square-class group, so a form's Witt class is a coefficient
 vector and its anisotropic part is read off that vector.  One raw-bit
-helper counts the vector's nonzero coefficients; anisotropic parts,
-value sets and Witt-class equality come from it, and the dense vector
-is built from it only where it is asked for.  A form's vector is also
-kept on the form as one comparable value (_form_vector): anisotropic
-dimensions, Witt indices, I^n membership and certificate checks read
-it.  The raw-bit helpers are shared with qform and pfnum.
+helper counts the vector's nonzero coefficients; anisotropic parts and
+value sets come from it, and the dense vector is built from it only
+where it is asked for.  This module owns the one comparable encoding
+of a Witt vector (_pack): byte lanes in an int where the ring is finite
+and H small, a sorted tuple of the nonzero coefficients otherwise.  A
+form keeps its vector (_form_vector); Witt-class equality, isometry,
+anisotropic dimensions, I^n membership and certificate checks read it,
+and the generator search in pfnum works on it through _diffs, _neg,
+_unsigned and _dims.  The raw-bit helpers are shared with qform and
+pfnum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError
 from .qform import DiagonalForm, _canon_bits, orth_sum
@@ -71,57 +75,118 @@ def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
             if (r := c % modulus if modulus else c)}
 
 
-_LANE = 8  # bits per coefficient lane of a _summed vector: one byte
-_DENSE_BITS = 10  # H-index bits up to which _summed packs (1 KB at most)
+_LANE = 8  # bits per coefficient lane of a packed vector: one byte
+_DENSE_BITS = 10  # H-index bits up to which vectors are packed (1 KB at most)
 
 
-def _summed(field: FieldDesc, bits: Iterable[int]):
+@lru_cache(maxsize=256)
+def _lanes(field: FieldDesc) -> tuple[int, int, int, int]:
+    """(modulus, lo, guard, mask) of the Witt vectors over field: lo has
+    1 in every lane, guard the bit above a lane's coefficient bits and
+    mask the coefficient bits; lo, guard and mask are 0 where the
+    vectors are sparse."""
+    modulus, m, _ = _ring_params(field)
+    if not modulus or m > _DENSE_BITS:
+        return modulus, 0, 0, 0
+    lo = int.from_bytes(b"\x01" * (1 << m), "little")
+    return modulus, lo, lo * modulus, lo * (modulus - 1)
+
+
+def _pack(field: FieldDesc, bits: Iterable[int]):
     """The Witt vector of the form with these entries as one value: two
     entry lists give equal values exactly when their forms are Witt
-    equivalent.
+    equivalent, and the values are totally ordered (see _unsigned).
 
-    Over a finite ring (Z/m)[H] with at most 2^_DENSE_BITS indices it is
-    an int with one byte lane per H-index holding the coefficient in
-    [0, m), so a guard bit sits above it as in pfnum._Packed.  Each
-    entry adds 1 to its lane, or m - 1 = -1 for a class with the unit
-    bit when H is the unit-bit-0 subgroup, as in _counts; a lane that
-    wraps at 256 loses nothing mod m, and the lanes are reduced mod m by
-    masking their low bits.  Over R (coefficients in Z) and over larger
-    groups it is the frozen set of the _counts items.  Byte lanes let the
-    entries be counted in a bytearray, with no carry between lanes;
-    _Packed keeps narrower lanes for the generator sets it stores.
+    Packed, over a finite ring (Z/m)[H] with at most 2^_DENSE_BITS
+    indices: an int with one byte lane per H-index, holding the
+    coefficient in [0, m) under a guard bit that is 0 at rest.  The
+    entries are counted in a bytearray, with no carry between lanes:
+    each adds 1 to its lane, or m - 1 = -1 for a class with the unit bit
+    when H is the unit-bit-0 subgroup (as in _counts); a lane that wraps
+    at 256 loses nothing mod m, and the mask reduces the lanes mod m.
+    Sparse, over R (coefficients in Z) and over larger groups: the
+    sorted tuple of the nonzero (H-index, coefficient) pairs.
     """
+    mask = _lanes(field)[3]
+    if not mask:
+        return tuple(sorted(_counts(field, bits).items()))
     modulus, m, split_units = _ring_params(field)
-    if not modulus or m > _DENSE_BITS:
-        return frozenset(_counts(field, bits).items())
     shift = field.nvars + 1 - m
     unit = (modulus - 2) * split_units
-    lanes = bytearray(1 << m)
+    counts = bytearray(1 << m)
     for b in bits:
         i = b >> shift
-        lanes[i] = lanes[i] + 1 + unit * (b & 1) & 255
-    return int.from_bytes(lanes, "little") & int.from_bytes(
-        bytes((modulus - 1,)) * len(lanes), "little")
+        counts[i] = counts[i] + 1 + unit * (b & 1) & 255
+    return int.from_bytes(counts, "little") & mask
 
 
 def _form_vector(phi: DiagonalForm):
-    """_summed of phi's entries, computed once per form: a form never
+    """_pack of phi's entries, computed once per form: a form never
     changes, so the value is kept on the object, outside its fields."""
-    vector = phi.__dict__.get("_summed")
+    vector = phi.__dict__.get("_vector")
     if vector is None:
-        vector = _summed(phi.field, [e.bits for e in phi.entries])
-        object.__setattr__(phi, "_summed", vector)
+        vector = _pack(phi.field, [e.bits for e in phi.entries])
+        object.__setattr__(phi, "_vector", vector)
     return vector
 
 
-def _read_off(field: FieldDesc,
-              items: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The anisotropic representative of the Witt class with these
-    (H-index, coefficient) pairs, coefficients reduced as _counts
-    gives them."""
+def _diffs(field: FieldDesc, w, xs: Iterable) -> Iterator:
+    """w - x for each vector x in xs, lazily.  Packed, every guard is
+    set before the subtraction, so no lane borrows from the next, and
+    masked off after it."""
+    modulus, _, guard, mask = _lanes(field)
+    if not mask:
+        return _sparse_diffs(w, xs, modulus)
+    top = w | guard
+    return ((top - x) & mask for x in xs)
+
+
+def _sparse_diffs(w: tuple, xs: Iterable, modulus: int) -> Iterator:
+    base = dict(w)
+    for x in xs:
+        coeffs = base.copy()
+        for i, c in x:
+            coeffs[i] = coeffs.get(i, 0) - c
+        out = [(i, r) for i, c in coeffs.items()
+               if (r := c % modulus if modulus else c)]
+        out.sort()
+        yield tuple(out)
+
+
+def _neg(field: FieldDesc, w):
+    """-w, the zero vector minus w."""
+    return next(_diffs(field, _pack(field, ()), (w,)))
+
+
+def _unsigned(field: FieldDesc, ws: Iterable) -> Iterator:
+    """The lesser of w and -w, the same for both, for each w in ws,
+    lazily."""
+    modulus, _, guard, mask = _lanes(field)
+    if not mask:
+        return (min(w, tuple([(i, modulus - c if modulus else -c)
+                              for i, c in w])) for w in ws)
+    return (min(w, (guard - w) & mask) for w in ws)
+
+
+def _dims(field: FieldDesc, ws: Iterable) -> Iterator[int]:
+    """The anisotropic dimensions of the Witt classes ws, lazily: min(c,
+    m - c) per coefficient c over Z/m, |c| over Z.  Packed, a lane
+    holding 1 or 3 counts 1 and one holding 2 counts 2."""
+    modulus, lo, _, _ = _lanes(field)
+    if not lo:
+        return (sum(min(c, modulus - c) if modulus else abs(c)
+                    for _, c in w) for w in ws)
+    return ((w & lo).bit_count() + 2 * (w >> 1 & lo & ~w).bit_count()
+            for w in ws)
+
+
+@lru_cache(maxsize=1 << 18)
+def _an_bits(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Anisotropic part on raw bits, read off the nonzero Witt
+    coefficients (_counts), sorted."""
     modulus, m, split_units = _ring_params(field)
     out: list[int] = []
-    for idx, c in items:
+    for idx, c in _counts(field, entries).items():
         h = idx << (field.nvars + 1 - m)
         if not split_units:  # Z/2 coefficients
             out += [h] * c
@@ -130,12 +195,6 @@ def _read_off(field: FieldDesc,
         else:  # Z coefficients over R
             out += [h | (c < 0)] * abs(c)
     return tuple(sorted(out))
-
-
-@lru_cache(maxsize=1 << 18)
-def _an_bits(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Anisotropic part on raw bits, read off the nonzero Witt coefficients."""
-    return _read_off(field, _counts(field, entries).items())
 
 
 def _form(field: FieldDesc, an: Sequence[int]) -> DiagonalForm:
@@ -166,16 +225,10 @@ def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
 
 
 def _an_dim(phi: DiagonalForm) -> int:
-    """phi's anisotropic dimension, read off its Witt vector: min(c, m -
-    c) per coefficient c over Z/m, |c| over Z.  witt_index, the isotropy
-    tests and anisotropic_part read it and build no form."""
-    field = phi.field
-    w = _form_vector(phi)
-    if isinstance(w, int):  # byte lanes: 1 and 3 count 1, 2 counts 2
-        lo = int.from_bytes(b"\x01" * (1 << _ring_params(field)[1]), "little")
-        return (w & lo).bit_count() + 2 * (w >> 1 & lo & ~w).bit_count()
-    modulus = _ring_params(field)[0]
-    return sum(min(c, modulus - c) if modulus else abs(c) for _, c in w)
+    """phi's anisotropic dimension, read off its Witt vector (_dims):
+    witt_index, the isotropy tests and anisotropic_part read it and
+    build no form."""
+    return next(_dims(phi.field, (_form_vector(phi),)))
 
 
 def witt_index(phi: DiagonalForm) -> int:
@@ -296,8 +349,7 @@ def witt_vector(phi: DiagonalForm) -> tuple[int, ...]:
 def group_ring_equal(phi: DiagonalForm, psi: DiagonalForm) -> bool:
     if phi.field != psi.field:
         raise FieldMismatchError(f"{phi.field} vs {psi.field}")
-    return _counts(phi.field, (e.bits for e in phi)) == _counts(
-        psi.field, (e.bits for e in psi))
+    return _form_vector(phi) == _form_vector(psi)
 
 
 # --- Witt index of a three-fold sum ---------------------------------------

@@ -46,7 +46,6 @@ from rigidwitt.pfnum import (
     random_In_form,
     three_pfister_bound,
     two_pfister_bound,
-    _Packed,
     _anchors,
     _as_scaled_pfister,
     _biquadratic_splitting,
@@ -78,7 +77,16 @@ from rigidwitt.witt import (
     anisotropic_part,
     is_anisotropic,
     is_hyperbolic,
+    witt_index,
     witt_vector,
+    _DENSE_BITS,
+    _LANE,
+    _diffs,
+    _dims,
+    _form_vector,
+    _neg,
+    _pack,
+    _unsigned,
 )
 
 F1 = FieldDesc(Base.F3, 1)
@@ -302,30 +310,80 @@ def _spec_sum(look, terms):
     return total
 
 
-@given(st.sampled_from([FieldDesc(b, nv) for b in Base for nv in (0, 1, 3)]),
+def _coeffs(raw, w):
+    """The coefficients by H-index of a vector from witt._pack: the byte
+    lanes of a packed int, or the pairs of a sparse tuple."""
+    if isinstance(w, int):
+        return tuple(w >> _LANE * i & 0xFF for i in range(raw.size))
+    assert list(w) == sorted(w) and all(c for _, c in w)
+    out = [0] * raw.size
+    for i, c in w:
+        out[i] = c
+    return tuple(out)
+
+
+# every base at 0, 1 and 3 variables, and sparse vectors over finite
+# rings: F3[t1..t11] and F3(i)[t1..t10] have 2^11 indices
+@given(st.sampled_from([FieldDesc(b, nv) for b in Base for nv in (0, 1, 3)]
+                       + [FieldDesc(Base.F3, 11),
+                          FieldDesc(Base.SQUARE_MINUS_ONE, 10)]),
        st.data())
 def test_packed_vectors_follow_the_group_ring(raw_field, field, data):
-    # packing, difference, negation and anisotropic dimension of packed
-    # vectors against the group-ring oracle, on every base
+    # packing, difference, negation, the canonical sign and anisotropic
+    # dimension of Witt vectors against the group-ring oracle
     raw = raw_field(field)
-    pk = _Packed(field)
     a, b = (data.draw(st.lists(st.sampled_from(raw.classes), max_size=10))
             for _ in range(2))
     u, w = raw.vector(a), raw.vector(b)
     minus_w = raw.reduce([-c for c in w])
 
-    def coeffs(x):
-        return tuple(c for _, c in pk.items(x))
+    pa, pb = _pack(field, a), _pack(field, b)
+    assert _coeffs(raw, pa) == u and _coeffs(raw, pb) == w
+    (diff,) = _diffs(field, pa, [pb])
+    assert _coeffs(raw, diff) == raw.add(u, minus_w)
+    assert _coeffs(raw, _neg(field, pb)) == minus_w
+    unsigned, unsigned_neg = _unsigned(field, [pb, _neg(field, pb)])
+    assert unsigned == unsigned_neg
+    assert _coeffs(raw, unsigned) in (w, minus_w)
+    assert list(_dims(field, [diff, pa])) == [
+        raw.an_dim(raw.add(u, minus_w)), raw.an_dim(u)]
 
-    pa, pb = pk.pack(a), pk.pack(b)
-    assert coeffs(pa) == u and coeffs(pb) == w
-    (diff,) = pk.diffs(pa, [pb])
-    assert coeffs(diff) == raw.add(u, minus_w)
-    assert coeffs(pk.neg(pb)) == minus_w
-    assert pk.unsigned(pb) == pk.unsigned(pk.neg(pb))
-    assert coeffs(pk.unsigned(pb)) in (w, minus_w)
-    assert pk.dims([diff, pa]) == [raw.an_dim(raw.add(u, minus_w)),
-                                   raw.an_dim(u)]
+
+@pytest.mark.parametrize("base,nvars", [
+    (Base.F3, 10), (Base.F3, 11), (Base.C, 10), (Base.C, 11),
+    (Base.SQUARE_MINUS_ONE, 9), (Base.SQUARE_MINUS_ONE, 10)],
+    ids=lambda x: getattr(x, "name", str(x)))
+def test_vectors_at_the_dense_bits_boundary(raw_field, ideal_recursion,
+                                            base, nvars):
+    # H with 2^10 indices is packed and with 2^11 sparse: on both sides
+    # I^n membership, Witt indices and certificate checks agree with the
+    # group ring, on sums of scaled 3-fold Pfister forms, every other
+    # one with a binary form added
+    field = FieldDesc(base, nvars)
+    raw = raw_field(field)
+    rng = random.Random(nvars)
+    for trial in range(12):
+        specs = [PfisterSpec(field.random_class(rng), tuple(
+            field.random_class(rng) for _ in range(3)))
+            for _ in range(rng.randrange(1, 4))]
+        bits = [x for s in specs
+                for x in raw.pfister_bits(s.scalar.bits,
+                                          [a.bits for a in s.slots])]
+        if trial % 2:
+            bits += [field.random_class(rng).bits for _ in range(2)]
+        phi = DiagonalForm(field, tuple(SquareClass(field, x) for x in bits))
+        assert isinstance(_form_vector(phi), int) == (
+            raw.size <= 1 << _DENSE_BITS)
+        v = raw.vector(bits)
+        for n in range(5):
+            assert in_In(phi, n) == ideal_recursion(field, bits, n), n
+        assert witt_index(phi) == (phi.dim - raw.an_dim(v)) // 2
+        target = anisotropic_part(phi)
+        for terms in (specs, specs[1:]):
+            cert = PfisterCertificate(3, tuple(terms), target)
+            assert cert.verify() == (_spec_sum(raw, terms) == v)
+        assert trial % 2 or PfisterCertificate(3, tuple(specs),
+                                               target).verify()
 
 
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3),

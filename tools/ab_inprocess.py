@@ -17,9 +17,11 @@ first batch are checked on both trees by the benchmark's oracle, and
 its times are left out.
 
 Ops are keyed by kind and dimension (``pn/8``, ``pn/12``, ``c16``: the
-dimension is left out where the kind names it), and ``dim16`` ops also
-by the GP_3 they were drawn with (``c16/k2``, ``c16/k3``), so a change
-can show which dimension and op shape it moved.  Per key, and for all
+dimension is left out where the kind names it), ``dim16`` ops also by
+the GP_3 they were drawn with (``c16/k2``, ``c16/k3``), and
+``search-small`` ops by base, fold and scaling (``pn/R/P3/16`` is
+unscaled P_3 over R, ``pn/F3/GP2/10`` scaled GP_2 over F3), so a change
+can show which dimension, field and op shape it moved.  Per key, and for all
 ops together, it prints the median and quartiles of the per-op times of
 each tree over all timed batches, the ratio work / base of the medians,
 and the share of batches whose median (and p90) each tree won.  The
@@ -98,8 +100,13 @@ def run_batch(wl, ops, check: bool) -> dict:
 
 def key(op) -> str:
     """The op's kind and dimension, as in pn/12 (c14 names its own),
-    then the GP_3 a dim16 op was drawn with, as in c16/k3."""
+    then the GP_3 a dim16 op was drawn with, as in c16/k3; a
+    search-small op, whose arg is (base, nvars, n, unscaled), by base,
+    fold and scaling before its dimension, as in pn/R/P3/16."""
     dim = str(len(op.bits))
+    if isinstance(op.arg, tuple):
+        base, _nvars, n, unscaled = op.arg
+        return f"{op.kind}/{base}/{'P' if unscaled else 'GP'}{n}/{dim}"
     out = op.kind if dim in op.kind else f"{op.kind}/{dim}"
     return f"{out}/k{op.arg}" if isinstance(op.arg, int) else out
 
@@ -151,6 +158,7 @@ def main(argv=None) -> int:
     report = {}
     print(f"{args.workload}, seed {args.seed}: {args.batches} timed batches"
           f" of {args.ops} ops; per-op ms, median [q1, q3]")
+    width = max(map(len, per["work"]))
     for kind in sorted(per["work"]):
         row = {}
         for name in sides:
@@ -161,7 +169,7 @@ def main(argv=None) -> int:
         row["work_won"] = {stat: sum(w[kind]) / len(w[kind])
                            for stat, w in wins.items()}
         report[kind] = row
-        print(f"  {kind:8} base {row['base']['median']:.3f}"
+        print(f"  {kind:{width}} base {row['base']['median']:.3f}"
               f" [{row['base']['q1']:.3f}, {row['base']['q3']:.3f}]"
               f" p90 {row['base']['p90']:.3f} | work"
               f" {row['work']['median']:.3f} [{row['work']['q1']:.3f},"
