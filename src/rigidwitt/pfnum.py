@@ -3,10 +3,11 @@
 A product with a binary Pfister factor is first reduced to one fold
 less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
 and each k is decided by one rule of an exact ladder: the recognizer
-(an anchored search for scaled Pfister subforms); for scaled GP_3 up
-to dimension 16, at the value the classification theorems give, one
-term extended from a 2-fold Pfister subform and the rest decided at
-k - 1; the anchored two-term split; GP_2 peeling; for scaled n = 2, 3
+(an anchored search for scaled Pfister subforms); the anchored
+two-term split at dimension 2^(n+1); GP_2 peeling; for two scaled
+terms below dimension 2^(n+1), at every n, and for scaled GP_3 = 3 at
+dimension 16, one term extended from an (n-1)-fold Pfister subform and
+the rest decided at k - 1, exact by Elman-Lam linkage; for scaled n = 2, 3
 at k = 3 one pass over the generator classes that asks the rules at
 k = 2 about each remainder; and otherwise a complete search over the
 generator classes on their Witt vectors (witt._pack, with the 2-sumset
@@ -660,12 +661,13 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
 
 # --- the k = 3 pass -------------------------------------------------------
 
-# The anisotropic dimensions below 2^(n+1) that v - g can have in the
-# k = 3 pass over scaled I^n classes (n = 2, 3), and that then always
-# give two terms: Albert forms, D(12) and D(14).  Dimension 0 or 2^n
-# would make v a sum of at most two terms, which the ladder has ruled
-# out; the Hauptsatz excludes the rest.
-_PASS_DIMS = {2: (6,), 3: (12, 14)}
+def _linkage_dim(n: int, d: int) -> bool:
+    """Whether d is 2^(n+1) - 2^(r+1) for some r <= n - 2: the
+    anisotropic dimensions strictly between 2^n and 2^(n+1) of sums of
+    two scaled n-fold Pfister forms with linkage r (see
+    _extension_terms), and by Karpenko's "Holes in I^n" the only ones an
+    anisotropic I^n form takes there."""
+    return d in {(2 << n) - (2 << r) for r in range(n - 1)}
 
 
 def _pass_terms(field: FieldDesc, bits: Sequence[int], n: int,
@@ -676,12 +678,16 @@ def _pass_terms(field: FieldDesc, bits: Sequence[int], n: int,
 
     G_n is closed under -1, so v is a sum of three exactly when v - g
     is a sum of at most two for some generator g, and the anisotropic
-    dimension of v - g (witt._dims) decides that: below 2^(n+1) always
-    (_PASS_DIMS), at 2^(n+1) exactly when the anchored split succeeds,
-    above it never.  One lazy pass over G_n returns at the first remainder below
-    2^(n+1) and keeps those of dimension 2^(n+1) for the split after
-    it.  The two terms come from _decide_k at k = 2, never from the
-    generator search.
+    dimension of v - g (witt._dims) decides that: below 2^(n+1) always,
+    at 2^(n+1) exactly when the anchored split succeeds, above it never.
+    Below 2^(n+1) it is a linkage dimension (_linkage_dim), since 0 or
+    2^n would make v a sum of at most two, and for n = 2, 3 every
+    anisotropic I^n form there is two terms: Albert forms, D(12) and
+    D(14).  That fails at n = 4: over F3[t1..t5] some anisotropic I^4
+    forms of dimension 28 are no sum of two.  One lazy pass over G_n
+    returns at the first remainder below 2^(n+1) and keeps those of
+    dimension 2^(n+1) for the split after it.  The two terms come from
+    _decide_k at k = 2, never from the generator search.
     """
     gens = _generators(field, n, False)
     top = 2 << n
@@ -689,12 +695,12 @@ def _pass_terms(field: FieldDesc, bits: Sequence[int], n: int,
     for term, dim in zip(gens.values(), _dims(field, _diffs(
             field, _pack(field, bits), gens))):
         if dim < top:
-            if dim not in _PASS_DIMS[n]:
+            two = _linkage_dim(n, dim) and _decide_k(
+                field, _minus(field, bits, term), n, 2, False, cap)
+            if not two:
                 raise InternalContradictionError(
-                    f"I^{n} remainder of anisotropic dimension {dim}"
-                    f" where three terms are needed")
-            rest = _minus(field, bits, term)
-            return [term] + _decide_k(field, rest, n, 2, False, cap)
+                    f"I^{n} remainder of dimension {dim} without two terms")
+            return [term] + two
         if dim == top:
             full.append(term)
     for term in full:
@@ -733,39 +739,40 @@ def _gp2_peeling_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
 
 
 def _extension_terms(field: FieldDesc, bits: Sequence[int], n: int, k: int,
-                     cap: int) -> list[tuple]:
-    """k scaled n-fold terms for the anisotropic form with these entries,
-    whose Pfister number is known to be k: extend a scaled (n-1)-fold
-    subform c*pi to the n-fold term c<<slots, -cw>> = c*pi + w*pi
-    through a value w of its complement, and decide the remainder at
-    k - 1.
+                     cap: int) -> list[tuple] | None:
+    """k scaled n-fold terms for the anisotropic form phi with these
+    entries, or None: extend a scaled (n-1)-fold subform c*pi to the
+    n-fold term c<<slots, -cw>> = c*pi + w*pi through a value w of its
+    complement, and decide the remainder, the complement minus w*pi
+    (c*pi cancels), at k - 1.  Every anchored subform and every value w
+    are tried, so None means that no term built this way leaves k - 1.
 
-    The ladder asks this for scaled GP_3 at d <= 16 where k is
-    three_pfister_bound(d); some choice at an anchor then always works.
-    At d = 14, phi is s*tau1' + -s*tau2'; a summand represents an anchor
-    x, so x<<a,b>> lies in s*tau1' with tau1 = <<a,b,-xs>>, and w = -sa
-    in its complement gives s*tau1.  At d = 12 the terms share a binary
-    y<<a>>, and phi is rho1 + rho2 for their complements rho_i; each
-    value of rho1 is represented by a subform -yb<<a,c>> of it (up to
-    renaming b, c and bc), with w = -yc.  At d = 16 every choice works:
-    the remainder has dimension 12 or 14, as k = 2 was ruled out.
-    Choices whose remainder has another theorem bound than k - 1 are
-    skipped.  The remainder is the complement minus w*pi: c*pi cancels.
+    The ladder asks this at k = 2 for 2^n < dim phi < 2^(n+1), every n,
+    where it decides exactly (Elman-Lam linkage).  Let phi = x*pi1 -
+    x*pi2 with linkage r: pi_i = rho (x) sigma_i for a common r-fold
+    rho, and phi = x*rho (x) (sigma1' + -sigma2') of dimension 2^(n+1)
+    - 2^(r+1), so r <= n - 2.  A summand represents an anchor e (see
+    _anchors), say x*rho (x) sigma1'.  Then pi1 = rho (x) <<-ex>> (x) tau
+    with tau at least 1-fold, so e*rho (x) tau is a scaled (n-1)-fold
+    subform of phi at e whose complement holds x*rho (x) tau', and w = x*y
+    for a value y of rho (x) tau' gives w*rho (x) tau = x*rho (x) tau:
+    the term is x*pi1 and the remainder -x*pi2, which the recognizer
+    finds at k - 1 = 1.  At n = 3 these are D(14) (r = 0) and D(12)
+    (r = 1).  For n = 3 at dimension 16 it is asked at k = 3, once two
+    is ruled out: every choice then leaves a remainder of dimension 12
+    or 14 (w is a value of both the 12-dimensional complement and w*pi),
+    which is two terms.
     """
     flex = _flex(field)
     minus_one = _minus_one(field)
     for c, slots, comp in _pfister_subforms(field, bits, n - 1,
                                             _anchors(field, bits)):
         for w in _values(comp, flex):
-            rest = _minus(field, comp, (w, slots))
-            if _theorem_bound(n, len(rest)) != k - 1:
-                continue
-            terms = _decide_k(field, rest, n, k - 1, False, cap)
+            terms = _decide_k(field, _minus(field, comp, (w, slots)), n,
+                              k - 1, False, cap)
             if terms is not None:
                 return [(c, slots + (c ^ w ^ minus_one,))] + terms
-    raise InternalContradictionError(
-        f"{len(bits)}-dimensional I^{n} form without {k} terms extending"
-        f" a Pfister subform")
+    return None
 
 
 # --- tensor-identity reduction --------------------------------------------
@@ -944,8 +951,9 @@ def faulhaber_sum(q: BoundPoly) -> BoundPoly:
 
 
 def poly_bound(n: int) -> BoundPoly:
-    """The degree n-1 polynomial bound for GP_n: p_3 = X^2/16,
-    p_n = 1 + 2 p_{n-1}(X/2)."""
+    """The polynomial bound for GP_n: p_3 = X^2/16 and p_n = 1 + 2
+    p_(n-1)(X/2), which is quadratic for every n: p_n(X) = X^2/2^(n+1)
+    + 2^(n-3) - 1."""
     from fractions import Fraction
 
     if n < 3:
@@ -1076,13 +1084,13 @@ def _decide_k(
     The caller has ruled out every k from the dimension bound up to
     k - 1.  The first rule that applies decides, in this order: scaled
     1-fold classes split into binary forms; k = 1 is the recognizer;
-    scaled GP_3 at d <= 16 where k is three_pfister_bound(d) (2 at
-    dimensions 12 and 14, D(12) and D(14); 3 at 16) extends a 2-fold
-    Pfister subform to one term and decides the rest at k - 1
-    (_extension_terms); two scaled terms of dimension 2^(n+1) are an
-    isometric splitting, found by the anchored orthogonal decomposition
-    (_orthogonal_terms); scaled GP_2 is at most d/2 - 1 by peeling;
-    scaled k = 3 for n = 2, 3 is one pass over the generators,
+    two scaled terms of dimension 2^(n+1) are an isometric splitting,
+    found by the anchored orthogonal decomposition (_orthogonal_terms);
+    scaled GP_2 is at most d/2 - 1 by peeling; two scaled terms below
+    dimension 2^(n+1), for every n, and scaled GP_3 = 3 at dimension 16
+    extend an (n-1)-fold Pfister subform to one term and decide the rest
+    at k - 1 (_extension_terms, exact there by linkage: D(12) and D(14)
+    at n = 3); scaled k = 3 for n = 2, 3 is one pass over the generators,
     each remainder decided by these rules at k = 2 (_pass_terms); any
     other k goes to the generator search.  The last two need the
     generator set, built only when the measured size of each fold and
@@ -1096,12 +1104,12 @@ def _decide_k(
         return _gp1_terms(field, bits)
     if k == 1:
         return _as_scaled_pfister(field, bits, n, unscaled)
-    if not unscaled and n == 3 and d <= 16 and k == three_pfister_bound(d):
-        return _extension_terms(field, bits, n, k, cap)
     if not unscaled and k == 2 and d == 1 << (n + 1):
         return _orthogonal_terms(field, bits, n)
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(field, bits)
+    if not unscaled and (k == 2 and d < 2 << n or (n, d, k) == (3, 16, 3)):
+        return _extension_terms(field, bits, n, k, cap)
     why = _build_refusal(field, n, unscaled)
     if why is None:
         if not unscaled and n in (2, 3) and k == 3:
@@ -1308,13 +1316,14 @@ def random_In_form(
 
     A dimension no anisotropic I^n form has is rejected before the first
     draw: an odd one, a nonzero one below 2^n (Arason-Pfister
-    Hauptsatz), and 10 for n = 3 (below 16 such forms have dimension 8,
-    12 or 14).  So is one above 3 * 2^n, which a sum of at most three
-    terms cannot reach.
+    Hauptsatz), and one strictly between 2^n and 2^(n+1) that is no
+    linkage dimension 2^(n+1) - 2^(r+1) (Karpenko, "Holes in I^n"; see
+    _linkage_dim).  So is one above 3 * 2^n, which a sum of at most
+    three terms cannot reach.
     """
     if not allow_smaller and (
-            dim % 2 or (dim < 1 << n and dim != 0) or (n == 3 and dim == 10)
-            or dim > 3 << n):
+            dim % 2 or dim > 3 << n or dim < 2 << n and dim not in (0, 1 << n)
+            and not _linkage_dim(n, dim)):
         raise ValueError(f"no anisotropic I^{n} form of dimension {dim} "
                          f"can be drawn")
     for attempt in range(max_tries):

@@ -126,6 +126,33 @@ def test_exit_code_depth_cap(capsys):
         in err
 
 
+# Two GP_4 forms of dimension 30 over R[t1..t5], where the 4-fold
+# generators are over the search budget (random_In_form draws with
+# random.Random(4) and random.Random(0)).  The linkage rule decides
+# k = 2 on its own: the first is two terms; the second is not, so it is
+# refused at k = 3.
+_GP4_TWO = (
+    "<t2,t2,t2,t2,t2,t2*t3,t2*t3,t2*t3,t1*t2*t3,t4,t4,t4,t4,t1*t2*t4,"
+    "t3*t4,t3*t4,t3*t4,t3*t4,t2*t3*t4,t2*t5,t1*t2*t3*t5,t1*t2*t4*t5,"
+    "t2*t3*t4*t5,-t1*t2,-t2*t4,-t1*t2*t3*t4,-t1*t2*t5,-t2*t3*t5,-t2*t4*t5,"
+    "-t1*t2*t3*t4*t5>")
+_GP4_MORE = (
+    "<t2,t3,t2*t3,t1*t4,t1*t2*t3*t4,t1*t2*t3*t4,t1*t2*t3*t4,t5,t2*t5,"
+    "t1*t2*t5,t1*t2*t5,t3*t5,t1*t4*t5,t1*t2*t4*t5,t1*t3*t4*t5,-1,-t1*t2,"
+    "-t1*t2,-t2*t4,-t2*t4,-t1*t2*t4,-t1*t3*t4,-t1*t5,-t1*t5,-t2*t3*t5,"
+    "-t1*t2*t3*t5,-t1*t2*t3*t5,-t3*t4*t5,-t3*t4*t5,-t1*t2*t3*t4*t5>")
+
+
+def test_pfister_number_gp4_below_32(capsys):
+    field = "R[t1,t2,t3,t4,t5]"
+    code, out, _ = run(capsys, "pfister-number", "--field", field,
+                       "--form", _GP4_TWO, "--n", "4", "--json")
+    assert code == 0 and json.loads(out)["value"] == 2
+    code, _, err = run(capsys, "pfister-number", "--field", field,
+                       "--form", _GP4_MORE, "--n", "4", "--json")
+    assert code == 4 and "whether 3 terms suffice" in err
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(capsys, "verify", "roundtrip", "--seed", "3")
     assert code == 0

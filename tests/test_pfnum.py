@@ -1124,28 +1124,122 @@ def test_gp3_dim14_route_shape(raw_field):
 @pytest.mark.parametrize("field,dims", [
     (FieldDesc(Base.F3, 4), (12, 16)),
     (FieldDesc(Base.R, 4), (12, 14, 16)),
+    (FieldDesc(Base.R, 4), (24, 28, 30)),
 ], ids=str)
 def test_extension_rule_matches_lookup(field, dims, gp_lookup):
-    # scaled GP_3 at level 2 (F3[t1..t4], which draws no dimension-14
-    # forms) and level infinity (R[t1..t4]): 2 at dimensions 12 and 14,
-    # and at 16 two exactly when the lookup finds at most two terms.
-    # pfister_number tensor-reduces most of these forms, so the rule
-    # is also run directly on each one at the value the lookup gives
-    look = gp_lookup(field, 3)
+    # scaled GP_3 (dims up to 16) at level 2 (F3[t1..t4], which draws no
+    # dimension-14 forms) and level infinity (R[t1..t4]), and scaled
+    # GP_4 over R[t1..t4]: below 2^(n+1) two exactly when the lookup
+    # finds two terms (always for n = 3: D(12) and D(14)), and at 16 two
+    # exactly when the lookup finds at most two.  pfister_number
+    # tensor-reduces most of these forms, so the rule is also run
+    # directly on each one: at k = 2 below 2^(n+1), where it returns
+    # None exactly when two terms do not suffice, and at 16 at the value
+    # the lookup gives
+    n = 3 if dims[-1] <= 16 else 4
+    look = gp_lookup(field, n)
     rng = random.Random(1316)
     for dim in dims:
         for _ in range(16):
-            v, phi = _random_class(look, rng, 3, dim, (2, 3))
+            v, phi = _random_class(look, rng, n, dim, (2, 3))
             expected = 2 if look.terms(v) is not None else 3
-            assert dim == 16 or expected == 2, format_form(phi)
-            k, cert = pfister_number(phi, 3)
+            assert n == 4 or dim == 16 or expected == 2, format_form(phi)
+            k, cert = pfister_number(phi, n)
             assert k == len(cert.terms) == expected, format_form(phi)
             assert _spec_sum(look, cert.terms) == v
-            if expected == three_pfister_bound(dim):
-                terms = _extension_terms(field, [e.bits for e in phi], 3,
-                                         expected, expected)
-                assert len(terms) == expected
-                assert _spec_sum(look, [_spec(field, t) for t in terms]) == v
+            if dim < 2 << n or expected == 3:
+                k = 2 if dim < 2 << n else 3
+                terms = _extension_terms(field, [e.bits for e in phi], n,
+                                         k, k)
+                assert (terms is None) == (k < expected)
+                if terms is not None:
+                    assert len(terms) == k
+                    assert _spec_sum(
+                        look, [_spec(field, t) for t in terms]) == v
+
+
+def _linked_sum(raw, rng, n, r):
+    """The Witt vector of x*pi1 - x*pi2 for random n-fold Pfister forms
+    pi1, pi2 with r slots in common (and maybe more linkage)."""
+    common = [rng.choice(raw.classes) for _ in range(r)]
+    x = rng.choice(raw.classes)
+    pis = [common + [rng.choice(raw.classes) for _ in range(n - r)]
+           for _ in range(2)]
+    return raw.add(raw.vector(raw.pfister_bits(x, pis[0])),
+                   raw.vector(raw.pfister_bits(x ^ raw.minus_one, pis[1])))
+
+
+@pytest.mark.parametrize("field,n,dims", [
+    (FieldDesc(Base.R, 5), 4, (24, 28, 30)),
+    (FieldDesc(Base.F3, 5), 4, (24,)),
+    (FieldDesc(Base.C, 6), 4, (24,)),
+    (FieldDesc(Base.R, 6), 5, (48, 56, 60)),
+], ids=str)
+def test_two_linked_terms_never_reach_the_search(field, n, dims, raw_field,
+                                                 monkeypatch):
+    # two scaled n-fold terms with linkage r have anisotropic dimension
+    # 2^(n+1) - 2^(r+1); with the tensor reduction bypassed, the
+    # extension rule answers 2 on five drawn sums at each such dimension
+    # strictly between 2^n and 2^(n+1) that the field has, and the
+    # generator search is never called.  Over F3[t1..t5] and C[t1..t6]
+    # (six square-class bits) any two 4-fold Pfister forms share a
+    # 2-fold one, so 24 is the only such dimension there.  Over R, where
+    # the n-fold generators are over budget, sums with a third term in
+    # that range are answered 2 or refused at k = 3, with no search too
+    monkeypatch.setattr(pfnum, "_tensor_reduction", lambda field, bits: None)
+    calls = _count_calls(monkeypatch, ["_search_sum"])
+    raw = raw_field(field)
+    rng = random.Random(45 * n + field.nvars)
+    for d in dims:
+        r = ((2 << n) - d).bit_length() - 2
+        found = 0
+        while found < 5:
+            v = _linked_sum(raw, rng, n, r)
+            if raw.an_dim(v) == d:
+                k, cert = pfister_number(raw.form(v), n)
+                assert k == 2 and _spec_sum(raw, cert.terms) == v
+                found += 1
+    found = 0
+    while field.base is Base.R and found < 5:
+        v = raw.add(_linked_sum(raw, rng, n, 0), raw.vector(raw.pfister_bits(
+            rng.choice(raw.classes), rng.choices(raw.classes, k=n))))
+        if not 1 << n < raw.an_dim(v) < 2 << n:
+            continue
+        try:
+            k, cert = pfister_number(raw.form(v), n)
+            assert k == 2 and _spec_sum(raw, cert.terms) == v
+        except DepthCapExceededError as exc:
+            assert exc.k == 3 and exc.reason == "budget"
+        found += 1
+    assert calls["_search_sum"] == 0
+
+
+def test_extension_rule_misses_raise(raw_field, monkeypatch):
+    # with the extension rule made to miss, a 12-dimensional GP_3 form
+    # fails the ladder's final check (no representation within the
+    # theorem bound 2), and a k = 3 pass whose first remainder below 16
+    # (dimension 12 or 14) gets no two terms fails its own guard: both
+    # raise, and neither refuses nor returns another k
+    raw = raw_field(F5)
+    rng = random.Random(1212)
+    _, phi12 = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
+    assert not _reduces(phi12)
+    monkeypatch.setattr(pfnum, "_extension_terms", lambda *args: None)
+    with pytest.raises(InternalContradictionError, match="theorem bound 2"):
+        pfister_number(phi12, 3)
+    found = 0
+    while found < 4:
+        # a third term added to two that sum to dimension 12 or 14
+        rest = _linked_sum(raw, rng, 3, rng.choice((0, 1)))
+        v = raw.add(rest, raw.vector(raw.pfister_bits(
+            rng.choice(raw.classes), rng.choices(raw.classes, k=3))))
+        phi = raw.form(v)
+        if raw.an_dim(rest) < 12 or phi.dim <= 16 or _reduces(phi):
+            continue
+        with pytest.raises(InternalContradictionError,
+                           match="dimension 1[24] without two terms"):
+            pfister_number(phi, 3)
+        found += 1
 
 
 def _objects_built(monkeypatch, run):
@@ -1500,8 +1594,12 @@ def test_three_pfister_bound_table():
 def test_poly_bound():
     p3 = poly_bound(3)
     assert p3(4) == 1 and p3(8) == 4
+    # the recurrence p_n = 1 + 2 p_(n-1)(X/2) from p_3 = X^2/16 stays
+    # quadratic: p_n(X) = X^2/2^(n+1) + 2^(n-3) - 1
+    for n in range(3, 11):
+        assert poly_bound(n).coeffs == (
+            Fraction(2 ** (n - 3) - 1), Fraction(0), Fraction(1, 2 ** (n + 1)))
     p4 = poly_bound(4)
-    assert p4.coeffs == (Fraction(1), Fraction(0), Fraction(1, 32))
     xs = [2, 4, 8, 16, 32, 64]
     vals = [p4(x) for x in xs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
@@ -1554,8 +1652,10 @@ class _NoDraws(random.Random):
 
 def test_random_In_form_impossible_dimension():
     # rejected before the first draw: no anisotropic I^n form has this
-    # dimension (odd, nonzero below 2^n, or 10 at n = 3)
-    for n, dim in ((3, 10), (3, 9), (3, 6), (2, 2), (2, -2)):
+    # dimension (odd, nonzero below 2^n, or strictly between 2^n and
+    # 2^(n+1) and no linkage dimension 2^(n+1) - 2^(r+1): Karpenko)
+    for n, dim in ((3, 10), (3, 9), (3, 6), (2, 2), (2, -2), (4, 18),
+                   (4, 26), (5, 40)):
         with pytest.raises(ValueError):
             random_In_form(F5, n, dim, _NoDraws())
 
