@@ -5,16 +5,16 @@ less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
 and each k is decided by one rule of an exact ladder: the recognizer
 (an anchored search for scaled Pfister subforms); the anchored
 two-term split at dimension 2^(n+1); GP_2 peeling; for two scaled
-terms below dimension 2^(n+1), at every n, and for scaled GP_3 = 3 at
-dimension 16, one term extended from an (n-1)-fold Pfister subform and
-the rest decided at k - 1, exact by Elman-Lam linkage; for scaled n = 2, 3
-at k = 3 one pass over the generator classes that asks the rules at
-k = 2 about each remainder; and otherwise a complete search over the
-generator classes on their Witt vectors (witt._pack, with the 2-sumset
-of the generators when it is small enough to store).  The
-generator classes are built fold by fold, each fold and the generator
-set only when its measured size is within a fixed step budget, and a
-search is refused when it would take more steps than that budget.
+terms below dimension 2^(n+1), for scaled GP_3 = 3 at dimension 16 and
+for three scaled terms above 2^(n+1) from dimension 3*2^n - 2n on, at
+every n, one term extended from an (n-1)-fold Pfister subform and the
+rest decided at k - 1, exact by Elman-Lam linkage; and otherwise a
+complete search over the generator classes on their Witt vectors
+(witt._pack, with the 2-sumset of the generators when it is small
+enough to store).  Only the search builds anything: the generator
+classes, fold by fold, each fold and the generator set only when its
+measured size is within a fixed step budget, and a search is refused
+when it would take more steps than that budget.
 Every certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
@@ -659,57 +659,6 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
     return size ** (k - 4) * 2 * len(sums)
 
 
-# --- the k = 3 pass -------------------------------------------------------
-
-def _linkage_dim(n: int, d: int) -> bool:
-    """Whether d is 2^(n+1) - 2^(r+1) for some r <= n - 2: the
-    anisotropic dimensions strictly between 2^n and 2^(n+1) of sums of
-    two scaled n-fold Pfister forms with linkage r (see
-    _extension_terms), and by Karpenko's "Holes in I^n" the only ones an
-    anisotropic I^n form takes there."""
-    return d in {(2 << n) - (2 << r) for r in range(n - 1)}
-
-
-def _pass_terms(field: FieldDesc, bits: Sequence[int], n: int,
-                cap: int) -> list[tuple] | None:
-    """Three scaled n-fold terms (n = 2 or 3) for the anisotropic I^n
-    class v with these entries, or None when it needs more; the caller
-    has ruled out two.
-
-    G_n is closed under -1, so v is a sum of three exactly when v - g
-    is a sum of at most two for some generator g, and the anisotropic
-    dimension of v - g (witt._dims) decides that: below 2^(n+1) always,
-    at 2^(n+1) exactly when the anchored split succeeds, above it never.
-    Below 2^(n+1) it is a linkage dimension (_linkage_dim), since 0 or
-    2^n would make v a sum of at most two, and for n = 2, 3 every
-    anisotropic I^n form there is two terms: Albert forms, D(12) and
-    D(14).  That fails at n = 4: over F3[t1..t5] some anisotropic I^4
-    forms of dimension 28 are no sum of two.  One lazy pass over G_n
-    returns at the first remainder below 2^(n+1) and keeps those of
-    dimension 2^(n+1) for the split after it.  The two terms come from
-    _decide_k at k = 2, never from the generator search.
-    """
-    gens = _generators(field, n, False)
-    top = 2 << n
-    full = []
-    for term, dim in zip(gens.values(), _dims(field, _diffs(
-            field, _pack(field, bits), gens))):
-        if dim < top:
-            two = _linkage_dim(n, dim) and _decide_k(
-                field, _minus(field, bits, term), n, 2, False, cap)
-            if not two:
-                raise InternalContradictionError(
-                    f"I^{n} remainder of dimension {dim} without two terms")
-            return [term] + two
-        if dim == top:
-            full.append(term)
-    for term in full:
-        two = _decide_k(field, _minus(field, bits, term), n, 2, False, cap)
-        if two is not None:
-            return [term] + two
-    return None
-
-
 # --- constructive certificate routes --------------------------------------
 
 def _gp1_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
@@ -747,7 +696,7 @@ def _extension_terms(field: FieldDesc, bits: Sequence[int], n: int, k: int,
     (c*pi cancels), at k - 1.  Every anchored subform and every value w
     are tried, so None means that no term built this way leaves k - 1.
 
-    The ladder asks this at k = 2 for 2^n < dim phi < 2^(n+1), every n,
+    k = 2.  The ladder asks this for 2^n < dim phi < 2^(n+1), every n,
     where it decides exactly (Elman-Lam linkage).  Let phi = x*pi1 -
     x*pi2 with linkage r: pi_i = rho (x) sigma_i for a common r-fold
     rho, and phi = x*rho (x) (sigma1' + -sigma2') of dimension 2^(n+1)
@@ -758,20 +707,77 @@ def _extension_terms(field: FieldDesc, bits: Sequence[int], n: int, k: int,
     for a value y of rho (x) tau' gives w*rho (x) tau = x*rho (x) tau:
     the term is x*pi1 and the remainder -x*pi2, which the recognizer
     finds at k - 1 = 1.  At n = 3 these are D(14) (r = 0) and D(12)
-    (r = 1).  For n = 3 at dimension 16 it is asked at k = 3, once two
-    is ruled out: every choice then leaves a remainder of dimension 12
-    or 14 (w is a value of both the 12-dimensional complement and w*pi),
-    which is two terms.
+    (r = 1).
+
+    k = 3 at dimension 16 for n = 3, once two is ruled out: every
+    choice leaves a remainder of dimension 12 or 14 (w is a value of
+    both the 12-dimensional complement and w*pi), which is two terms.
+
+    k = 3 above 2^(n+1), every n, once d = dim phi >= 3*2^n - 2n (10 at
+    n = 2, 18 at n = 3, 40 at n = 4); two terms are out by dimension.
+    The anchors are all of D(phi) (witt._values), remainders above
+    2^(n+1) are skipped, and the rest are decided at k = 2 by the exact
+    rules, so no generator set is built.  The w with every w*p in D(comp)
+    go first: w*pi may embed in comp there, which leaves the least
+    remainder, of dimension d - 2^n.  This is exact.  Say phi = g1
+    + g2 + g3.  an(phi - g1) = an(g2 + g3) has dimension at most
+    2^(n+1), so phi and g1 share a subform tau of dimension at least
+    (d - 2^n)/2 >= 2^n - n (the Witt index of phi - g1), and tau misses
+    at most n entries of g1.  A form embeds one H-index (a class up to
+    sign) at a time, as witt._split_off splits it off: at level 2
+    <x,x> = <-x,-x>, so tau holds x where phi holds x or a doubled -x.
+    g1 = <<-1>>^m (x) c*rho, where the entries of c*rho sit one each on
+    the H-indices of a coset of rank r = n - m; m = 0 at level 1 (<1,1>
+    is isotropic) and m <= 1 at level 2 (<1,1,1,1> is).  Let D be the
+    indices where tau misses entries of g1.
+    (a) D lies in an affine hyperplane of the coset, as it always does
+    for m = 0 (any n points of an affine n-space over F2 do).  Then g1
+    on the other half is a scaled (n-1)-fold Pfister form sigma = c*pi
+    inside tau, and g1 on D's half is w*pi for some w.
+    (b) Otherwise m >= 1, and no index misses more than 2^(m-1)
+    entries: D lies in no hyperplane, so it has at least r + 1 =
+    n - m + 1 indices, while with an index missing more it would have
+    at most n - 2^(m-1) < r + 1.  So sigma, 2^(m-1) of g1's entries at
+    every index, lies in tau, and g1 = sigma + sigma (w = c).  At level
+    2 (m = 1) D is then n affinely independent indices that miss one
+    entry each, so sigma's signs can follow tau's there (any signs on
+    independent points extend to a coset), and a doubled <x,x> of tau
+    takes either sign elsewhere.
+    Either way sigma represents c, a value of phi, so the walk anchored
+    at c yields it with its complement comp.  tau = sigma + tau' with
+    dim tau' > 0, as d > 2^(n+1), and tau' embeds in comp and in w*pi.
+    So some value v of comp is w*p for a value p of pi, and v*pi = w*pi
+    (pi is round): the term for (c, v) is g1, and its remainder g2 + g3
+    is found at k = 2.  g1 need not be an orthogonal summand of phi,
+    which is why _anchors does not do here: at n = 4 it misses sums of
+    three.  At n <= 3 every remainder below 2^(n+1) is two terms (0 and
+    2^n would make phi at most two; the others are Albert forms at n =
+    2, D(12) and D(14) at n = 3), so a miss there raises.  At n = 4 it
+    need not be: some 28-dimensional I^4 forms over F3[t1..t5] are no
+    sum of two.
     """
     flex = _flex(field)
     minus_one = _minus_one(field)
-    for c, slots, comp in _pfister_subforms(field, bits, n - 1,
-                                            _anchors(field, bits)):
-        for w in _values(comp, flex):
-            terms = _decide_k(field, _minus(field, comp, (w, slots)), n,
-                              k - 1, False, cap)
+    top = 2 << n
+    wide = len(bits) > top
+    anchors = _values(bits, flex) if wide else _anchors(field, bits)
+    for c, slots, comp in _pfister_subforms(field, bits, n - 1, anchors):
+        ws = _values(comp, flex)
+        if wide:  # first the w with w*pi in D(comp): the least remainders
+            member = set(ws)
+            pi = _expand(field, (0, slots))
+            ws.sort(key=lambda w: not member.issuperset([w ^ p for p in pi]))
+        for w in ws:
+            rest = _minus(field, comp, (w, slots))
+            if len(rest) > top:
+                continue
+            terms = _decide_k(field, rest, n, k - 1, False, cap)
             if terms is not None:
                 return [(c, slots + (c ^ w ^ minus_one,))] + terms
+            if k == 3 and n <= 3 and len(rest) < top:
+                raise InternalContradictionError(
+                    f"I^{n} remainder of dimension {len(rest)} without two"
+                    f" terms")
     return None
 
 
@@ -1087,12 +1093,12 @@ def _decide_k(
     two scaled terms of dimension 2^(n+1) are an isometric splitting,
     found by the anchored orthogonal decomposition (_orthogonal_terms);
     scaled GP_2 is at most d/2 - 1 by peeling; two scaled terms below
-    dimension 2^(n+1), for every n, and scaled GP_3 = 3 at dimension 16
-    extend an (n-1)-fold Pfister subform to one term and decide the rest
-    at k - 1 (_extension_terms, exact there by linkage: D(12) and D(14)
-    at n = 3); scaled k = 3 for n = 2, 3 is one pass over the generators,
-    each remainder decided by these rules at k = 2 (_pass_terms); any
-    other k goes to the generator search.  The last two need the
+    dimension 2^(n+1), scaled GP_3 = 3 at dimension 16, and three scaled
+    terms above 2^(n+1) once d >= 3*2^n - 2n, for every n, extend an
+    (n-1)-fold Pfister subform to one term and decide the rest at k - 1
+    (_extension_terms, exact there by linkage: D(12) and D(14) at n = 3;
+    at k = 3 each remainder is decided by these rules at k = 2); any
+    other k goes to the generator search.  Only the search needs the
     generator set, built only when the measured size of each fold and
     of the set is within _MAX_SEARCH_COST (_build_refusal), and the
     search must keep to it too (_search_cost).  Raises
@@ -1100,20 +1106,20 @@ def _decide_k(
     method is available, so a wrong minimum can never be reported.
     """
     d = len(bits)
+    top = 2 << n
     if not unscaled and n == 1:
         return _gp1_terms(field, bits)
     if k == 1:
         return _as_scaled_pfister(field, bits, n, unscaled)
-    if not unscaled and k == 2 and d == 1 << (n + 1):
+    if not unscaled and k == 2 and d == top:
         return _orthogonal_terms(field, bits, n)
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(field, bits)
-    if not unscaled and (k == 2 and d < 2 << n or (n, d, k) == (3, 16, 3)):
+    if not unscaled and (k == 2 and d < top or (n, d, k) == (3, 16, 3)
+                         or k == 3 and d > top and d >= (3 << n) - 2 * n):
         return _extension_terms(field, bits, n, k, cap)
     why = _build_refusal(field, n, unscaled)
     if why is None:
-        if not unscaled and n in (2, 3) and k == 3:
-            return _pass_terms(field, bits, n, cap)
         cost = _search_cost(field, n, k, unscaled)
         if cost <= _MAX_SEARCH_COST:
             return _search_sum(field, bits, n, k, unscaled)
@@ -1301,6 +1307,15 @@ def classify16(phi: DiagonalForm) -> dict:
 
 
 # --- random sampling ------------------------------------------------------
+
+def _linkage_dim(n: int, d: int) -> bool:
+    """Whether d is 2^(n+1) - 2^(r+1) for some r <= n - 2: the
+    anisotropic dimensions strictly between 2^n and 2^(n+1) of sums of
+    two scaled n-fold Pfister forms with linkage r (see
+    _extension_terms), and by Karpenko's "Holes in I^n" the only ones an
+    anisotropic I^n form takes there."""
+    return d in {(2 << n) - (2 << r) for r in range(n - 1)}
+
 
 def random_In_form(
     field: FieldDesc,

@@ -153,6 +153,25 @@ def test_pfister_number_gp4_below_32(capsys):
     assert code == 4 and "whether 3 terms suffice" in err
 
 
+# A three-term GP_3 form of dimension 20 over F3[t1..t6], where the 3-fold
+# Pfister classes are over the build budget (random_In_form draw with
+# random.Random(20)).  The extension rule answers k = 3 with no
+# generator set.
+_GP3_D20_T6 = (
+    "<t2*t3,t1*t2*t3,t2*t4,t2*t4,t2*t5,t2*t3*t5,t1*t2*t3*t5,t1*t2*t3*t4*t5,"
+    "t1*t2*t3*t6,t2*t4*t6,t2*t3*t4*t6,t1*t2*t5*t6,-t2,-t4,-t1*t2*t4*t5,"
+    "-t3*t4*t5,-t4*t6,-t2*t5*t6,-t2*t3*t5*t6,-t3*t4*t5*t6>")
+
+
+def test_pfister_number_gp3_above_the_generator_budget(capsys):
+    code, out, _ = run(capsys, "pfister-number", "--field",
+                       "F3[t1,t2,t3,t4,t5,t6]", "--form", _GP3_D20_T6,
+                       "--n", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 3 and len(payload["certificate"]["terms"]) == 3
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(capsys, "verify", "roundtrip", "--seed", "3")
     assert code == 0

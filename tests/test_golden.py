@@ -29,7 +29,7 @@ from rigidwitt.pfnum import (
 from rigidwitt.qform import DiagonalForm, PfisterSpec
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 
-GOLDEN = "a77c44d2f0c0fbb026f94a77c802286cdf01dbf82b66c5b11ac3502db4c15920"
+GOLDEN = "c4f88814c157533a84afc774dc8bcb970a43376550027a9ab14766514d79a9ae"
 VALUES = "7521f212e6e97827ee46cddcc9c3e6e66087cf2f20ade8654ce7f9b57211419a"
 
 F5 = FieldDesc(Base.F3, 5)

@@ -52,7 +52,6 @@ from rigidwitt.pfnum import (
     _build_refusal,
     _extension_terms,
     _orthogonal_terms,
-    _pass_terms,
     _pfister_subforms,
     _raw,
     _search_sum,
@@ -677,8 +676,8 @@ _FOUR_TERMS_D22 = (
 
 @pytest.mark.parametrize("field,text,n,k,why", [
     # GP_3 at dim 22 over F3[t1..t5]: the dimension rules out 2 terms,
-    # the k = 3 pass over the 11160 generators rules out 3, and four
-    # terms, with no stored 2-sumset, cost 11160^3 steps
+    # the extension rule rules out 3, and four terms over the 11160
+    # generators, with no stored 2-sumset, cost 11160^3 steps
     (F5, _FOUR_TERMS_D22, 3, 4, "over its budget"),
     # GP_2 at dim 14 over F3[t1..t4] is above 3, and four terms over the
     # 1240 scaled generators, with no stored 2-sumset, cost 1240^3 steps
@@ -705,16 +704,20 @@ def test_depth_cap_refusal_names_its_bound():
 
 def test_generator_builds_keep_to_the_budget(monkeypatch):
     # the budget is measured on the folds and on G before each is built:
-    # the 2-fold generators of F3[t1..t6] would take 341376 packs, so
-    # scaled P_2 >= 3 there is refused and G_2 is never built
+    # the 2-fold generators of F3[t1..t6] would take 341376 packs.  Scaled
+    # P_2 = 3 at dim 10 there is decided by the extension rule, and the
+    # dim-14 form that needs more than three reaches the search at k = 4,
+    # which is refused: G_2 is never built
     monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
     f6 = FieldDesc(Base.F3, 6)
     why = _build_refusal(f6, 2, False)
     assert why.startswith("building the generators") and "budget" in why
     phi = random_In_form(f6, 2, 10, random.Random(6))
+    assert pfister_number(phi, 2)[0] == 3
     with pytest.raises(DepthCapExceededError) as info:
-        pfister_number(phi, 2)
-    assert info.value.k == 3 and info.value.reason == "budget"
+        pfister_number(parse_form(_DIM14_T4, f6), 2)
+    assert info.value.k == 4 and info.value.reason == "budget"
+    assert why in str(info.value)
     assert ("G", (f6, 2, False)) not in pfnum._GEN_CACHE
     # the 3-fold classes of F3[t1..t6] are refused before they are built
     assert _build_refusal(f6, 3, True).startswith("building the 3-fold")
@@ -725,8 +728,8 @@ def test_search_stays_within_its_budget(raw_field):
     # deep searches refuse at once instead of running for minutes: the
     # unscaled dim-14 form over F3[t1..t4] (295 generators, S2 stored)
     # rules out 4 terms and refuses 5, which would take 295 passes over
-    # S2; scaled P_2 at dim 10 over F3[t1..t5] is decided as 3 by one
-    # pass over its 10416 generators
+    # S2; scaled P_2 at dim 10 over F3[t1..t5] is decided as 3 by the
+    # extension rule, which builds none of its 10416 generators
     start = time.perf_counter()
     with pytest.raises(DepthCapExceededError) as info:
         pfister_number(parse_form(_DIM14_T4, FieldDesc(Base.F3, 4)), 2,
@@ -751,33 +754,34 @@ def test_search_stays_within_its_budget(raw_field):
 def test_search_starts_at_the_dimension_bound(monkeypatch, field, unscaled,
                                               seed):
     # k terms have dimension at most k 2^n, so a dim-10 P_2 form needs
-    # at least 3, and neither the generator search nor the k = 3 pass
-    # is asked for 2
+    # at least 3: no rule of the ladder, the generator search included,
+    # is asked for 2, nor for fewer terms than a remainder's dimension
+    # needs
     asked = []
-    search, one_pass = pfnum._search_sum, pfnum._pass_terms
+    decide, search = pfnum._decide_k, pfnum._search_sum
+
+    def recorded_decide(fld, bits, n, k, unsc, cap):
+        asked.append((len(bits), n, k))
+        return decide(fld, bits, n, k, unsc, cap)
 
     def recorded(fld, bits, n, k, unsc):
         asked.append((len(bits), n, k))
         return search(fld, bits, n, k, unsc)
 
-    def recorded_pass(fld, bits, n, cap):
-        asked.append((len(bits), n, 3))
-        return one_pass(fld, bits, n, cap)
-
+    monkeypatch.setattr(pfnum, "_decide_k", recorded_decide)
     monkeypatch.setattr(pfnum, "_search_sum", recorded)
-    monkeypatch.setattr(pfnum, "_pass_terms", recorded_pass)
     rng = random.Random(seed)
     for _ in range(3):
         phi = random_In_form(field, 2, 10, rng)
         pfister_number(phi, 2, unscaled=unscaled)
-    assert asked
+    assert (10, 2, 3) in asked
     assert all(k >= math.ceil(d / 2 ** n) for d, n, k in asked), asked
 
 
 def test_scaled_P2_at_dim_10_never_searches(monkeypatch, raw_field):
     # scaled P_2 at dim 10 over F3[t1..t4] needs at least 3 terms; the
-    # k = 3 pass decides 3 (and 4 would be GP_2 peeling at d/2 - 1), so
-    # the generator search is never called
+    # extension rule decides 3 (and 4 would be GP_2 peeling at d/2 - 1),
+    # so the generator search is never called
     field = FieldDesc(Base.F3, 4)
 
     def search(*args):
@@ -792,28 +796,29 @@ def test_scaled_P2_at_dim_10_never_searches(monkeypatch, raw_field):
         assert k == 3 and _spec_sum(look, cert.terms) == v
 
 
-def _pass_oracle(look, n, v, cert):
-    """Check the k = 3 pass for scaled GP_n (n = 2, 3) of the class v
-    against the lookup.  With a three-term certificate, its first term
-    is a generator and the rest of v is exactly two terms; with None
-    (three ruled out), every v - g of anisotropic dimension at most
-    2^(n+1) needs more than two (a sum of two has no larger dimension)."""
-    if cert is None:
+def _pass_oracle(look, n, v, terms):
+    """Check a k = 3 answer for scaled GP_n of the class v against the
+    lookup, which shares no code with the library.  With three terms
+    (PfisterSpecs), the first is a generator and the rest of v is
+    exactly two terms; with None (three ruled out), every v - g of
+    anisotropic dimension at most 2^(n+1) needs more than two (a sum of
+    two has no larger dimension)."""
+    if terms is None:
         small = [r for r in look.differences(v)
                  if look.an_dim(r) <= 2 << n]
         assert all(look.terms(r) is None for r in small)
         return
-    first = look.spec_vector(cert.terms[0])
+    first = look.spec_vector(terms[0])
     assert first in look.scaled
     assert look.terms(look.add(v, look.reduce([-c for c in first]))) == 2
-    assert _spec_sum(look, cert.terms) == v
+    assert _spec_sum(look, terms) == v
 
 
 def test_pass_matches_the_search_over_F3_t4(gp_lookup):
     # scaled GP_3 beyond dimension 16 over F3[t1..t4] (620 generators),
     # at 20 and 24, the dimensions above 16 that sums of three or four
-    # terms take there: the pass and the generator search both find
-    # three terms, and both legs check out in the lookup
+    # terms take there: the extension rule and the generator search both
+    # find three terms, and both legs check out in the lookup
     field = FieldDesc(Base.F3, 4)
     look = gp_lookup(field, 3)
     rng = random.Random(1824)
@@ -824,7 +829,7 @@ def test_pass_matches_the_search_over_F3_t4(gp_lookup):
                                False) is not None
             k, cert = pfister_number(phi, 3)
             assert k == len(cert.terms) == 3 <= three_pfister_bound(dim)
-            _pass_oracle(look, 3, v, cert)
+            _pass_oracle(look, 3, v, cert.terms)
 
 
 @pytest.mark.parametrize("n,dims", [(3, (18, 20, 22, 24)), (2, (10, 12))])
@@ -840,15 +845,73 @@ def test_pass_legs_over_F3_t5(gp_lookup, n, dims):
             v, phi = _random_class(look, rng, n, dim, (3,))
             k, cert = pfister_number(phi, n)
             assert k == 3 <= bound(dim)
-            _pass_oracle(look, n, v, cert)
+            _pass_oracle(look, n, v, cert.terms)
 
 
 def test_pass_rules_out_three_for_a_four_term_sum(gp_lookup):
     look = gp_lookup(F5, 3)
     phi = parse_form(_FOUR_TERMS_D22, F5)
     bits = [e.bits for e in phi]
-    assert _pass_terms(F5, bits, 3, 4) is None
+    assert _extension_terms(F5, bits, 3, 3, 4) is None
     _pass_oracle(look, 3, look.vector(bits), None)
+
+
+@pytest.mark.parametrize("field,n,dims", [
+    (F5, 3, (18, 20, 22, 24)),
+    (FieldDesc(Base.F3, 4), 2, (10, 12)),
+    (FieldDesc(Base.R, 3), 2, (10, 12)),
+    (FieldDesc(Base.C, 4), 2, (10, 12)),
+    (FieldDesc(Base.SQUARE_MINUS_ONE, 3), 2, (10, 12)),
+], ids=str)
+def test_extension_scan_matches_the_pass_oracle(field, n, dims, gp_lookup):
+    # the k = 3 extension rule above dimension 2^(n+1), run directly on
+    # sums of three or four scaled n-fold terms (pfister_number would
+    # tensor-reduce some of them), at every base: three terms exactly
+    # when the lookup has a generator g with v - g a sum of two, with
+    # legs that check out there
+    look = gp_lookup(field, n)
+    rng = random.Random(21 * n + field.nvars)
+    for dim in dims:
+        for _ in range(5):
+            v, phi = _random_class(look, rng, n, dim, (3, 4))
+            terms = _extension_terms(field, [e.bits for e in phi], n, 3, 3)
+            assert terms is None or len(terms) == 3
+            _pass_oracle(look, n, v, None if terms is None else [
+                _spec(field, t) for t in terms])
+
+
+@pytest.mark.parametrize("field,n,seed", [
+    (FieldDesc(Base.R, 5), 4, 4),
+    (FieldDesc(Base.F3, 6), 3, 6),
+    (FieldDesc(Base.F3, 8), 3, 8),
+], ids=str)
+def test_three_terms_need_no_generators(field, n, seed, raw_field,
+                                        monkeypatch):
+    # sums of three scaled n-fold terms of dimension 3*2^n - 2n or more
+    # (40 at n = 4, 18 at n = 3), where G_n is over the build budget: the
+    # dimension rules out two, the extension rule finds three, the
+    # certificates re-expand in the group ring, and no Pfister fold,
+    # generator class or search is built.  The 13th and 15th draws over
+    # R[t1..t5] are found only with every value of phi as an anchor: the
+    # anchors of _anchors miss them, since the first term need not be an
+    # orthogonal summand of phi
+    monkeypatch.setattr(pfnum, "_tensor_reduction", lambda field, bits: None)
+    calls = _count_calls(monkeypatch,
+                         ["_generators", "_pfister_set", "_search_sum"])
+    raw = raw_field(field)
+    rng = random.Random(seed)
+    found = 0
+    while found < 15:
+        v = (0,) * raw.size
+        for _ in range(3):
+            v = raw.add(v, raw.vector(raw.pfister_bits(
+                rng.choice(raw.classes), rng.choices(raw.classes, k=n))))
+        if raw.an_dim(v) < (3 << n) - 2 * n:
+            continue
+        k, cert = pfister_number(raw.form(v), n)
+        assert k == len(cert.terms) == 3 and _spec_sum(raw, cert.terms) == v
+        found += 1
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_pfister_folds_are_built_once_per_field(monkeypatch):
@@ -1215,16 +1278,22 @@ def test_two_linked_terms_never_reach_the_search(field, n, dims, raw_field,
 
 
 def test_extension_rule_misses_raise(raw_field, monkeypatch):
-    # with the extension rule made to miss, a 12-dimensional GP_3 form
+    # with every k = 2 decision made to miss, a 12-dimensional GP_3 form
     # fails the ladder's final check (no representation within the
-    # theorem bound 2), and a k = 3 pass whose first remainder below 16
-    # (dimension 12 or 14) gets no two terms fails its own guard: both
-    # raise, and neither refuses nor returns another k
+    # theorem bound 2), and the k = 3 extension rule above dimension 16
+    # fails its own guard at its first remainder below 16 (dimension 12
+    # or 14; one of 16 may come first and is skipped): both raise, and
+    # neither refuses nor returns another k
     raw = raw_field(F5)
     rng = random.Random(1212)
     _, phi12 = _random_class(raw, rng, 3, 12, (2,), (raw.minus_one,))
     assert not _reduces(phi12)
-    monkeypatch.setattr(pfnum, "_extension_terms", lambda *args: None)
+    decide = pfnum._decide_k
+
+    def missing_two(field, bits, n, k, unscaled, cap):
+        return None if k == 2 else decide(field, bits, n, k, unscaled, cap)
+
+    monkeypatch.setattr(pfnum, "_decide_k", missing_two)
     with pytest.raises(InternalContradictionError, match="theorem bound 2"):
         pfister_number(phi12, 3)
     found = 0

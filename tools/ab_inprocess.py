@@ -10,9 +10,11 @@ BASELINE_CHECKOUT/src/rigidwitt is loaded as the package ``rw_base`` and
 ./src/rigidwitt as ``rw_work``, side by side in one interpreter.  One
 seeded op stream is drawn with the workload classes of
 perfbench/worker.py (imported, not changed), and each batch of --ops
-fresh ops runs on both trees, the order alternating from batch to
-batch.  Each tree keeps its own caches, and no op repeats, so a cache
-helps only within a batch, as in a benchmark run.  The answers of the
+fresh ops is split by key (below): each key's ops run as a sub-batch of
+their own on both trees, the order alternating from batch to batch, so
+the other kinds of op in a batch do not move a key's times.  Each tree
+keeps its own caches, and no op repeats, so a cache helps only within a
+batch, as in a benchmark run.  The answers of the
 first batch are checked on both trees by the benchmark's oracle, and
 its times are left out.
 
@@ -81,10 +83,10 @@ def side(wl, lib, ops):
     return other, out
 
 
-def run_batch(wl, ops, check: bool) -> dict:
-    """Per-kind op times in ms; with check, every answer goes through
-    the oracle first (untimed)."""
-    times: dict[str, list[float]] = {}
+def run_batch(wl, ops, check: bool) -> list[float]:
+    """The op times in ms; with check, every answer goes through the
+    oracle first (untimed)."""
+    times = []
     clock = time.perf_counter
     gc.collect()
     for op in ops:
@@ -93,8 +95,7 @@ def run_batch(wl, ops, check: bool) -> dict:
         t1 = clock()
         if check:
             wl.check(op, answer)
-        times.setdefault(key(op), []).append((t1 - t0) * 1e3)
-        times.setdefault("all", []).append((t1 - t0) * 1e3)
+        times.append((t1 - t0) * 1e3)
     return times
 
 
@@ -143,8 +144,15 @@ def main(argv=None) -> int:
     for b in range(args.batches + 1):
         batch = wl.inputs[b * args.ops:(b + 1) * args.ops]
         order = ("base", "work") if b % 2 else ("work", "base")
-        got = {name: run_batch(*side(wl, sides[name], batch), check=not b)
-               for name in order}
+        groups: dict[str, list] = {}
+        for op in batch:
+            groups.setdefault(key(op), []).append(op)
+        got = {name: {"all": []} for name in order}
+        for kind, ops in groups.items():
+            for name in order:
+                xs = run_batch(*side(wl, sides[name], ops), check=not b)
+                got[name][kind] = xs
+                got[name]["all"] += xs
         if not b:
             continue
         for name in sides:
