@@ -35,19 +35,16 @@ from .ideals import (  # noqa: F401
     rigid_decompose,
 )
 from .pfnum import (  # noqa: F401
-    BoundPoly,
     PfisterCertificate,
     classify14,
     classify16,
     common_slot,
     divisible_by_pfister,
     enumerate_GPn_classes,
-    faulhaber_sum,
     find_GP2_subform,
     generic_I2_form,
     lower_bound_generic,
     pfister_number,
-    poly_bound,
     random_In_form,
     three_pfister_bound,
     two_pfister_bound,

@@ -105,6 +105,8 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_pfister_number(args, out) -> int:
+    if args.depth_cap is not None and args.depth_cap < 0:
+        raise _UsageError("--depth-cap must be nonnegative")
     field = parse_field(args.field)
     phi = parse_form(args.form, field)
     k, cert = pfister_number(

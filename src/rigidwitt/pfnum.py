@@ -31,7 +31,7 @@ import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DepthCapExceededError,
@@ -71,12 +71,8 @@ from .witt import (
     _values,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "PfisterCertificate",
-    "BoundPoly",
     "RESULT_LOG",
     "pfister_number",
     "enumerate_GPn_classes",
@@ -84,8 +80,6 @@ __all__ = [
     "lower_bound_generic",
     "two_pfister_bound",
     "three_pfister_bound",
-    "faulhaber_sum",
-    "poly_bound",
     "divisible_by_pfister",
     "common_slot",
     "find_GP2_subform",
@@ -872,115 +866,21 @@ def three_pfister_bound(d: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class BoundPoly:
-    """Polynomial with exact rational coefficients, ascending degree."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        from fractions import Fraction  # only the bound polynomials need it
-
-        trimmed = list(self.coeffs)
-        while len(trimmed) > 1 and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in trimmed))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x) -> Fraction:
-        from fractions import Fraction
-
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose_scaled(self, factor: Fraction) -> "BoundPoly":
-        """p(factor * X)."""
-        return BoundPoly(tuple(
-            c * factor ** i for i, c in enumerate(self.coeffs)))
-
-    def __add__(self, other: "BoundPoly") -> "BoundPoly":
-        a, b = self.coeffs, other.coeffs
-        size = max(len(a), len(b))
-        return BoundPoly(tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(size)))
-
-    def scaled(self, factor) -> "BoundPoly":
-        return BoundPoly(tuple(c * factor for c in self.coeffs))
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and self.degree:
-                continue
-            base = "1" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            parts.append(f"{c}" if i == 0 else f"{c}*{base}")
-        return " + ".join(parts) if parts else "0"
-
-
-def _bernoulli(n: int) -> list[Fraction]:
-    """B_0 .. B_n with the B_1 = +1/2 convention."""
-    from fractions import Fraction
-
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * out[k]
-        out.append(-acc / (m + 1))
-    if n >= 1:
-        out[1] = Fraction(1, 2)  # only B_1 differs between the conventions
-    return out
-
-
-def _power_sum_poly(m: int) -> BoundPoly:
-    """p with p(n) = 1^m + ... + n^m, via Bernoulli numbers."""
-    bern = _bernoulli(m)
-    coeffs = [0] * (m + 2)
-    for j in range(m + 1):
-        coeffs[m + 1 - j] = math.comb(m + 1, j) * bern[j] / (m + 1)
-    return BoundPoly(tuple(coeffs))
-
-
-def faulhaber_sum(q: BoundPoly) -> BoundPoly:
-    """The polynomial p with p(n) = q(1) + q(2) + ... + q(n), exactly."""
-    total = BoundPoly((0,))
-    for m, c in enumerate(q.coeffs):
-        total = total + _power_sum_poly(m).scaled(c)
-    return total
-
-
-def poly_bound(n: int) -> BoundPoly:
-    """The polynomial bound for GP_n: p_3 = X^2/16 and p_n = 1 + 2
-    p_(n-1)(X/2), which is quadratic for every n: p_n(X) = X^2/2^(n+1)
-    + 2^(n-3) - 1."""
-    from fractions import Fraction
-
-    if n < 3:
-        raise ValueError("polynomial bounds start at fold 3")
-    p = BoundPoly((0, 0, Fraction(1, 16)))
-    for _ in range(n - 3):
-        p = p.compose_scaled(Fraction(1, 2)).scaled(2) + BoundPoly((1,))
-    return p
-
-
 def _theorem_bound(n: int, d: int) -> int:
     """The bound on scaled GP_n at even dimension d that the theorems
-    give: d/2 for n = 1, then two_pfister_bound, three_pfister_bound and
-    the polynomial bound."""
+    give: d/2 for n = 1, then two_pfister_bound, three_pfister_bound and,
+    for n >= 4, ceil(p_n(d)) for the paper's p_3 = X^2/16 and p_n = 1 +
+    2 p_(n-1)(X/2).  If p_(n-1) = X^2/2^n + 2^(n-4) - 1, then p_n = 1 +
+    2 (X^2/2^(n+2) + 2^(n-4) - 1) = X^2/2^(n+1) + 2^(n-3) - 1, so by
+    induction from p_3 every p_n is that quadratic; its constant is an
+    integer, and ceil(d^2/2^(n+1)) is an arithmetic shift."""
     if n == 1:
         return d // 2
     if n == 2:
         return two_pfister_bound(d)
     if n == 3:
         return three_pfister_bound(d)
-    return math.ceil(poly_bound(n)(d))
+    return -(-d * d >> n + 1) + (1 << n - 3) - 1
 
 
 def _default_cap(n: int, d: int, unscaled: bool) -> int:
@@ -1001,9 +901,10 @@ def pfister_number(
 ) -> tuple[int, PfisterCertificate]:
     """The minimal number of (scaled) n-fold Pfister classes summing to phi.
 
-    Raises NotInIdealError if phi is not in I^n and DepthCapExceededError
-    when exactness cannot be certified within the cap; a returned value
-    is always exactly minimal, with a verified certificate.
+    Raises ValueError if n < 1 or depth_cap < 0, NotInIdealError if phi
+    is not in I^n and DepthCapExceededError when exactness cannot be
+    certified within the cap; a returned value is always exactly
+    minimal, with a verified certificate.
     """
     k, terms, an = _exact_terms(phi, n, unscaled, depth_cap)
     return k, _certificate(n, terms, an)
@@ -1018,6 +919,8 @@ def _exact_terms(
     its own certificate from them, once."""
     if n < 1:
         raise ValueError("fold must be at least 1")
+    if depth_cap is not None and depth_cap < 0:
+        raise ValueError("depth_cap must be nonnegative")
     if not in_In(phi, n):
         raise NotInIdealError(f"form is not in I^{n}")
     an = anisotropic_part(phi)

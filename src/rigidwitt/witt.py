@@ -311,12 +311,9 @@ def _split_off(rest: list[int], y: int, flex: int) -> bool:
 def _represented(phi: DiagonalForm) -> list[int] | None:
     """D(phi) on raw bits, or None when phi is isotropic (and so
     represents every class)."""
-    field = phi.field
-    bits = tuple(sorted(e.bits for e in phi))
-    an = _an_bits(field, bits)
-    if len(an) < len(bits):
+    if is_isotropic(phi):
         return None
-    return _values(an, _flex(field))
+    return _values([e.bits for e in phi], _flex(phi.field))
 
 
 def represents(phi: DiagonalForm, x: SquareClass) -> bool:

@@ -24,6 +24,8 @@ pin the current one to the same outputs.
 import collections
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -395,3 +397,18 @@ def _ideal_power(field, n):
 def ideal_power():
     """phi lies in I^n iff its Witt vector is in ideal_power(field, n)."""
     return _ideal_power
+
+
+def _poly(n, x):
+    """The paper's bound polynomial p_n at x: p_3 = X^2/16 and p_n =
+    1 + 2 p_(n-1)(X/2)."""
+    if n == 3:
+        return x * x / 16
+    return 1 + 2 * _poly(n - 1, x / 2)
+
+
+@pytest.fixture(scope="session")
+def poly_bound():
+    """poly_bound(n, d): ceil(p_n(d)), the paper's polynomial bound on
+    GP_n at dimension d, by the recursion in exact Fractions."""
+    return lambda n, d: math.ceil(_poly(n, Fraction(d)))

@@ -1,9 +1,14 @@
 """CLI plumbing: subcommands, exit codes, output formats."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rigidwitt
 from rigidwitt.cli import main
 
 
@@ -126,6 +131,14 @@ def test_exit_code_depth_cap(capsys):
         in err
 
 
+def test_negative_depth_cap_is_a_usage_error(capsys):
+    for form in ("<1,t1,t2,t1*t2>", "<>"):
+        code, out, err = run(capsys, "pfister-number", "--field", "F3[t1,t2]",
+                             "--form", form, "--n", "2", "--depth-cap", "-1")
+        assert code == 1
+        assert err.startswith("usage error:") and not out
+
+
 # Two GP_4 forms of dimension 30 over R[t1..t5], where the 4-fold
 # generators are over the search budget (random_In_form draws with
 # random.Random(4) and random.Random(0)).  The linkage rule decides
@@ -151,6 +164,27 @@ def test_pfister_number_gp4_below_32(capsys):
     code, _, err = run(capsys, "pfister-number", "--field", field,
                        "--form", _GP4_MORE, "--n", "4", "--json")
     assert code == 4 and "whether 3 terms suffice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n", "5", "--dmax", "64"),
+    ("pfister-number", "--field", "R[t1,t2,t3,t4,t5]", "--form", _GP4_TWO,
+     "--n", "4", "--json"),
+], ids=["bounds", "pfister-number"])
+def test_cold_start_skips_fractions(argv):
+    # a cold process computes the n >= 4 bound in integers: fractions
+    # is never imported
+    src = pathlib.Path(rigidwitt.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rigidwitt", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "rigidwitt.pfnum" in imported
+    assert "fractions" not in imported
 
 
 # A three-term GP_3 form of dimension 20 over F3[t1..t6], where the 3-fold
@@ -239,17 +273,14 @@ def test_verify_oracles_and_all(capsys, suite):
     assert sorted(payload["suites"]) == names
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_bounds_rows(capsys, n):
-    import math
-
-    from rigidwitt.pfnum import poly_bound, two_pfister_bound
+@pytest.mark.parametrize("n", [2, 4, 5, 6])
+def test_bounds_rows(capsys, n, poly_bound):
+    from rigidwitt.pfnum import two_pfister_bound
 
     code, out, _ = run(capsys, "bounds", "--n", str(n), "--dmax", "24")
     assert code == 0
     rows = out.strip().splitlines()
     assert rows[0] == "d,bound"
     for d in range(0, 25, 2):
-        bound = two_pfister_bound(d) if n == 2 \
-            else math.ceil(poly_bound(4)(d))
+        bound = two_pfister_bound(d) if n == 2 else poly_bound(n, d)
         assert rows[1 + d // 2] == f"{d},{bound}"

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,7 +28,6 @@ from rigidwitt.errors import (
 )
 from rigidwitt.ideals import extend_scalars_quadratic, in_In, lift_form
 from rigidwitt.pfnum import (
-    BoundPoly,
     PfisterCertificate,
     RESULT_LOG,
     classify14,
@@ -37,12 +35,10 @@ from rigidwitt.pfnum import (
     common_slot,
     divisible_by_pfister,
     enumerate_GPn_classes,
-    faulhaber_sum,
     find_GP2_subform,
     generic_I2_form,
     lower_bound_generic,
     pfister_number,
-    poly_bound,
     random_In_form,
     three_pfister_bound,
     two_pfister_bound,
@@ -58,6 +54,7 @@ from rigidwitt.pfnum import (
     _spec,
     _sumset,
     _tensor_reduction,
+    _theorem_bound,
 )
 from rigidwitt.qform import (
     DiagonalForm,
@@ -688,6 +685,13 @@ def test_depth_cap_reasons(field, text, n, k, why):
         pfister_number(parse_form(text, field), n)
     assert info.value.k == k and info.value.reason == "budget"
     assert why in str(info.value)
+
+
+def test_negative_depth_cap_is_rejected():
+    g6 = generic_I2_form(F5, 4)
+    for phi in (g6, DiagonalForm(F5, ())):
+        with pytest.raises(ValueError, match="depth_cap"):
+            pfister_number(phi, 2, depth_cap=-1)
 
 
 def test_depth_cap_refusal_names_its_bound():
@@ -1609,6 +1613,27 @@ def test_orthogonal_terms_decompose_sums_of_two_fold_forms(field,
         assert _orthogonal_terms(field, comp, 2) is not None, bits
 
 
+def test_orthogonal_terms_backs_up_from_the_first_subform(raw_field):
+    # three-term sums of scaled 2-fold forms over F3[t1..t5] at dim 12:
+    # in 7 of these 20 draws the first subform found at the anchors
+    # leaves a complement with no decomposition, so the terms are found
+    # only by trying the next subform
+    raw = raw_field(F5)
+    rng = random.Random(3)
+    backed_up = 0
+    for _ in range(20):
+        bits = [e.bits for e in random_In_form(F5, 2, 12, rng).entries]
+        _, _, comp = next(_pfister_subforms(F5, bits, 2, _anchors(F5, bits)))
+        backed_up += _orthogonal_terms(F5, comp, 2) is None
+        terms = _orthogonal_terms(F5, bits, 2)
+        assert terms is not None and len(terms) == 3, bits
+        total = (0,) * raw.size
+        for e, slots in terms:
+            total = raw.add(total, raw.vector(raw.pfister_bits(e, slots)))
+        assert total == raw.vector(bits), bits
+    assert backed_up == 7
+
+
 def test_classify_dimension_checks():
     with pytest.raises(ValueError):
         classify14(_f("<1,t1>"))
@@ -1660,47 +1685,12 @@ def test_three_pfister_bound_table():
         three_pfister_bound(7)
 
 
-def test_poly_bound():
-    p3 = poly_bound(3)
-    assert p3(4) == 1 and p3(8) == 4
-    # the recurrence p_n = 1 + 2 p_(n-1)(X/2) from p_3 = X^2/16 stays
-    # quadratic: p_n(X) = X^2/2^(n+1) + 2^(n-3) - 1
-    for n in range(3, 11):
-        assert poly_bound(n).coeffs == (
-            Fraction(2 ** (n - 3) - 1), Fraction(0), Fraction(1, 2 ** (n + 1)))
-    p4 = poly_bound(4)
-    xs = [2, 4, 8, 16, 32, 64]
-    vals = [p4(x) for x in xs]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_faulhaber_sum_matches_direct():
-    for degree in range(7):
-        q = BoundPoly(tuple(Fraction(i + 1, i + 2)
-                            for i in range(degree + 1)))
-        p = faulhaber_sum(q)
-        for n in (1, 2, 3, 10, 100):
-            assert p(n) == sum(q(k) for k in range(1, n + 1))
-
-
-def test_bound_poly_arithmetic():
-    p = BoundPoly((1, 2, 3))
-    assert p.degree == 2
-    assert p(2) == 1 + 4 + 12
-    assert (p + BoundPoly((0, 1))).coeffs == (1, 3, 3)
-    assert p.compose_scaled(Fraction(1, 2))(2) == p(1)
-
-
-def test_bound_poly_str():
-    # zero coefficients are skipped unless the polynomial is constant;
-    # trailing zeros are trimmed on construction
-    assert str(BoundPoly((0,))) == "0"
-    assert str(BoundPoly((3, 0, 0))) == "3"
-    assert str(BoundPoly((1, 2, 3))) == "1 + 2*X + 3*X^2"
-    assert str(poly_bound(3)) == "1/16*X^2"
-    assert str(poly_bound(4)) == "1 + 1/32*X^2"
-    assert str(BoundPoly((Fraction(-1, 2), 0, 0, 1, 0))) == "-1/2 + 1*X^3"
-    assert str(BoundPoly((0, -1))) == "-1*X"
+def test_theorem_bound_closed_form(poly_bound):
+    # ceil(p_n(d)) for the paper's recursion p_3 = X^2/16, p_n = 1 +
+    # 2 p_(n-1)(X/2), read off the closed form in integers
+    for n in range(4, 11):
+        assert [_theorem_bound(n, d) for d in range(0, 401, 2)] == \
+            [poly_bound(n, d) for d in range(0, 401, 2)], n
 
 
 # --- sampler --------------------------------------------------------------
