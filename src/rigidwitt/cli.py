@@ -194,8 +194,8 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _cmd_bounds(args, out) -> int:
-    if args.n < 2:
-        raise _UsageError("--n must be at least 2")
+    if args.n < 2 or args.dmax < 0:
+        raise _UsageError("--n must be at least 2, --dmax nonnegative")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["d", "bound"])

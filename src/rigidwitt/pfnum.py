@@ -12,9 +12,10 @@ rest decided at k - 1, exact by Elman-Lam linkage; and otherwise a
 complete search over the generator classes on their Witt vectors
 (witt._pack, with the 2-sumset of the generators when it is small
 enough to store).  Only the search builds anything: the generator
-classes, fold by fold, each fold and the generator set only when its
-measured size is within a fixed step budget, and a search is refused
-when it would take more steps than that budget.
+classes, from the Pfister folds of the residue field by Springer's
+theorem, only when their number, known before any is made, is within a
+fixed step budget; a search is refused when it would take more steps
+than that budget.
 Every certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
@@ -95,7 +96,7 @@ RESULT_LOG: deque[dict] = deque(maxlen=4096)
 
 _MAX_SUMSET = 1 << 16  # generator pairs behind a stored 2-sumset
 _MAX_SEARCH_COST = 1 << 23  # vector differences one build or search may take
-_READ_COST = 64  # vector differences one _an_bits read or one pack costs
+_READ_COST = 64  # vector differences one generator's pack costs
 
 
 # --- certificates ---------------------------------------------------------
@@ -197,30 +198,57 @@ def _certificate(n: int, terms: Sequence[tuple],
 _GEN_CACHE: dict = {}
 
 
-def _pfister_set(field: FieldDesc, n: int) -> dict:
-    """S_n, the anisotropic n-fold Pfister classes, grown from S_(n-1)
-    and cached one fold per entry; S_0 is {<1>}.
+def _pfister_set(field: FieldDesc, n: int, limit: float) -> dict | None:
+    """S_n, the anisotropic n-fold Pfister classes, or None when there
+    are more than limit of them; cached one fold per entry, S_0 = {<1>}.
 
-    Maps the canonical entry-bit tuple to a tuple of slot bits.
+    Maps the canonical entry-bit tuple to a tuple of slot bits.  Over
+    the base field (at most one nonsquare class) each fold is grown
+    from the one below by every class, and each product is tested
+    (_an_bits).  Above it, by Springer's theorem for the top variable t
+    over the residue field K, an anisotropic n-fold Pfister form is
+    either one over K or rho (x) <<u*t>> for rho in S_(n-1)(K) and a
+    class u of K, and two of the second kind are isometric exactly when
+    their rho are and their u agree up to a value of rho (the residue
+    forms rho and -u*rho; D(rho) is the group of similarity factors of
+    rho).  So |S_n| = |S_n(K)| + sum over rho of q(K)/|D(rho)|, q(K) the
+    number of classes of K, is known before any new form is made.
+    Neither fold of K is larger, and as |D(rho)| <= dim rho, S_(n-1)(K)
+    is at most limit * 2^(n-1)/q(K) when S_n fits: a fold over limit is
+    refused before anything larger is built.
     """
-    cached = _GEN_CACHE.get(("S", field, n))
-    if cached is not None:
-        return cached
-    if n == 0:
-        out = {(0,): ()}
-    else:
-        minus_one = _minus_one(field)
-        prev = _pfister_set(field, n - 1)
+    key = ("S", field, n)
+    out = _GEN_CACHE.get(key)
+    if out is None and n and not field.nvars:
         out = {}
         for a in field.class_bits()[1:]:
-            na = a ^ minus_one
-            for bits, slots in prev.items():
-                prod = bits + tuple(b ^ na for b in bits)
-                an = _an_bits(field, tuple(sorted(prod)))
+            for slots in _pfister_set(field, n - 1, math.inf).values():
+                an = _an_bits(field, tuple(sorted(_expand(
+                    field, (0, slots + (a,))))))
                 if len(an) == 1 << n:
-                    out.setdefault(_canon_bits(field, an), slots + (a,))
-    _GEN_CACHE[("S", field, n)] = out
-    return out
+                    out[_canon_bits(field, an)] = slots + (a,)
+    elif out is None and n:
+        residue = field.residue()
+        units = residue.class_bits()
+        rhos = _pfister_set(residue, n - 1, limit * (1 << n - 1) / len(units))
+        out = None if rhos is None else _pfister_set(residue, n, limit)
+        if out is None:
+            return None
+        values = [_value_set(bits, _flex(field)) for bits in rhos]
+        if len(out) + sum(len(units) // len(v) for v in values) > limit:
+            return None
+        out = dict(out)
+        for slots, vals in zip(rhos.values(), values):
+            seen: set[int] = set()
+            for u in units:
+                if u not in seen:
+                    seen.update([u ^ v for v in vals])
+                    grown = slots + (u | 1 << field.nvars,)
+                    out[_canon_bits(field, _expand(field, (0, grown)))] = grown
+    elif out is None:
+        out = {(0,): ()}
+    _GEN_CACHE[key] = out
+    return out if len(out) <= limit else None
 
 
 def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
@@ -237,38 +265,11 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
     else:
         scalars = field.class_bits()
     out: dict = {}
-    for bits, slots in _pfister_set(field, n).items():
+    for bits, slots in _pfister_set(field, n, math.inf).items():
         for c in scalars:
             out.setdefault(_pack(field, [c ^ b for b in bits]), (c, slots))
     _GEN_CACHE[("G", key)] = out
     return out
-
-
-def _build_refusal(field: FieldDesc, n: int, unscaled: bool) -> str | None:
-    """Why building G_n would go over _MAX_SEARCH_COST, or None.
-
-    Each missing fold S_j is measured before it is built: it reads
-    len(classes) * |S_(j-1)| anisotropic parts.  G_n then packs
-    |S_n| * len(scalars) vectors.  A read or a pack weighs _READ_COST
-    vector differences.  The folds found within budget are built and
-    stored here; G_n is built by its first user.
-    """
-    if ("G", (field, n, unscaled)) in _GEN_CACHE:
-        return None
-    classes = len(field.class_bits())
-    for j in range(1, n + 1):
-        if ("S", field, j) not in _GEN_CACHE:
-            cost = _READ_COST * classes * len(_pfister_set(field, j - 1))
-            if cost > _MAX_SEARCH_COST:
-                return (f"building the {j}-fold Pfister classes would take"
-                        f" about {cost} steps, over its budget of"
-                        f" {_MAX_SEARCH_COST}")
-    cost = _READ_COST * len(_pfister_set(field, n)) * (2 if unscaled
-                                                        else classes)
-    if cost > _MAX_SEARCH_COST:
-        return (f"building the generators would take about {cost} steps,"
-                f" over its budget of {_MAX_SEARCH_COST}")
-    return None
 
 
 def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
@@ -592,7 +593,7 @@ def _search_sum(
     S2, and witnesses are recovered by k = 2 passes; any other k recurses
     on v - g, the candidates ordered by anisotropic dimension and bounded
     by 2^n (k - 1).  Callers must keep the build and the search within
-    _MAX_SEARCH_COST first (see _build_refusal and _search_cost).
+    _MAX_SEARCH_COST first (see _decide_k and _search_cost).
     """
     gens = _generators(field, n, unscaled)
     sums = _sumset(field, n, unscaled) if k >= 3 else None
@@ -1002,9 +1003,10 @@ def _decide_k(
     (_extension_terms, exact there by linkage: D(12) and D(14) at n = 3;
     at k = 3 each remainder is decided by these rules at k = 2); any
     other k goes to the generator search.  Only the search needs the
-    generator set, built only when the measured size of each fold and
-    of the set is within _MAX_SEARCH_COST (_build_refusal), and the
-    search must keep to it too (_search_cost).  Raises
+    generator set, built only when packing it, _READ_COST per class of
+    S_n and scalar, is within _MAX_SEARCH_COST (_pfister_set refuses
+    S_n over that size before it is made), and the search must keep to
+    it too (_search_cost).  Raises
     DepthCapExceededError, with reason "budget", when no complete
     method is available, so a wrong minimum can never be reported.
     """
@@ -1021,11 +1023,14 @@ def _decide_k(
     if not unscaled and (k == 2 and d < top or (n, d, k) == (3, 16, 3)
                          or k == 3 and d > top and d >= (3 << n) - 2 * n):
         return _extension_terms(field, bits, n, k, cap)
-    why = _build_refusal(field, n, unscaled)
-    if why is None:
-        cost = _search_cost(field, n, k, unscaled)
-        if cost <= _MAX_SEARCH_COST:
-            return _search_sum(field, bits, n, k, unscaled)
+    limit = _MAX_SEARCH_COST // (_READ_COST * (
+        2 if unscaled else field.square_class_count()))
+    if _pfister_set(field, n, limit) is None:
+        why = (f"building the generators would take over its budget of"
+               f" {_MAX_SEARCH_COST} steps")
+    elif (cost := _search_cost(field, n, k, unscaled)) <= _MAX_SEARCH_COST:
+        return _search_sum(field, bits, n, k, unscaled)
+    else:
         why = (f"the generator search would take about {cost} steps,"
                f" over its budget of {_MAX_SEARCH_COST}")
     raise DepthCapExceededError(

@@ -111,10 +111,10 @@ class SquareClass:
 
     def __post_init__(self) -> None:
         field, bits = self.field, self.bits
-        if bits >> field.nvars + 1 or (
-                bits & 1 and field.base is Base.C):  # -1 is a square
-            object.__setattr__(self, "bits", bits & (2 << field.nvars) - (
-                2 if field.base is Base.C else 1))
+        if bits >> field.nvars + 1:  # a negative int has every bit set
+            raise ValueError(f"class bits {bits} out of range over {field}")
+        if bits & 1 and field.base is Base.C:  # -1 is a square
+            object.__setattr__(self, "bits", bits ^ 1)
 
     @property
     def unit(self) -> int:

@@ -61,6 +61,17 @@ def test_bounds_csv(capsys):
     assert rows[-1] == "16,3"
 
 
+@pytest.mark.parametrize("argv", [("--n", "4", "--dmax", "-2"),
+                                  ("--n", "1", "--dmax", "8")],
+                         ids=["dmax", "n"])
+def test_bounds_rejects_bad_arguments(capsys, argv):
+    # a negative --dmax is a usage error, as a negative --dims is for
+    # tabulate, not an empty table
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 1
+    assert err.startswith("usage error:") and not out
+
+
 def test_tabulate_csv(capsys):
     code, out, _ = run(capsys, "tabulate", "--field", "F3[t1,t2]",
                        "--n", "2", "--dims", "4", "--samples", "5",

@@ -29,7 +29,7 @@ from rigidwitt.pfnum import (
 from rigidwitt.qform import DiagonalForm, PfisterSpec
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 
-GOLDEN = "c4f88814c157533a84afc774dc8bcb970a43376550027a9ab14766514d79a9ae"
+GOLDEN = "7160c20a3eb7df5a4adf405f00af37732888b9686a30042ee754b69d635bd6ef"
 VALUES = "7521f212e6e97827ee46cddcc9c3e6e66087cf2f20ade8654ce7f9b57211419a"
 
 F5 = FieldDesc(Base.F3, 5)

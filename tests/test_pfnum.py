@@ -45,8 +45,9 @@ from rigidwitt.pfnum import (
     _anchors,
     _as_scaled_pfister,
     _biquadratic_splitting,
-    _build_refusal,
+    _expand,
     _extension_terms,
+    _generators,
     _orthogonal_terms,
     _pfister_subforms,
     _raw,
@@ -707,25 +708,55 @@ def test_depth_cap_refusal_names_its_bound():
 
 
 def test_generator_builds_keep_to_the_budget(monkeypatch):
-    # the budget is measured on the folds and on G before each is built:
-    # the 2-fold generators of F3[t1..t6] would take 341376 packs.  Scaled
-    # P_2 = 3 at dim 10 there is decided by the extension rule, and the
-    # dim-14 form that needs more than three reaches the search at k = 4,
-    # which is refused: G_2 is never built
+    # S_2 of F3[t1..t6] has 2667 classes, and its generators would take
+    # 341376 packs: the fold is counted from the folds of F3[t1..t5] and
+    # refused before it is made.  Scaled P_2 = 3 at dim 10 there is
+    # decided by the extension rule, and the dim-14 form that needs more
+    # than three reaches the search at k = 4, which is refused: neither
+    # S_2 nor G_2 is ever built
     monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
     f6 = FieldDesc(Base.F3, 6)
-    why = _build_refusal(f6, 2, False)
-    assert why.startswith("building the generators") and "budget" in why
     phi = random_In_form(f6, 2, 10, random.Random(6))
     assert pfister_number(phi, 2)[0] == 3
     with pytest.raises(DepthCapExceededError) as info:
         pfister_number(parse_form(_DIM14_T4, f6), 2)
     assert info.value.k == 4 and info.value.reason == "budget"
-    assert why in str(info.value)
-    assert ("G", (f6, 2, False)) not in pfnum._GEN_CACHE
-    # the 3-fold classes of F3[t1..t6] are refused before they are built
-    assert _build_refusal(f6, 3, True).startswith("building the 3-fold")
-    assert ("S", f6, 3) not in pfnum._GEN_CACHE
+    assert "building the generators" in str(info.value)
+    assert "over its budget" in str(info.value)
+    assert ("S", f6, 2) not in pfnum._GEN_CACHE
+    assert not any(key[0] == "G" for key in pfnum._GEN_CACHE)
+
+
+def test_refusal_builds_no_large_fold(monkeypatch):
+    # a GP_4 form of dimension 30 over R[t1..t5] (the random_In_form draw
+    # with random.Random(0)) is not two terms, and three need the search,
+    # whose S_4 has 2419 classes, over the 2048 that the budget allows
+    # for 64 scalars: the refusal counts S_4 from the folds of
+    # R[t1..t4], builds no fold larger than the limit and leaves S_4
+    # unbuilt
+    monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
+    field = FieldDesc(Base.R, 5)
+    phi = random_In_form(field, 4, 30, random.Random(0))
+    with pytest.raises(DepthCapExceededError) as info:
+        pfister_number(phi, 4)
+    assert info.value.reason == "budget" and info.value.k == 3
+    assert ("S", field, 4) not in pfnum._GEN_CACHE
+    folds = [len(v) for key, v in pfnum._GEN_CACHE.items() if key[0] == "S"]
+    assert folds and max(folds) <= 2048
+
+
+def test_unscaled_P3_over_F3_t6_is_searched():
+    # <<t1,t2,t3>> - <<t4,t5,t6>> over F3[t1..t6]: the 3-fold classes
+    # there are small enough to build for the two unscaled scalars, and
+    # the search finds the two terms
+    f6 = FieldDesc(Base.F3, 6)
+    t = [f6.var(i) for i in range(1, 7)]
+    phi = anisotropic_part(orth_sum(pfister(tuple(t[:3])),
+                                    scale(f6.minus_one(),
+                                          pfister(tuple(t[3:])))))
+    k, cert = pfister_number(phi, 3, unscaled=True)
+    assert k == 2 and cert.verify()
+    assert all(term.scalar.bits in (0, 1) for term in cert.terms)
 
 
 def test_search_stays_within_its_budget(raw_field):
@@ -919,17 +950,45 @@ def test_three_terms_need_no_generators(field, n, seed, raw_field,
 
 
 def test_pfister_folds_are_built_once_per_field(monkeypatch):
-    # one P_2 and one P_3 generator search over the same field share
-    # folds 0-2 of its Pfister classes: each fold is stored once
+    # one P_2 and one P_3 generator search over the same field: S_3 is
+    # grown from S_2 and S_3 of F3[t1..t3], and S_2 from the folds of
+    # F3[t1..t3] that S_3 also needs.  Each fold is built once and kept,
+    # those of the residue fields too
     field = FieldDesc(Base.F3, 4)
     monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
     t1, t2, t3, t4 = (field.var(i) for i in range(1, 5))
     assert pfister_number(scale(t1, pfister((t2, t3))), 2,
                           unscaled=True)[0] == 2
+    first = {key: id(v) for key, v in pfnum._GEN_CACHE.items()
+             if key[0] == "S"}
     assert pfister_number(scale(t1, pfister((t2, t3, t4))), 3,
                           unscaled=True)[0] == 2
-    folds = sorted(key[1:] for key in pfnum._GEN_CACHE if key[0] == "S")
-    assert folds == [(field, n) for n in range(4)]
+    folds = {key: id(v) for key, v in pfnum._GEN_CACHE.items()
+             if key[0] == "S"}
+    assert {("S", field, 2), ("S", field, 3)} <= set(folds)
+    assert ("S", field.residue(), 2) in first
+    assert all(folds[key] == first[key] for key in first)
+
+
+@pytest.mark.parametrize("base", list(Base), ids=lambda b: b.value)
+def test_generators_match_the_lookup(gp_lookup, base):
+    # the scaled and unscaled generator classes, grown from the residue
+    # fields, against the conftest lookup: every base with 1-4
+    # variables at n = 1-3, and at n = 4 where there are at most 32
+    # classes.  Each term re-expands to its key, and no class repeats
+    for nvars in range(1, 5):
+        field = FieldDesc(base, nvars)
+        for n in range(1, 5):
+            if n == 4 and len(field.class_bits()) > 32:
+                continue
+            look = gp_lookup(field, n)
+            for unscaled in (False, True):
+                gens = _generators(field, n, unscaled)
+                found = {look.vector(_expand(field, t)) for t in gens.values()}
+                assert len(found) == len(gens)
+                assert found == (look.unscaled if unscaled else look.scaled)
+                assert all(_pack(field, _expand(field, t)) == key
+                           for key, t in gens.items())
 
 
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)], ids=str)

@@ -50,6 +50,18 @@ def test_c_base_has_no_unit_bit():
     f = FieldDesc(Base.C, 1)
     minus_t = -f.var(1)
     assert minus_t == f.var(1)  # -1 is a square
+    assert SquareClass(f, 0b11).bits == 0b10
+
+
+@pytest.mark.parametrize("base", list(Base), ids=lambda b: b.value)
+def test_square_class_rejects_bits_outside_its_field(base):
+    # no bit above t_nvars and no negative int: neither is a class of
+    # the field, and neither is silently cut to one
+    f = FieldDesc(base, 2)
+    for bits in (1 << 3, 1 << 5, -1, -2):
+        with pytest.raises(ValueError, match="out of range"):
+            SquareClass(f, bits)
+    assert SquareClass(f, 0b110).bits == 0b110
 
 
 fields = st.builds(

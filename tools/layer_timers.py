@@ -14,7 +14,9 @@ library caches, builds the ops' forms afresh, and runs each op on both
 trees, alternating which goes first, so both see the same machine
 state.  Only the last round is reported: per layer (a tensor reduction
 also by dimension and by whether it factored, a certificate also by the
-kind of op that built it, as in _certificate/c14), the median per-call
+kind of op that built it, as in _certificate/c14, a generator search by
+fold, k and scaling, as in _search_sum/P3/k3 for unscaled P_3 at k = 3
+and _search_sum/GP2/k4 for scaled GP_2 at k = 4), the median per-call
 time in microseconds on each tree, their ratio, and the calls per op of
 that kind on each tree.
 """
@@ -30,7 +32,7 @@ import time
 from ab_inprocess import KINDS, PERFBENCH, ROOT, load, side
 
 LAYERS = ("in_In", "anisotropic_part", "_certificate", "_tensor_reduction",
-          "_biquadratic_splitting", "find_GP2_subform")
+          "_biquadratic_splitting", "find_GP2_subform", "_search_sum")
 ROUNDS = 3
 SEED = 1101
 
@@ -40,6 +42,9 @@ def label(name: str, args: tuple, out, kind: str) -> str:
         return f"{name}/d{len(args[1])}/{'hit' if out else 'miss'}"
     if name == "_certificate":
         return f"{name}/{kind}"
+    if name == "_search_sum":
+        _field, _bits, n, k, unscaled = args
+        return f"{name}/{'P' if unscaled else 'GP'}{n}/k{k}"
     return name
 
 
