@@ -4,18 +4,20 @@ A product with a binary Pfister factor is first reduced to one fold
 less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
 and each k is decided by one rule of an exact ladder: the recognizer
 (an anchored search for scaled Pfister subforms); the anchored
-two-term split at dimension 2^(n+1); GP_2 peeling; for two scaled
-terms below dimension 2^(n+1), for scaled GP_3 = 3 at dimension 16 and
-for three scaled terms above 2^(n+1) from dimension 3*2^n - 2n on, at
-every n, one term extended from an (n-1)-fold Pfister subform and the
-rest decided at k - 1, exact by Elman-Lam linkage; and otherwise a
-complete search over the generator classes on their Witt vectors
-(witt._pack, with the 2-sumset of the generators when it is small
-enough to store).  Only the search builds anything: the generator
-classes, from the Pfister folds of the residue field by Springer's
-theorem, only when their number, known before any is made, is within a
-fixed step budget; a search is refused when it would take more steps
-than that budget.
+two-term split at dimension 2^(n+1), which from n = 3 on first asks
+whether the H-indices of the entries hold the coset of a summand at
+an anchor (_may_split) and walks only when they do; GP_2 peeling; for
+two scaled terms below dimension 2^(n+1), for scaled GP_3 = 3 at
+dimension 16 and for three scaled terms above 2^(n+1) from dimension
+3*2^n - 2n on, at every n, one term extended from an (n-1)-fold
+Pfister subform and the rest decided at k - 1, exact by Elman-Lam
+linkage; and otherwise a complete search over the generator classes
+on their Witt vectors (witt._pack, with the 2-sumset of the
+generators when it is small enough to store).  Only the search builds
+anything: the generator classes, from the Pfister folds of the residue
+field by Springer's theorem, only when their number, known before any
+is made, is within a fixed step budget; a search is refused when it
+would take more steps than that budget.
 Every certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
@@ -66,6 +68,7 @@ from .witt import (
     _minus_one,
     _neg,
     _pack,
+    _ring_params,
     _split_off,
     _unsigned,
     _value_set,
@@ -300,11 +303,13 @@ def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
 def enumerate_GPn_classes(
     field: FieldDesc, n: int, unscaled: bool = False
 ) -> list[tuple[DiagonalForm, PfisterSpec]]:
-    """Nonzero GP_n Witt classes with one Pfister witness each."""
+    """Nonzero GP_n Witt classes with one Pfister witness each.
+
+    A scalar times a member of S_n is anisotropic, so each form is its
+    term's expansion, canonicalized, with no anisotropic part read."""
     if n < 1:
         raise ValueError("fold must be at least 1")
-    out = [(_form(field, _an_bits(field, tuple(sorted(_expand(field, t))))),
-            _spec(field, t))
+    out = [(_form(field, _expand(field, t)), _spec(field, t))
            for t in _generators(field, n, unscaled).values()]
     out.sort(key=lambda pair: tuple(e.bits for e in pair[0].entries))
     return out
@@ -414,6 +419,70 @@ def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
         if bits.count(b) == 1:
             return (b,)
     return tuple(dict.fromkeys((bits[0], bits[0] ^ _flex(field))))
+
+
+def _may_split(field: FieldDesc, bits: Sequence[int], n: int) -> bool:
+    """Whether the H-indices of the anisotropic form phi with these
+    entries, of dimension 2^(n+1), leave room for an isometric split
+    into two scaled n-fold Pfister forms: necessary, read off the
+    support alone.
+
+    Proof.  Let phi = x*pi + psi be such a split.  Some summand
+    represents an anchor e (_anchors), say x*pi, and as Pfister forms
+    are round it is e*pi.  Write iota(y) = y >> shift for the H-index
+    of a class (shift as in witt._ring_params), a homomorphism on the
+    class bits under xor.  The entries of
+    e*<<a1..an>> are e times the slot products prod (-a_i)^(s_i); iota
+    maps these onto a subgroup U of H of rank n - m, m the rank of the
+    kernel, 2^m of them at each index, so e*pi holds exactly 2^m
+    entries at each index of the coset iota(e) + U and none elsewhere.
+    At every index the norm of the Witt coefficient (the count that
+    witt._dims adds up) is at most that of e*pi plus that of psi, and
+    of an anisotropic form it counts its entries there; as dim phi =
+    dim e*pi + dim psi, the norms add up index by index.  So phi holds
+    at least 2^m entries at each index of iota(e) + U.
+
+    The test.  For each anchor index u0 and each m <= n, T is the set of
+    indices where phi holds at least 2^m entries, translated by u0, and
+    the split survives when T holds a subgroup of rank n - m
+    (_holds_subgroup).  When none does, no split exists.
+    """
+    shift = field.nvars + 1 - _ring_params(field)[1]
+    count: dict[int, int] = {}
+    for b in bits:
+        count[b >> shift] = count.get(b >> shift, 0) + 1
+    for u0 in {e >> shift for e in _anchors(field, bits)}:
+        for m in range(n + 1):
+            if count.get(u0, 0) < 1 << m:
+                break
+            if _holds_subgroup({h ^ u0 for h, c in count.items()
+                                if c >> m}, n - m):
+                return True
+    return False
+
+
+def _holds_subgroup(support: set[int], r: int) -> bool:
+    """Whether the set of H-indices support, which holds 0, contains a
+    subgroup of rank r.
+
+    Let U be one and u an element of U with the highest top bit b.  The
+    elements of U below 2^b, those with bit b clear, form a subgroup U'
+    of rank r - 1, and v ^ u lies in U for each v in U'.  So U' lies in
+    {v in support : v < 2^b and v ^ u in support}, one pivot u per
+    rank, and trying every u in support at each rank finds a U when
+    there is one.
+    """
+    if not r:
+        return True
+    if len(support) < 1 << r:
+        return False
+    for u in support:
+        if u:
+            top = 1 << u.bit_length() - 1
+            low = {v for v in support if v < top and v ^ u in support}
+            if _holds_subgroup(low, r - 1):
+                return True
+    return False
 
 
 def _orthogonal_terms(field: FieldDesc, bits: Sequence[int], n: int,
@@ -995,7 +1064,11 @@ def _decide_k(
     k - 1.  The first rule that applies decides, in this order: scaled
     1-fold classes split into binary forms; k = 1 is the recognizer;
     two scaled terms of dimension 2^(n+1) are an isometric splitting,
-    found by the anchored orthogonal decomposition (_orthogonal_terms);
+    found by the anchored orthogonal decomposition (_orthogonal_terms)
+    once the H-indices of the entries admit one (_may_split, a
+    necessary test that walks nothing; it runs from n = 3 on, as at
+    n <= 2 the walk costs about what the test does; a rejection there
+    also spares the k = 3 scan above 2^(n+1) the walk of a remainder);
     scaled GP_2 is at most d/2 - 1 by peeling; two scaled terms below
     dimension 2^(n+1), scaled GP_3 = 3 at dimension 16, and three scaled
     terms above 2^(n+1) once d >= 3*2^n - 2n, for every n, extend an
@@ -1017,6 +1090,8 @@ def _decide_k(
     if k == 1:
         return _as_scaled_pfister(field, bits, n, unscaled)
     if not unscaled and k == 2 and d == top:
+        if n >= 3 and not _may_split(field, bits, n):
+            return None
         return _orthogonal_terms(field, bits, n)
     if not unscaled and n == 2 and k == d // 2 - 1:
         return _gp2_peeling_terms(field, bits)

@@ -1068,6 +1068,25 @@ def test_enumerate_unscaled_subset():
     assert unscaled <= scaled
 
 
+def test_enumerate_reads_no_anisotropic_part(monkeypatch, raw_field):
+    # a scalar times a member of S_n is anisotropic, so each class is
+    # its term's expansion: once the generators are built (the folds
+    # over the base field test their products), enumerating reads no
+    # anisotropic part, and the forms are the classes' anisotropic parts
+    field = FieldDesc(Base.F3, 4)
+    raw = raw_field(field)
+    for unscaled in (False, True):
+        _generators(field, 3, unscaled)
+    calls = _count_calls(monkeypatch, ["_an_bits"])
+    for unscaled in (False, True):
+        classes = enumerate_GPn_classes(field, 3, unscaled)
+        assert len(classes) == len(_generators(field, 3, unscaled))
+        for phi, spec in classes:
+            assert sorted(e.bits for e in phi.entries) == sorted(
+                raw.an_bits(raw.spec_vector(spec)))
+    assert calls["_an_bits"] == 0
+
+
 # --- divisibility ---------------------------------------------------------
 
 def test_divisible_by_pfister_positive():
@@ -1475,6 +1494,97 @@ def test_echelon_walk_bounds_the_dim16_disproof(gp_lookup, monkeypatch):
             is None, format_form(phi)
         assert 0 < calls["_split_off"] <= 42, (calls, format_form(phi))
         assert 0 < calls["_canon_bits"] <= 52, (calls, format_form(phi))
+
+
+def _log_lengths(monkeypatch, names):
+    """A list that records (name, number of entries, output) for each
+    call pfnum makes to its globals `names` from now on; each takes the
+    field and the entry bits first."""
+    log = []
+    for name in names:
+        def logged(field, bits, *args, name=name, inner=getattr(pfnum, name)):
+            out = inner(field, bits, *args)
+            log.append((name, len(bits), out))
+            return out
+
+        monkeypatch.setattr(pfnum, name, logged)
+    return log
+
+
+def test_support_rules_out_the_dim16_split_before_the_walk(gp_lookup,
+                                                           monkeypatch):
+    # GP_3 = 3 forms at dimension 16 over F3[t1..t5] with two doubled
+    # classes (the shape of the dim16 benchmark forms): the H-index
+    # support rules out two terms, so the ladder walks no 16-entry form.
+    # Neither does the k = 3 scan of this 22-dimensional form: each
+    # 16-dimensional remainder is rejected by the support test alone
+    look = gp_lookup(F5, 3)
+    rng = random.Random(16)
+    log = _log_lengths(monkeypatch, ["_may_split", "_orthogonal_terms"])
+    forms = 0
+    while forms < 4:
+        v, phi = _random_class(look, rng, 3, 16, (3,))
+        if v.count(2) != 2 or look.terms(v) is not None:
+            continue
+        forms += 1
+        log.clear()
+        k, cert = pfister_number(phi, 3)
+        assert k == 3 and _spec_sum(look, cert.terms) == v
+        assert ("_may_split", 16, False) in log, format_form(phi)
+        assert ("_orthogonal_terms", 16) not in [x[:2] for x in log]
+    phi = random_In_form(F5, 3, 22, random.Random(1))
+    log.clear()
+    k, cert = pfister_number(phi, 3)
+    assert k == 3 and _spec_sum(look, cert.terms) == look.vector(
+        [e.bits for e in phi.entries])
+    assert log.count(("_may_split", 16, False)) >= 10
+    assert ("_orthogonal_terms", 16) not in [x[:2] for x in log]
+
+
+@pytest.mark.parametrize("field", [F3V, FieldDesc(Base.C, 4),
+                                   FieldDesc(Base.SQUARE_MINUS_ONE, 3), R2],
+                         ids=str)
+def test_support_test_keeps_every_two_term_class(field, gp_lookup):
+    # the support test is only necessary: of the classes of dimension 8,
+    # it rejects none that the lookup finds as two scaled 2-fold terms
+    # (over R those with every coefficient of size at most 8, which
+    # holds all of dimension 8)
+    look = gp_lookup(field, 2)
+    digits = range(look.m) if look.m else range(-8, 9)
+    rejected = 0
+    for v in itertools.product(digits, repeat=look.size):
+        if look.an_dim(v) != 8:
+            continue
+        bits = [e.bits for e in look.form(v).entries]
+        if not pfnum._may_split(field, bits, 2):
+            assert look.terms(v) is None, bits
+            rejected += 1
+    assert rejected or field.base is Base.R
+
+
+@pytest.mark.parametrize("field,n", [
+    (F5, 3), (FieldDesc(Base.C, 5), 3),
+    (FieldDesc(Base.SQUARE_MINUS_ONE, 4), 3), (FieldDesc(Base.R, 4), 3),
+    (FieldDesc(Base.F3, 6), 4), (FieldDesc(Base.C, 6), 4),
+    (FieldDesc(Base.SQUARE_MINUS_ONE, 5), 4), (FieldDesc(Base.R, 4), 4)],
+    ids=str)
+def test_support_test_keeps_two_term_draws(field, n, raw_field):
+    # seeded sums of two scaled n-fold forms of dimension 2^(n+1), which
+    # one term cannot reach; over F3 and R both terms have a <<-1>>
+    # factor one time in two, which over R puts 2^m entries at each
+    # index of a term's coset for m >= 1 and over F3 doubles entries
+    # (-1 is a square over C and F3(i))
+    raw = raw_field(field)
+    rng = random.Random(2400 + 10 * n + field.nvars)
+    factored = 0
+    for _ in range(40):
+        fixed = (raw.minus_one,) if raw.minus_one and rng.random() < 0.5 \
+            else ()
+        v, phi = _random_class(raw, rng, n, 2 << n, (2,), fixed)
+        bits = [e.bits for e in phi.entries]
+        assert pfnum._may_split(field, bits, n), format_form(phi)
+        factored += len(set(bits)) < len(bits)
+    assert factored or field.base in (Base.C, Base.SQUARE_MINUS_ONE)
 
 
 def test_gp3_dim16_at_most_three():

@@ -16,9 +16,14 @@ state.  Only the last round is reported: per layer (a tensor reduction
 also by dimension and by whether it factored, a certificate also by the
 kind of op that built it, as in _certificate/c14, a generator search by
 fold, k and scaling, as in _search_sum/P3/k3 for unscaled P_3 at k = 3
-and _search_sum/GP2/k4 for scaled GP_2 at k = 4), the median per-call
-time in microseconds on each tree, their ratio, and the calls per op of
-that kind on each tree.
+and _search_sum/GP2/k4 for scaled GP_2 at k = 4, the H-index support
+test of the two-term split by outcome, as in _may_split/reject, and
+the orthogonal decomposition by dimension and outcome, as in
+_orthogonal_terms/d16/none for a 16-entry form with no split; a call
+the decomposition makes to itself is timed on its own too, inside its
+caller's time; a layer a tree lacks is not timed there), the median
+per-call time in microseconds on each tree, their ratio, and the calls
+per op of that kind on each tree.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import time
 from ab_inprocess import KINDS, PERFBENCH, ROOT, load, side
 
 LAYERS = ("in_In", "anisotropic_part", "_certificate", "_tensor_reduction",
-          "_biquadratic_splitting", "find_GP2_subform", "_search_sum")
+          "_biquadratic_splitting", "find_GP2_subform", "_search_sum",
+          "_may_split", "_orthogonal_terms")
 ROUNDS = 3
 SEED = 1101
 
@@ -45,13 +51,19 @@ def label(name: str, args: tuple, out, kind: str) -> str:
     if name == "_search_sum":
         _field, _bits, n, k, unscaled = args
         return f"{name}/{'P' if unscaled else 'GP'}{n}/k{k}"
+    if name == "_may_split":
+        return f"{name}/{'pass' if out else 'reject'}"
+    if name == "_orthogonal_terms":
+        return f"{name}/d{len(args[1])}/{'none' if out is None else 'split'}"
     return name
 
 
 def wrap(lib, name: str, record: dict, current: list) -> None:
-    """Time every call pfnum makes to its global `name`; current[0] is
-    the kind of the op running."""
-    fn = getattr(lib.pfnum, name)
+    """Time every call pfnum makes to its global `name`, if the tree
+    has it; current[0] is the kind of the op running."""
+    fn = getattr(lib.pfnum, name, None)
+    if fn is None:
+        return
     clock = time.perf_counter
 
     def timed(*args, **kwargs):
