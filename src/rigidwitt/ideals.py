@@ -20,7 +20,7 @@ from .errors import (
     UnitClassError,
 )
 from .qform import DiagonalForm, neg, orth_sum, scale
-from .sqclass import Base, FieldDesc, SquareClass, basis_change_map, class_map
+from .sqclass import Base, FieldDesc, SquareClass, class_map
 from .witt import (
     anisotropic_part,
     is_hyperbolic,
@@ -171,50 +171,47 @@ class UnimodularSplit:
         return orth_sum(self.sigma, tensor(binary, self.tau))
 
 
-def _inplace_residues(
-    phi: DiagonalForm, i: int
-) -> tuple[DiagonalForm, DiagonalForm]:
-    """Residue class forms wrt t_i kept over the same field model."""
-    bit = 1 << i
-    fld = phi.field
-    even = tuple(e for e in phi if not e.bits & bit)
-    odd = tuple(
-        SquareClass(fld, e.bits & ~bit) for e in phi if e.bits & bit)
-    return DiagonalForm(fld, even), DiagonalForm(fld, odd)
+def _split_along(phi: DiagonalForm, a: int) -> UnimodularSplit:
+    """phi = sigma + <1,t> (x) tau along the class a with a Laurent part.
+
+    With top the highest variable bit of a, the residue forms are even,
+    the entries without top, and odd, a times the entries with it.  The
+    class t is u*a, with u chosen so that even and u*odd represent a
+    common class: u = a'*b' for the least classes a', b' (in the class
+    order) that even and odd represent.  sigma = an(even - u*odd) and
+    tau = u*odd.  Both residues must be non-hyperbolic.
+    """
+    field = phi.field
+    top = 1 << a.bit_length() - 1
+    even = DiagonalForm(field, tuple(e for e in phi if not e.bits & top))
+    odd = DiagonalForm(field, tuple(
+        SquareClass(field, e.bits ^ a) for e in phi if e.bits & top))
+    if is_hyperbolic(even) or is_hyperbolic(odd):
+        raise HyperbolicResidueError(
+            "both residue class forms must be non-hyperbolic")
+    u = (min(value_set(even), key=SquareClass.sort_key)
+         * min(value_set(odd), key=SquareClass.sort_key))
+    sigma = anisotropic_part(orth_sum(even, neg(scale(u, odd))))
+    return UnimodularSplit(u * SquareClass(field, a), sigma, scale(u, odd))
 
 
 def decompose_unimodular(phi: DiagonalForm, i: int | None = None) -> UnimodularSplit:
-    """Split phi = sigma + <1,t> (x) tau along the variable t_i.
-
-    The uniformizer class t is t_i times a unit multiple u chosen so the
-    residue value sets of the two parts meet (u = a*b for the smallest
-    represented classes a, b); both residues must be non-hyperbolic.
-    """
+    """Split phi = sigma + <1,t> (x) tau along the variable t_i, the last
+    one by default: _split_along the class a = t_i."""
     field = phi.field
     if i is None:
         i = field.nvars
     if not 1 <= i <= field.nvars:
         raise ValueError(f"variable index {i} out of range 1..{field.nvars}")
-    phi1, phi2 = _inplace_residues(phi, i)
-    if is_hyperbolic(phi1) or is_hyperbolic(phi2):
-        raise HyperbolicResidueError(
-            "both residue class forms must be non-hyperbolic")
-    a = min(value_set(phi1), key=SquareClass.sort_key)
-    b = min(value_set(phi2), key=SquareClass.sort_key)
-    u = a * b
-    t = u * field.var(i)
-    sigma = anisotropic_part(orth_sum(phi1, neg(scale(u, phi2))))
-    tau = scale(u, phi2)
-    return UnimodularSplit(t, sigma, tau)
+    return _split_along(phi, 1 << i)
 
 
 def rigid_decompose(phi: DiagonalForm, a: SquareClass) -> UnimodularSplit:
     """decompose_unimodular along the class a instead of a plain variable.
 
-    Requires 1 in D(phi) and a with a nonzero exponent part; a is moved
-    onto the last variable by the basis change of `find_basis_change`,
-    the split is computed there, and the result is pulled back.  Both
-    maps act on raw bits through `basis_change_map`.
+    Requires 1 in D(phi) and a with a nonzero exponent part.  The split
+    is read along a directly: it is the split along t_n after the basis
+    change of `find_basis_change`, which sends a to t_n, pulled back.
     """
     if a.field != phi.field:
         raise FieldMismatchError(f"{a.field} vs {phi.field}")
@@ -222,16 +219,7 @@ def rigid_decompose(phi: DiagonalForm, a: SquareClass) -> UnimodularSplit:
         raise UnitClassError("class has no Laurent variable part")
     if not represents(phi, phi.field.one()):
         raise ValueError("phi must represent 1")
-    field = phi.field
-    moved, back = basis_change_map(a.bits, field.nvars)
-
-    def image(f, psi: DiagonalForm) -> DiagonalForm:
-        return DiagonalForm(field, tuple(
-            SquareClass(field, f(e.bits)) for e in psi))
-
-    split = decompose_unimodular(image(moved, phi), field.nvars)
-    return UnimodularSplit(SquareClass(field, back(split.t.bits)),
-                           image(back, split.sigma), image(back, split.tau))
+    return _split_along(phi, a.bits)
 
 
 def lift_form(phi: DiagonalForm, field: FieldDesc) -> DiagonalForm:

@@ -53,7 +53,7 @@ from .qform import (
     pfister,
     tensor,
 )
-from .sqclass import FieldDesc, SquareClass, class_map
+from .sqclass import Base, FieldDesc, SquareClass, class_map
 from .witt import (
     anisotropic_part,
     is_isotropic,
@@ -70,7 +70,6 @@ from .witt import (
     _pack,
     _ring_params,
     _split_off,
-    _unsigned,
     _value_set,
     _values,
 )
@@ -113,12 +112,18 @@ class PfisterCertificate:
     target: DiagonalForm  # canonical anisotropic representative
 
     def verify(self) -> bool:
-        """Whether the terms, expanded on their classes' bits, sum to the
-        target's Witt class (whose vector is read once per form, see
-        _form_vector)."""
+        """Whether every term is n-fold over the target's field and the
+        terms, expanded on their classes' bits, sum to the target's Witt
+        class (whose vector is read once per form, see _form_vector)."""
         field = self.target.field
         entries: list[int] = []
         for t in self.terms:
+            classes = (t.scalar, *t.slots)
+            if len(classes) != self.n + 1:
+                return False
+            for c in classes:
+                if c.field is not field and c.field != field:
+                    return False
             entries += _expand(field, _raw(t))
         return _pack(field, entries) == _form_vector(self.target)
 
@@ -206,30 +211,28 @@ def _pfister_set(field: FieldDesc, n: int, limit: float) -> dict | None:
     are more than limit of them; cached one fold per entry, S_0 = {<1>}.
 
     Maps the canonical entry-bit tuple to a tuple of slot bits.  Over
-    the base field (at most one nonsquare class) each fold is grown
-    from the one below by every class, and each product is tested
-    (_an_bits).  Above it, by Springer's theorem for the top variable t
-    over the residue field K, an anisotropic n-fold Pfister form is
-    either one over K or rho (x) <<u*t>> for rho in S_(n-1)(K) and a
-    class u of K, and two of the second kind are isometric exactly when
-    their rho are and their u agree up to a value of rho (the residue
-    forms rho and -u*rho; D(rho) is the group of similarity factors of
-    rho).  So |S_n| = |S_n(K)| + sum over rho of q(K)/|D(rho)|, q(K) the
-    number of classes of K, is known before any new form is made.
-    Neither fold of K is larger, and as |D(rho)| <= dim rho, S_(n-1)(K)
-    is at most limit * 2^(n-1)/q(K) when S_n fits: a fold over limit is
-    refused before anything larger is built.
+    the base field the folds are known: F3 and F3(i) have <<a>> for
+    their one nonsquare class a at n = 1 only (<<-1,-1>> is isotropic
+    over F3, and over F3(i) the level is 1), R has <<-1>>^n at every n,
+    and C has none above n = 0.  Above it, by Springer's theorem for the
+    top variable t over the residue field K, an anisotropic n-fold
+    Pfister form is either one over K or rho (x) <<u*t>> for rho in
+    S_(n-1)(K) and a class u of K, and two of the second kind are
+    isometric exactly when their rho are and their u agree up to a value
+    of rho (the residue forms rho and -u*rho; D(rho) is the group of
+    similarity factors of rho).  So |S_n| = |S_n(K)| + sum over rho of
+    q(K)/|D(rho)|, q(K) the number of classes of K, is known before any
+    new form is made.  Neither fold of K is larger, and as |D(rho)| <=
+    dim rho, S_(n-1)(K) is at most limit * 2^(n-1)/q(K) when S_n fits:
+    a fold over limit is refused before anything larger is built.
     """
     key = ("S", field, n)
     out = _GEN_CACHE.get(key)
     if out is None and n and not field.nvars:
         out = {}
-        for a in field.class_bits()[1:]:
-            for slots in _pfister_set(field, n - 1, math.inf).values():
-                an = _an_bits(field, tuple(sorted(_expand(
-                    field, (0, slots + (a,))))))
-                if len(an) == 1 << n:
-                    out[_canon_bits(field, an)] = slots + (a,)
+        if field.base is Base.R or n == 1 and field.base is not Base.C:
+            slots = (1,) * n
+            out[_canon_bits(field, _expand(field, (0, slots)))] = slots
     elif out is None and n:
         residue = field.residue()
         units = residue.class_bits()
@@ -277,26 +280,24 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
 
 def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
     """S2, the Witt vectors of the sums of at most two generator classes
-    (zero, every generator and every pair, a class doubled included), up
-    to sign; None when there are more than _MAX_SUMSET pairs.
+    (zero, every generator and every pair, a class doubled included);
+    None when there are more than _MAX_SUMSET pairs.
 
-    Scaling by -1 keeps a generator a generator, so S2 = -S2, and only
-    the lesser of s and -s is stored (witt._unsigned).
+    Scaling by -1 keeps a generator a generator, so the sums g + h for h
+    from g on hold every negative too: S2 = -S2, stored with both signs.
     """
-    size = len(_generators(field, n, unscaled))
-    if size * (size + 1) // 2 > _MAX_SUMSET:
-        return None
     key = ("S2", field, n, unscaled)
     cached = _GEN_CACHE.get(key)
-    if cached is None:
-        gens = list(_generators(field, n, unscaled))
-        negs = [_neg(field, g) for g in gens]
-        cached = set(_unsigned(field, [_pack(field, ()), *gens]))
-        for i, g in enumerate(gens):
-            # g - (-h) = g + h and -g - h = -(g + h), for h from g on
-            cached.update(map(min, _diffs(field, g, negs[i:]),
-                              _diffs(field, negs[i], gens[i:])))
-        _GEN_CACHE[key] = cached
+    if cached is not None:
+        return cached
+    gens = _generators(field, n, unscaled)
+    if len(gens) * (len(gens) + 1) // 2 > _MAX_SUMSET:
+        return None
+    negs = [_neg(field, g) for g in gens]
+    cached = {_pack(field, ()), *gens}
+    for i, g in enumerate(gens):
+        cached.update(_diffs(field, g, negs[i:]))  # g - (-h) = g + h
+    _GEN_CACHE[key] = cached
     return cached
 
 
@@ -656,46 +657,43 @@ def _search_sum(
     generator classes?
 
     Returns raw terms or None.  Complete over the cached generator set
-    G: k = 2 is one pass over G asking whether v - g lies in G; with S2
-    (the sums of at most two generators, see _sumset) stored, k = 3 asks
-    whether v - g lies in S2 and k = 4 whether v - s does for some s in
-    S2, and witnesses are recovered by k = 2 passes; any other k recurses
-    on v - g, the candidates ordered by anisotropic dimension and bounded
-    by 2^n (k - 1).  Callers must keep the build and the search within
+    G.  With S2 (zero and the sums of one or two generators, see
+    _sumset) stored, every k <= 4 is one meet in the middle: v is a sum
+    of at most k generators exactly when v - s lies in S2 for some s in
+    S_(k-2), where S_0 = {0}, S_1 = G and S_2 = S2, and s and v - s are
+    split into their terms by one pass over G each (two).  So two terms
+    are ruled out by one set lookup.  Without S2, k = 2 is that pass;
+    any other k recurses on v - g, the candidates ordered by anisotropic
+    dimension and bounded by 2^n (k - 1), until a level these rules
+    decide.  Callers must keep the build and the search within
     _MAX_SEARCH_COST first (see _decide_k and _search_cost).
     """
     gens = _generators(field, n, unscaled)
-    sums = _sumset(field, n, unscaled) if k >= 3 else None
+    sums = _sumset(field, n, unscaled)
+    fronts = ((_pack(field, ()),), gens, sums)
 
-    def search(w, j: int) -> list[tuple] | None:
+    def two(w) -> list[tuple] | None:
+        """The terms of w when it is a sum of at most two generators."""
         if not w:
             return []
         if w in gens:
             return [gens[w]]
+        for term, r in zip(gens.values(), _diffs(field, w, gens)):
+            hit = gens.get(r)
+            if hit is not None:
+                return [term, hit]
+        return None
+
+    def search(w, j: int) -> list[tuple] | None:
+        if not w or w in gens or j == 2 and sums is None:
+            return two(w)
         if j <= 1:
             return None
-        if j == 2:
-            for term, r in zip(gens.values(), _diffs(field, w, gens)):
-                hit = gens.get(r)
-                if hit is not None:
-                    return [term, hit]
-            return None
-        if sums is not None and j == 3:
-            for (g, term), u in zip(gens.items(), _unsigned(
-                    field, _diffs(field, w, gens))):
-                if u in sums:
-                    (r,) = _diffs(field, w, (g,))
-                    return [term] + search(r, 2)
-            return None
-        if sums is not None and j == 4:
-            # w - s, and -w - s = -(w + s), for each s in S2
-            for s, u, v in zip(sums, _unsigned(field, _diffs(field, w, sums)),
-                               _unsigned(field, _diffs(
-                                   field, _neg(field, w), sums))):
-                if u in sums or v in sums:
-                    t = s if u in sums else _neg(field, s)
-                    (r,) = _diffs(field, w, (t,))
-                    return search(t, 2) + search(r, 2)
+        if sums is not None and j <= 4:
+            front = fronts[j - 2]
+            for s, r in zip(front, _diffs(field, w, front)):
+                if r in sums:
+                    return two(s) + two(r)
             return None
         bound = (1 << n) * (j - 1)
         rs = list(_diffs(field, w, gens))
@@ -720,7 +718,7 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
         return size
     if sums is None:
         return size ** (k - 1)
-    return size ** (k - 4) * 2 * len(sums)
+    return size ** (k - 4) * len(sums)
 
 
 # --- constructive certificate routes --------------------------------------

@@ -10,9 +10,8 @@ of a Witt vector (_pack): byte lanes in an int where the ring is finite
 and H small, a sorted tuple of the nonzero coefficients otherwise.  A
 form keeps its vector (_form_vector); Witt-class equality, isometry,
 anisotropic dimensions, I^n membership and certificate checks read it,
-and the generator search in pfnum works on it through _diffs, _neg,
-_unsigned and _dims.  The raw-bit helpers are shared with qform and
-pfnum.
+and the generator search in pfnum works on it through _diffs, _neg
+and _dims.  The raw-bit helpers are shared with qform and pfnum.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def _lanes(field: FieldDesc) -> tuple[int, int, int, int]:
 def _pack(field: FieldDesc, bits: Iterable[int]):
     """The Witt vector of the form with these entries as one value: two
     entry lists give equal values exactly when their forms are Witt
-    equivalent, and the values are totally ordered (see _unsigned).
+    equivalent.
 
     Packed, over a finite ring (Z/m)[H] with at most 2^_DENSE_BITS
     indices: an int with one byte lane per H-index, holding the
@@ -156,16 +155,6 @@ def _sparse_diffs(w: tuple, xs: Iterable, modulus: int) -> Iterator:
 def _neg(field: FieldDesc, w):
     """-w, the zero vector minus w."""
     return next(_diffs(field, _pack(field, ()), (w,)))
-
-
-def _unsigned(field: FieldDesc, ws: Iterable) -> Iterator:
-    """The lesser of w and -w, the same for both, for each w in ws,
-    lazily."""
-    modulus, _, guard, mask = _lanes(field)
-    if not mask:
-        return (min(w, tuple([(i, modulus - c if modulus else -c)
-                              for i, c in w])) for w in ws)
-    return (min(w, (guard - w) & mask) for w in ws)
 
 
 def _dims(field: FieldDesc, ws: Iterable) -> Iterator[int]:

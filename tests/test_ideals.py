@@ -22,11 +22,20 @@ from rigidwitt.qform import (
     discriminant,
     format_form,
     hyperbolic_plane,
+    neg,
+    orth_sum,
     parse_form,
     pfister,
+    scale,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass
-from rigidwitt.witt import group_ring_equal, is_hyperbolic
+from rigidwitt.sqclass import Base, FieldDesc, SquareClass, basis_change_map
+from rigidwitt.witt import (
+    anisotropic_part,
+    group_ring_equal,
+    is_hyperbolic,
+    represents,
+    value_set,
+)
 
 F2 = FieldDesc(Base.F3, 2)
 
@@ -180,6 +189,60 @@ def test_rigid_decompose_preconditions():
         rigid_decompose(generic, -F2.one())
     with pytest.raises(ValueError):
         rigid_decompose(_f("<t1,t2>"), F2.var(1))  # does not represent 1
+
+
+def _split_by_round_trip(phi, a):
+    """rigid_decompose by the basis change: move a onto t_n with
+    basis_change_map, split along t_n on its residue forms (the entries
+    without t_n, and those with it, t_n cleared), and move the split
+    back; (t, sigma, tau) or the error raised."""
+    field = phi.field
+    if a.is_unit_class():
+        return UnitClassError
+    if not represents(phi, field.one()):
+        return ValueError
+    moved, back = basis_change_map(a.bits, field.nvars)
+
+    def image(f, psi):
+        return DiagonalForm(field, tuple(
+            SquareClass(field, f(e.bits)) for e in psi))
+
+    top = 1 << field.nvars
+    psi = image(moved, phi)
+    even = DiagonalForm(field, tuple(e for e in psi if not e.bits & top))
+    odd = DiagonalForm(field, tuple(
+        SquareClass(field, e.bits & ~top) for e in psi if e.bits & top))
+    if is_hyperbolic(even) or is_hyperbolic(odd):
+        return HyperbolicResidueError
+    u = (min(value_set(even), key=SquareClass.sort_key)
+         * min(value_set(odd), key=SquareClass.sort_key))
+    sigma = anisotropic_part(orth_sum(even, neg(scale(u, odd))))
+    t = u * field.var(field.nvars)
+    return (SquareClass(field, back(t.bits)), image(back, sigma),
+            image(back, scale(u, odd)))
+
+
+@pytest.mark.parametrize("field", [FieldDesc(b, nv) for b in Base
+                                   for nv in (1, 2, 3)], ids=str)
+def test_rigid_decompose_matches_the_basis_change_round_trip(field):
+    # the split read along a directly against the split along t_n after
+    # moving a there, the raised errors included, for every class a and
+    # 40 random forms of dimension 1-8, every other one holding <1>
+    rng = random.Random(field.nvars)
+    for trial in range(40):
+        entries = [field.random_class(rng)
+                   for _ in range(rng.randrange(1, 9 - trial % 2))]
+        if trial % 2:
+            entries.append(field.one())
+        phi = DiagonalForm(field, tuple(entries))
+        for a in field.classes():
+            try:
+                split = rigid_decompose(phi, a)
+                got = (split.t, split.sigma, split.tau)
+            except (UnitClassError, ValueError,
+                    HyperbolicResidueError) as err:
+                got = type(err)
+            assert got == _split_by_round_trip(phi, a), (str(phi), str(a))
 
 
 def test_lift_form():

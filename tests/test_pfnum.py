@@ -83,7 +83,6 @@ from rigidwitt.witt import (
     _form_vector,
     _neg,
     _pack,
-    _unsigned,
 )
 
 F1 = FieldDesc(Base.F3, 1)
@@ -326,8 +325,8 @@ def _coeffs(raw, w):
                           FieldDesc(Base.SQUARE_MINUS_ONE, 10)]),
        st.data())
 def test_packed_vectors_follow_the_group_ring(raw_field, field, data):
-    # packing, difference, negation, the canonical sign and anisotropic
-    # dimension of Witt vectors against the group-ring oracle
+    # packing, difference, negation and anisotropic dimension of Witt
+    # vectors against the group-ring oracle
     raw = raw_field(field)
     a, b = (data.draw(st.lists(st.sampled_from(raw.classes), max_size=10))
             for _ in range(2))
@@ -339,9 +338,6 @@ def test_packed_vectors_follow_the_group_ring(raw_field, field, data):
     (diff,) = _diffs(field, pa, [pb])
     assert _coeffs(raw, diff) == raw.add(u, minus_w)
     assert _coeffs(raw, _neg(field, pb)) == minus_w
-    unsigned, unsigned_neg = _unsigned(field, [pb, _neg(field, pb)])
-    assert unsigned == unsigned_neg
-    assert _coeffs(raw, unsigned) in (w, minus_w)
     assert list(_dims(field, [diff, pa])) == [
         raw.an_dim(raw.add(u, minus_w)), raw.an_dim(u)]
 
@@ -439,7 +435,8 @@ def test_search_decides_unscaled_four_term_forms(gp_lookup):
             decided_as_four(v, phi)
             decided += 1
     # every split of these into two sums of two classes takes both sums
-    # from the part of S2 that the library stores only as negatives
+    # from the half of S2 that lies above its negative in the order of
+    # packed vectors: a set kept only up to sign would hold them negated
     for text in ("<t3,t2*t3,-t1*t3,-t1*t2*t3,-t3*t4,-t1*t3*t4,-t2*t3*t4,"
                  "-t1*t2*t3*t4>",
                  "<-t3,-t1*t3,-t4,-t1*t4,-t3*t4,-t1*t3*t4,-t2*t3*t4,"
@@ -991,6 +988,82 @@ def test_generators_match_the_lookup(gp_lookup, base):
                            for key, t in gens.items())
 
 
+@pytest.mark.parametrize("base", list(Base), ids=lambda b: b.value)
+def test_base_field_folds_match_the_group_ring(raw_field, gp_lookup, base):
+    # over the base field S_n is known in closed form: at n = 0-5 its
+    # keys are exactly the anisotropic expansions of the slot tuples,
+    # by the group-ring oracle, each slot tuple re-expands to its key,
+    # and from n = 1 on the generators are the lookup's
+    field = FieldDesc(base, 0)
+    raw = raw_field(field)
+    for n in range(6):
+        expected = set()
+        for slots in itertools.product(raw.classes, repeat=n):
+            v = raw.vector(raw.pfister_bits(0, slots))
+            if raw.an_dim(v) == 1 << n:
+                expected.add(tuple(sorted(raw.an_bits(v))))
+        folds = pfnum._pfister_set(field, n, math.inf)
+        assert {tuple(sorted(key)) for key in folds} == expected, n
+        assert all(sorted(key) == sorted(raw.an_bits(raw.vector(
+            raw.pfister_bits(0, slots)))) for key, slots in folds.items())
+        for unscaled in (False, True) if n else ():
+            look = gp_lookup(field, n)
+            assert {look.vector(_expand(field, t)) for t in _generators(
+                field, n, unscaled).values()} == (
+                look.unscaled if unscaled else look.scaled)
+
+
+_SUMSET_FIELDS = [F2, FieldDesc(Base.C, 3), FieldDesc(Base.SQUARE_MINUS_ONE, 2),
+                  R2]
+
+
+@pytest.mark.parametrize("field", _SUMSET_FIELDS, ids=str)
+def test_sumset_holds_both_signs(gp_lookup, field):
+    # S2 against the conftest lookup, scaled and unscaled: zero, every
+    # generator and every sum of two, each once, closed under negation
+    look = gp_lookup(field, 2)
+    for unscaled in (False, True):
+        sums = _sumset(field, 2, unscaled)
+        found = {_coeffs(look, s) for s in sums}
+        members = look.unscaled if unscaled else look.scaled
+        assert len(found) == len(sums)
+        assert found == look.sumset(unscaled) | members | {(0,) * look.size}
+        assert {look.reduce([-c for c in v]) for v in found} == found
+
+
+@pytest.mark.parametrize("field,unscaled,dim", [
+    (FieldDesc(Base.F3, 4), True, 8), (F3V, False, 10)], ids=str)
+def test_two_terms_are_ruled_out_by_one_lookup(gp_lookup, monkeypatch,
+                                               field, unscaled, dim):
+    # with S2 stored, a k = 2 search for a class outside S2 takes one
+    # difference (the class minus zero) and no pass over the generators,
+    # on ten drawn I^2 classes (the scaled generators over F3[t1..t4]
+    # are too many to store S2; over F3[t1..t3] every scaled class of
+    # dimension 8 lies in S2)
+    look = gp_lookup(field, 2)
+    assert _sumset(field, 2, unscaled) is not None
+    inside = (look.unscaled if unscaled else look.scaled) | look.sumset(
+        unscaled)
+    taken = []
+
+    def counted(field, w, xs, inner=pfnum._diffs):
+        taken.append(len(xs))
+        return inner(field, w, xs)
+
+    monkeypatch.setattr(pfnum, "_diffs", counted)
+    rng = random.Random(1059)
+    ruled_out = 0
+    while ruled_out < 10:
+        v, phi = _random_class(look, rng, 2, dim, (3, 4))
+        if v in inside:
+            continue
+        taken.clear()
+        bits = [e.bits for e in phi.entries]
+        assert _search_sum(field, bits, 2, 2, unscaled) is None
+        assert taken == [1]
+        ruled_out += 1
+
+
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)], ids=str)
 @pytest.mark.parametrize("unscaled", [False, True])
 def test_search_sum_allows_fewer_terms(gp_lookup, field, unscaled):
@@ -1018,6 +1091,23 @@ def test_hyperbolic_input_is_zero():
 
 
 # --- certificates ---------------------------------------------------------
+
+def test_verify_rejects_terms_of_another_fold_or_field():
+    # two 2-fold terms that sum to <<t1,t2,t3>>, and the real certificate
+    # with its terms rebuilt over R[t1,t2,t3], carry the target's Witt
+    # class on raw bits but certify no sum of 3-fold forms over F3
+    t1, t2, t3 = (F3V.var(i) for i in (1, 2, 3))
+    target = anisotropic_part(pfister((t1, t2, t3)))
+    halves = (PfisterSpec(F3V.one(), (t1, t2)), PfisterSpec(-t3, (t1, t2)))
+    assert PfisterCertificate(2, halves, target).verify()
+    assert not PfisterCertificate(3, halves, target).verify()
+    _, cert = pfister_number(target, 3)
+    assert cert.verify()
+    real = FieldDesc(Base.R, 3)
+    moved = tuple(PfisterSpec(SquareClass(real, t.scalar.bits), tuple(
+        SquareClass(real, a.bits) for a in t.slots)) for t in cert.terms)
+    assert not PfisterCertificate(3, moved, target).verify()
+
 
 def test_certificate_json():
     _, cert = pfister_number(_f("<1,t1,t2,t1*t2>"), 2)
@@ -1070,9 +1160,8 @@ def test_enumerate_unscaled_subset():
 
 def test_enumerate_reads_no_anisotropic_part(monkeypatch, raw_field):
     # a scalar times a member of S_n is anisotropic, so each class is
-    # its term's expansion: once the generators are built (the folds
-    # over the base field test their products), enumerating reads no
-    # anisotropic part, and the forms are the classes' anisotropic parts
+    # its term's expansion: enumerating reads no anisotropic part, and
+    # the forms are the classes' anisotropic parts
     field = FieldDesc(Base.F3, 4)
     raw = raw_field(field)
     for unscaled in (False, True):

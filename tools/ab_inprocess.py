@@ -4,7 +4,7 @@ Run from the root of a checkout, with a second checkout (say, the
 parent commit) as the baseline:
 
     python3 tools/ab_inprocess.py BASELINE_CHECKOUT --workload dim16 \\
-        --seed 1101 --batches 10 --ops 60
+        --seed 1101 --batches 20 --ops 120
 
 BASELINE_CHECKOUT/src/rigidwitt is loaded as the package ``rw_base`` and
 ./src/rigidwitt as ``rw_work``, side by side in one interpreter.  One
@@ -125,8 +125,8 @@ def main(argv=None) -> int:
     ap.add_argument("baseline", help="root of the baseline checkout")
     ap.add_argument("--workload", choices=KINDS, default="dim16")
     ap.add_argument("--seed", type=int, default=1101)
-    ap.add_argument("--batches", type=int, default=10)
-    ap.add_argument("--ops", type=int, default=60, help="ops per batch")
+    ap.add_argument("--batches", type=int, default=20)
+    ap.add_argument("--ops", type=int, default=120, help="ops per batch")
     args = ap.parse_args(argv)
 
     base, work = load("rw_base", args.baseline), load("rw_work", ROOT)
