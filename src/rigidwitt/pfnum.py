@@ -1,23 +1,23 @@
 """Exact Pfister numbers, bounds, and the dimension-14/16 classifications.
 
-A product with a binary Pfister factor is first reduced to one fold
-less.  Otherwise k runs up from the dimension bound ceil(dim / 2^n),
-and each k is decided by one rule of an exact ladder: the recognizer
-(an anchored search for scaled Pfister subforms); the anchored
-two-term split at dimension 2^(n+1), which from n = 3 on first asks
-whether the H-indices of the entries hold the coset of a summand at
-an anchor (_may_split) and walks only when they do; GP_2 peeling; for
-two scaled terms below dimension 2^(n+1), for scaled GP_3 = 3 at
-dimension 16 and for three scaled terms above 2^(n+1) from dimension
-3*2^n - 2n on, at every n, one term extended from an (n-1)-fold
-Pfister subform and the rest decided at k - 1, exact by Elman-Lam
-linkage; and otherwise a complete search over the generator classes
-on their Witt vectors (witt._pack, with the 2-sumset of the
-generators when it is small enough to store).  Only the search builds
-anything: the generator classes, from the Pfister folds of the residue
-field by Springer's theorem, only when their number, known before any
-is made, is within a fixed step budget; a search is refused when it
-would take more steps than that budget.
+k runs up from the dimension bound ceil(dim / 2^n), and each k is
+decided by one rule of an exact ladder: the recognizer (an anchored
+search for scaled Pfister subforms); the anchored two-term split at
+dimension 2^(n+1), which from n = 3 on first asks whether the
+H-indices of the entries hold the coset of a summand at an anchor
+(_may_split) and walks only when they do; GP_2 peeling; for two
+scaled terms below dimension 2^(n+1), for scaled GP_3 = 3 at dimension
+16 and for three scaled terms above 2^(n+1) from dimension 3*2^n - 2n
+on, at every n, one term extended from an (n-1)-fold Pfister subform
+and the rest decided at k - 1, exact by Elman-Lam linkage; for a
+scaled product <<t>> (x) tau, GP_(n-1)(tau) over the residue field;
+and otherwise a complete search over the generator classes on their
+Witt vectors (witt._pack, with the 2-sumset of the generators when it
+is small enough to store).  Only the search builds anything: the
+generator classes, from the Pfister folds of the residue field by
+Springer's theorem, only when their number, known before any is made,
+is within a fixed step budget; a search is refused when it would take
+more steps than that budget.
 Every certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
@@ -853,23 +853,22 @@ def _tensor_reduction(
     The form with these entries must be anisotropic.  Returns
     (t, residue field, tau) or None, with tau the canonical entries over
     the residue field after moving t onto the last variable.  Pfister
-    numbers are preserved: GP_n of the product equals GP_{n-1} of tau.
+    numbers are preserved: GP_n of the product equals GP_(n-1) of tau,
+    which _decide_k uses where the ladder would otherwise search.
     The residue forms even and odd along t_i are anisotropic, so they
     are isometric exactly when their canonical diagonalizations agree;
-    u*odd = even gives t = u*t_i.  A variable is scanned only when its
-    halves pass _may_match, which every such u makes them do.  tau is
-    u*odd under class_map(t), which keeps it anisotropic: two of its
-    entries differ by neither t nor -t, which hold t_i, so no two
-    H-indices merge.
+    u*odd = even gives t = u*t_i, and a variable is scanned only when
+    its halves have one nonzero size.  tau is u*odd under class_map(t),
+    which keeps it anisotropic: two of its entries differ by neither t
+    nor -t, which hold t_i, so no two H-indices merge.
     """
     flex = _flex(field)
-    masked = [b & ~flex for b in bits]
     for i in range(field.nvars, 0, -1):
         bit = 1 << i
-        if not _may_match(masked, bit):
-            continue
         even = [b for b in bits if not b & bit]
         odd = [b ^ bit for b in bits if b & bit]
+        if not odd or len(even) != len(odd):
+            continue
         target = _canon_bits(field, even)
         a = _values(even, flex)[0]
         for b in _values(odd, flex):
@@ -880,33 +879,6 @@ def _tensor_reduction(
                 return u ^ bit, res, _canon(res, [project(u ^ x)
                                                   for x in odd])
     return None
-
-
-def _may_match(masked: Sequence[int], bit: int) -> bool:
-    """Whether the halves of a form along a variable's bit have as many
-    entries, and some class u carries every entry with the bit into the
-    set of those without it; masked holds the entries, flex bit
-    cleared.
-
-    This is necessary for u*odd and even to have one canonical
-    diagonalization, since their entries then agree up to the flex bit
-    (the move <x,x> = <-x,-x>).  u carries the first entry with the bit
-    onto some x, which leaves one candidate per x; a wrong one mostly
-    fails at the first entry tried.
-    """
-    ys = [m for m in masked if m & bit]
-    if not ys or 2 * len(ys) != len(masked):
-        return False
-    targets = {m for m in masked if not m & bit}
-    y0, rest = ys[0], ys[1:]
-    for x in targets:
-        u = x ^ y0
-        for y in rest:
-            if u ^ y not in targets:
-                break
-        else:
-            return True
-    return False
 
 
 # --- bounds ---------------------------------------------------------------
@@ -1014,20 +986,6 @@ def _pfister_number_impl(
         return 0, []
     theorem_cap = _default_cap(n, d, unscaled)
     cap = theorem_cap if depth_cap is None else depth_cap
-    # exact fold-reduction for products with a binary Pfister factor
-    if not unscaled and n >= 2:
-        red = _tensor_reduction(field, bits)
-        if red is not None:
-            t, res, tau = red
-            k, sub = _pfister_number_impl(res, tau, n - 1, unscaled, None)
-            if depth_cap is not None and k > depth_cap:
-                raise _over_cap(depth_cap)
-            # s*<<slots>> over the residue field lifts to
-            # s*<<slots, -t>> over the field
-            _, lift = class_map(t)
-            minus_t = t ^ _minus_one(field)
-            return k, [(lift(s), tuple(map(lift, slots)) + (minus_t,))
-                       for s, slots in sub]
     # a sum of k terms has dimension at most k * 2^n
     for k in range(math.ceil(d / (1 << n)), cap + 1):
         terms = _decide_k(field, bits, n, k, unscaled, cap)
@@ -1072,12 +1030,14 @@ def _decide_k(
     terms above 2^(n+1) once d >= 3*2^n - 2n, for every n, extend an
     (n-1)-fold Pfister subform to one term and decide the rest at k - 1
     (_extension_terms, exact there by linkage: D(12) and D(14) at n = 3;
-    at k = 3 each remainder is decided by these rules at k = 2); any
-    other k goes to the generator search.  Only the search needs the
-    generator set, built only when packing it, _READ_COST per class of
-    S_n and scalar, is within _MAX_SEARCH_COST (_pfister_set refuses
-    S_n over that size before it is made), and the search must keep to
-    it too (_search_cost).  Raises
+    at k = 3 each remainder is decided by these rules at k = 2); a
+    scaled product <<t>> (x) tau (_tensor_reduction) is k terms exactly
+    when GP_(n-1)(tau) = k, found by this ladder over the residue field
+    and lifted by the slot -t; any other k goes to the generator search.
+    Only the search needs the generator set, built only when packing
+    it, _READ_COST per class of S_n and scalar, is within
+    _MAX_SEARCH_COST (_pfister_set refuses S_n over that size before it
+    is made), and the search must keep to it too (_search_cost).  Raises
     DepthCapExceededError, with reason "budget", when no complete
     method is available, so a wrong minimum can never be reported.
     """
@@ -1096,6 +1056,16 @@ def _decide_k(
     if not unscaled and (k == 2 and d < top or (n, d, k) == (3, 16, 3)
                          or k == 3 and d > top and d >= (3 << n) - 2 * n):
         return _extension_terms(field, bits, n, k, cap)
+    if not unscaled and (red := _tensor_reduction(field, bits)) is not None:
+        t, res, tau = red
+        value, sub = _pfister_number_impl(res, tau, n - 1, False, None)
+        if value != k:
+            return None
+        # s*<<slots>> over the residue field lifts to s*<<slots, -t>>
+        _, lift = class_map(t)
+        minus_t = t ^ _minus_one(field)
+        return [(lift(s), tuple(map(lift, slots)) + (minus_t,))
+                for s, slots in sub]
     limit = _MAX_SEARCH_COST // (_READ_COST * (
         2 if unscaled else field.square_class_count()))
     if _pfister_set(field, n, limit) is None:

@@ -16,9 +16,10 @@ oracle reaches anisotropic parts another way, by Springer's theorem on
 the residue forms of the top Laurent variable; the library reads them
 off the group ring.  `ideal_recursion` decides I^n membership by the
 same residue recursion; the library uses a closed form on the Witt
-vector.  `tensor_scan` is the exception: it keeps an earlier version of
-the library's tensor reduction, built on the library's own helpers, to
-pin the current one to the same outputs.
+vector.  `tensor_scan` is the exception: it scans like the library's
+tensor reduction, on the library's own helpers, but reads tau off as an
+anisotropic part, to pin the library's direct read-off to the same
+outputs.
 """
 
 import collections
@@ -286,11 +287,11 @@ def ideal_recursion():
 
 
 def _tensor_scan(field, bits):
-    """The tensor reduction as it was before the translation filter: for
-    every variable with halves of one size, each class u = a*b with a
-    the least value of the even half and b a value of the odd half is
-    tried by canonicalizing u*odd, and tau is read off as an
-    anisotropic part."""
+    """The tensor reduction with tau read off as an anisotropic part: for
+    every variable with halves of one nonzero size, each class u = a*b
+    with a the least value of the even half and b a value of the odd
+    half is tried by canonicalizing u*odd, and tau is the anisotropic
+    part of u*odd under class_map(t)."""
     from rigidwitt.pfnum import _canon
     from rigidwitt.qform import _canon_bits
     from rigidwitt.sqclass import class_map
@@ -317,7 +318,8 @@ def _tensor_scan(field, bits):
 
 @pytest.fixture(scope="session")
 def tensor_scan():
-    """tensor_scan(field, bits): the earlier tensor reduction's output."""
+    """tensor_scan(field, bits): the tensor reduction's output, with tau
+    read off as an anisotropic part."""
     return _tensor_scan
 
 

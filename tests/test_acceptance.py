@@ -134,8 +134,9 @@ def test_criterion_3_d14():
 
 def _split_samples(raw, count: int) -> list:
     """Seeded anisotropic dim-16 sums of two scaled 3-fold Pfister forms
-    over F3[t1..t5] that no tensor reduction factors: only the two-term
-    split decides them.  Built and reduced in the group ring."""
+    over F3[t1..t5], none of them a product <<t>> (x) tau, which the
+    random samples mostly are: the two-term split decides them.  Built
+    and reduced in the group ring."""
     rng = random.Random(1616)
     out = []
     while len(out) < count:
@@ -152,21 +153,21 @@ def _split_samples(raw, count: int) -> list:
 
 def test_criterion_4_dim16_classification(gp_lookup, raw_field):
     # the exact GP_3 of every sample is read off the lookup of all GP_3
-    # classes: 2 if it is a sum of two of them, else 3.  Random forms
-    # almost never need the two-term split, so 20 samples that only it
-    # decides ride along.
+    # classes: 2 if it is a sum of two of them, else 3.  Most random
+    # forms are products <<t>> (x) tau, so 20 samples that are not ride
+    # along.
     look = gp_lookup(F5, 3)
     raw = raw_field(F5)
     samples = list(_samples(16)) + _split_samples(raw, 20)
-    routes = {"tensor reduction": 0, "two-term split": 0, "dim-16 route": 0}
+    # the ladder decides every dim-16 form, products <<t>> (x) tau
+    # included: GP_3 = 2 by the two-term split, 3 by the dim-16 route
+    routes = {"two-term split": 0, "dim-16 route": 0}
     failures = 0
     for phi in samples:
         bits = [e.bits for e in phi.entries]
         two = look.terms(look.vector(bits))
         oracle = 3 if two is None else two
-        if _tensor_reduction(F5, bits) is not None:
-            routes["tensor reduction"] += 1
-        elif oracle == 2:
+        if oracle == 2:
             routes["two-term split"] += 1
         else:
             routes["dim-16 route"] += 1

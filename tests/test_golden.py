@@ -29,7 +29,7 @@ from rigidwitt.pfnum import (
 from rigidwitt.qform import DiagonalForm, PfisterSpec
 from rigidwitt.sqclass import Base, FieldDesc, SquareClass
 
-GOLDEN = "7160c20a3eb7df5a4adf405f00af37732888b9686a30042ee754b69d635bd6ef"
+GOLDEN = "e87c54ce9aa9849adecf61d534d76cf8e1e7e8af5766daafcbb5c66a85087cee"
 VALUES = "7521f212e6e97827ee46cddcc9c3e6e66087cf2f20ade8654ce7f9b57211419a"
 
 F5 = FieldDesc(Base.F3, 5)

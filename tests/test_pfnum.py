@@ -583,10 +583,9 @@ def test_tensor_reduction_sound_on_I3_forms(gp_lookup):
     FieldDesc(Base.SQUARE_MINUS_ONE, 3)], ids=str)
 def test_tensor_reduction_matches_the_candidate_scan(field, raw_field,
                                                      tensor_scan):
-    # the translation filter skips only variables where no unit works,
-    # and tau needs no anisotropic read-off: the same (t, residue field,
-    # tau) or None as the scan over every candidate, on seeded I^2 and
-    # I^3 classes and on products <1,t> (x) tau built to factor
+    # tau needs no anisotropic read-off: the same (t, residue field,
+    # tau) or None as the scan that reads it off, on seeded I^2 and I^3
+    # classes and on products <1,t> (x) tau built to factor
     raw = raw_field(field)
     rng = random.Random(1514)
     found = 0
@@ -616,6 +615,67 @@ def test_tensor_reduction_matches_the_candidate_scan(field, raw_field,
         assert got == tensor_scan(field, bits), bits
         found += 1
     assert found
+
+
+def test_fold_reduction_decides_the_lower_bound_witness(raw_field,
+                                                        monkeypatch):
+    # the dimension-20 witness over F3[t1..t9] is <<t>> (x) tau with
+    # GP_3 = 4: the extension rule rules out three terms, and four, which
+    # no other rule of the ladder decides, is GP_2(tau) over the residue
+    # field, found with no generator search
+    calls = _count_calls(monkeypatch, ["_tensor_reduction", "_search_sum"])
+    field = FieldDesc(Base.F3, 9)
+    witness, _ = lower_bound_generic(field, 20)
+    k, cert = pfister_number(witness, 3)
+    raw = raw_field(field)
+    assert k == len(cert.terms) == 4
+    assert _spec_sum(raw, cert.terms) == raw.vector(
+        [e.bits for e in witness.entries])
+    assert calls == {"_tensor_reduction": 1, "_search_sum": 0}
+
+
+def test_fold_reduction_decides_a_gp4_product(raw_field, monkeypatch):
+    # <<t5>> (x) psi at dimension 32 over F3[t1..t5] for a seeded psi of
+    # dimension 16 over F3[t1..t4] with GP_3 = 3: the two-term split
+    # fails, so k = 3 reaches the search branch, where the reduction
+    # answers GP_3(psi) = 3
+    look = raw_field(FieldDesc(Base.F3, 4))
+    _v, psi = _random_class(look, random.Random(1), 3, 16, (3,))
+    assert pfister_number(psi, 3)[0] == 3
+    product = tensor(pfister((F5.var(5),)), lift_form(psi, F5))
+    calls = _count_calls(monkeypatch, ["_tensor_reduction", "_search_sum"])
+    k, cert = pfister_number(product, 4)
+    raw = raw_field(F5)
+    assert product.dim == 32 and k == len(cert.terms) == 3
+    assert _spec_sum(raw, cert.terms) == raw.vector(
+        [e.bits for e in product.entries])
+    assert calls == {"_tensor_reduction": 1, "_search_sum": 0}
+
+
+@pytest.mark.parametrize("field,n,dims", [
+    (F5, 3, (8, 12, 14, 16)),
+    (FieldDesc(Base.F3, 4), 2, (10,)),
+], ids=str)
+def test_ladder_decided_forms_skip_the_fold_reduction(field, n, dims,
+                                                      raw_field, monkeypatch):
+    # the benchmark's shapes: seeded scaled GP_3 forms at dimensions 8-16
+    # and GP_2 forms at dimension 10 are decided by the ladder's exact
+    # rules, so the reduction, tried only where the search would run, is
+    # never called, although it would factor 30 of the 40 GP_3 forms (no
+    # form of dimension 10 or 14 factors: tau would have odd dimension)
+    calls = _count_calls(monkeypatch, ["_tensor_reduction", "_search_sum"])
+    raw = raw_field(field)
+    rng = random.Random(2626)
+    factored = 0
+    for dim in dims:
+        for _ in range(10):
+            v, phi = _random_class(raw, rng, n, dim, (1, 2, 3))
+            factored += _tensor_reduction(
+                field, [e.bits for e in phi.entries]) is not None
+            k, cert = pfister_number(phi, n)
+            assert k == len(cert.terms) and _spec_sum(raw, cert.terms) == v
+    assert factored == (30 if n == 3 else 0)
+    assert calls == {"_tensor_reduction": 0, "_search_sum": 0}
 
 
 def test_certificate_verification_rejects_wrong_terms():
@@ -693,9 +753,9 @@ def test_negative_depth_cap_is_rejected():
 
 
 def test_depth_cap_refusal_names_its_bound():
-    # a cap below the value is the caller's bound, on the ladder (the
-    # generic 6-dimensional I^2 form, GP_2 = 2) and after the tensor
-    # reduction (<<t5>> times it, GP_3 = 2) alike
+    # a cap below the value is the caller's bound, for the generic
+    # 6-dimensional I^2 form (GP_2 = 2) and for the product <<t5>> times
+    # it (GP_3 = 2) alike
     g6 = generic_I2_form(F5, 4)
     product = tensor(pfister((F5.var(5),)), g6)
     for phi, n in ((g6, 2), (product, 3)):
@@ -897,8 +957,8 @@ def test_pass_rules_out_three_for_a_four_term_sum(gp_lookup):
 ], ids=str)
 def test_extension_scan_matches_the_pass_oracle(field, n, dims, gp_lookup):
     # the k = 3 extension rule above dimension 2^(n+1), run directly on
-    # sums of three or four scaled n-fold terms (pfister_number would
-    # tensor-reduce some of them), at every base: three terms exactly
+    # sums of three or four scaled n-fold terms at every base: three
+    # terms exactly
     # when the lookup has a generator g with v - g a sum of two, with
     # legs that check out there
     look = gp_lookup(field, n)
@@ -1309,8 +1369,8 @@ def _check_dim12_terms(raw, v, bits, terms):
 
 
 def test_gp3_dim12_route_minus_one_divisor(raw_field):
-    # sums of two 3-fold forms sharing the slot -1: the tensor reduction
-    # passes them on to the extension rule
+    # sums of two 3-fold forms sharing the slot -1, none of them a
+    # product <<t>> (x) tau: the extension rule decides them
     raw = raw_field(F5)
     rng = random.Random(1212)
     for _ in range(20):
@@ -1322,10 +1382,10 @@ def test_gp3_dim12_route_minus_one_divisor(raw_field):
 
 
 def test_gp3_dim12_route_non_unit_divisor(raw_field):
-    # a multiple of <<a>> with a non-unit a is always tensor-reduced
-    # along a's top variable, so pfister_number never brings these to
-    # the extension rule; the rule at dimension 16 hands its
-    # 12-dimensional remainders to it directly, as here
+    # a multiple of <<a>> with a non-unit a is a product <<t>> (x) tau
+    # along a's top variable; the extension rule decides it all the same,
+    # as it does the 12-dimensional remainders of the rule at dimension
+    # 16, here run on the entries directly
     raw = raw_field(F5)
     rng = random.Random(1213)
     non_units = [c for c in raw.classes if c >> 1]
@@ -1365,8 +1425,7 @@ def test_extension_rule_matches_lookup(field, dims, gp_lookup):
     # dimension-14 forms) and level infinity (R[t1..t4]), and scaled
     # GP_4 over R[t1..t4]: below 2^(n+1) two exactly when the lookup
     # finds two terms (always for n = 3: D(12) and D(14)), and at 16 two
-    # exactly when the lookup finds at most two.  pfister_number
-    # tensor-reduces most of these forms, so the rule is also run
+    # exactly when the lookup finds at most two.  The rule is also run
     # directly on each one: at k = 2 below 2^(n+1), where it returns
     # None exactly when two terms do not suffice, and at 16 at the value
     # the lookup gives
@@ -1502,8 +1561,8 @@ def test_gp3_routes_build_few_square_classes(raw_field, monkeypatch):
     # certificate target; none when the input is already its canonical
     # anisotropic form), square classes for the certificate and the
     # report.  The cases: a <<-1>>-divisible dim-12 form, classify14, a
-    # tensor-reduced dim-8 form, a dim-16 form that no tensor reduction
-    # factors, and an unscaled P_2 op of the generator search with a cold
+    # dim-8 product <<t>> (x) tau, a dim-16 form that is no such
+    # product, and an unscaled P_2 op of the generator search with a cold
     # generator cache.  Bounds: the counts measured when the whole engine
     # moved to raw bits, plus 25 % (the object-level engine built 27, 43,
     # 30, 52 and 51 square classes).

@@ -24,9 +24,10 @@ the GP_3 they were drawn with (``c16/k2``, ``c16/k3``), and
 ``search-small`` ops by base, fold and scaling (``pn/R/P3/16`` is
 unscaled P_3 over R, ``pn/F3/GP2/10`` scaled GP_2 over F3), so a change
 can show which dimension, field and op shape it moved.  Per key, and for all
-ops together, it prints the median and quartiles of the per-op times of
-each tree over all timed batches, the ratio work / base of the medians,
-and the share of batches whose median (and p90) each tree won.  The
+ops together, it prints the median, quartiles, p90 and count of the
+per-op times of each tree over all timed batches (a key with one timed
+op: its one time), the ratio work / base of the medians, and the share
+of batches whose median (and p90) each tree won.  The
 last line is the same as one JSON object.  A process-level benchmark run on a shared
 machine spreads more than these per-op times; this tool does not
 replace it.
@@ -113,11 +114,23 @@ def key(op) -> str:
 
 
 def p90(xs: list[float]) -> float:
+    """The 90th percentile; the time itself when there is only one."""
+    if len(xs) < 2:
+        return xs[0]
     return statistics.quantiles(xs, n=10, method="inclusive")[-1]
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def stats(row: dict) -> str:
+    """One tree's times of a key: median [q1, q3], p90 and the count, or
+    the one time of a key with one timed op."""
+    if "q1" not in row:
+        return f"{row['median']:.3f} (1 op)"
+    return (f"{row['median']:.3f} [{row['q1']:.3f}, {row['q3']:.3f}]"
+            f" p90 {row['p90']:.3f} ({row['count']} ops)")
 
 
 def main(argv=None) -> int:
@@ -170,19 +183,17 @@ def main(argv=None) -> int:
     for kind in sorted(per["work"]):
         row = {}
         for name in sides:
-            q1, med, q3 = quartiles(per[name][kind])
-            row[name] = {"median": med, "q1": q1, "q3": q3,
-                         "p90": p90(per[name][kind])}
+            xs = per[name][kind]
+            row[name] = {"count": len(xs), "median": statistics.median(xs)}
+            if len(xs) > 1:  # one timed op has no quartiles
+                row[name]["q1"], _, row[name]["q3"] = quartiles(xs)
+                row[name]["p90"] = p90(xs)
         row["ratio"] = row["work"]["median"] / row["base"]["median"]
         row["work_won"] = {stat: sum(w[kind]) / len(w[kind])
                            for stat, w in wins.items()}
         report[kind] = row
-        print(f"  {kind:{width}} base {row['base']['median']:.3f}"
-              f" [{row['base']['q1']:.3f}, {row['base']['q3']:.3f}]"
-              f" p90 {row['base']['p90']:.3f} | work"
-              f" {row['work']['median']:.3f} [{row['work']['q1']:.3f},"
-              f" {row['work']['q3']:.3f}] p90 {row['work']['p90']:.3f}"
-              f" | ratio {row['ratio']:.3f}; work won"
+        print(f"  {kind:{width}} base {stats(row['base'])} | work"
+              f" {stats(row['work'])} | ratio {row['ratio']:.3f}; work won"
               f" {row['work_won']['median']:.0%} of batch medians,"
               f" {row['work_won']['p90']:.0%} of batch p90s")
     print(json.dumps(report))
