@@ -185,10 +185,11 @@ def _canon(field: FieldDesc, an: Sequence[int]) -> list[int]:
 
 def _minus(field: FieldDesc, bits: Sequence[int], term: tuple) -> list[int]:
     """The canonical anisotropic part of <bits> - term, in the class
-    order."""
+    order.  _an_bits writes a doubled class over F3 without its unit
+    bit, as _canon_bits does, and its part is canonical already."""
     minus_one = _minus_one(field)
     total = list(bits) + [b ^ minus_one for b in _expand(field, term)]
-    return _canon(field, _an_bits(field, tuple(sorted(total))))
+    return _in_class_order(_an_bits(field, total))
 
 
 def _certificate(n: int, terms: Sequence[tuple],
@@ -544,7 +545,7 @@ def _splits(field: FieldDesc, bits: Sequence[int], a: int) -> bool:
     """Whether the form with entries `bits` becomes hyperbolic over
     F(sqrt a), i.e. lies in <<a>>W(F), the kernel of W(F) -> W(F(sqrt a))."""
     target, image = _extension_bits(field, bits, a)
-    return not _an_bits(target, tuple(sorted(image)))
+    return not _an_bits(target, image)
 
 
 def _split_candidates(field: FieldDesc, bits: Sequence[int]) -> list[int]:
@@ -597,7 +598,7 @@ def divisible_by_pfister(
     if not slots:
         raise ValueError("need at least one slot")
     pi = _expand(field, (0, tuple(a.bits for a in slots)))
-    if not _an_bits(field, tuple(sorted(pi))):
+    if not _an_bits(field, pi):
         if phi.dim == 0:
             return True, DiagonalForm(field, ())
         return False, None
@@ -637,7 +638,7 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
     if pi2.scalar.field != field:
         raise FieldMismatchError(f"{field} vs {pi2.scalar.field}")
     forms = [_expand(field, _raw(pi1)), _expand(field, _raw(pi2))]
-    an = _an_bits(field, tuple(sorted(forms[0])))
+    an = _an_bits(field, forms[0])
     for d in _split_candidates(field, an):
         if all(_splits(field, f, d) for f in forms):
             return SquareClass(field, d)
@@ -924,8 +925,6 @@ def _theorem_bound(n: int, d: int) -> int:
 
 
 def _default_cap(n: int, d: int, unscaled: bool) -> int:
-    if d == 0:
-        return 0
     cap = _theorem_bound(n, d)
     return 2 * cap if unscaled else cap
 
@@ -1200,7 +1199,7 @@ def _biquadratic_splitting(field: FieldDesc,
     classes = field.class_bits()
     for a in classes[1:]:
         mid_field, mid = _extension_bits(field, bits, a)
-        an = _an_bits(mid_field, tuple(sorted(mid)))
+        an = _an_bits(mid_field, mid)
         cands = (_split_candidates(mid_field, an) if an else
                  set(_extension_bits(field, classes[1:3], a)[1]) - {0})
         lift = class_map(a)[1] if a >> 1 else (lambda c: c)
@@ -1285,20 +1284,23 @@ def random_In_form(
     Hauptsatz), and one strictly between 2^n and 2^(n+1) that is no
     linkage dimension 2^(n+1) - 2^(r+1) (Karpenko, "Holes in I^n"; see
     _linkage_dim).  So is one above 3 * 2^n, which a sum of at most
-    three terms cannot reach.
+    three terms cannot reach.  Below 2^n only the zero form qualifies,
+    by the same Hauptsatz, and it is returned with no draw.
     """
     if not allow_smaller and (
             dim % 2 or dim > 3 << n or dim < 2 << n and dim not in (0, 1 << n)
             and not _linkage_dim(n, dim)):
         raise ValueError(f"no anisotropic I^{n} form of dimension {dim} "
                          f"can be drawn")
+    if 0 <= dim < 1 << n:
+        return DiagonalForm(field, ())
     for attempt in range(max_tries):
         bits: list[int] = []
         for _ in range(rng.randrange(1, 4)):
             c = field.random_class(rng).bits
             slots = tuple(field.random_class(rng).bits for _ in range(n))
             bits += _expand(field, (c, slots))
-        an = _an_bits(field, tuple(sorted(bits)))
+        an = _an_bits(field, bits)
         if len(an) == dim or (allow_smaller and len(an) <= dim):
             return _form(field, an)
     raise RigidWittError(

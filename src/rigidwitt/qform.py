@@ -23,7 +23,7 @@ from .sqclass import (
     FieldDesc,
     SquareClass,
     format_square_class,
-    parse_square_class,
+    _parse_square_class,
 )
 
 
@@ -200,8 +200,8 @@ def complement(psi: DiagonalForm, phi: DiagonalForm) -> DiagonalForm:
         raise IsotropicInputError("complement requires an anisotropic ambient")
     _check_fields(psi, phi)
     minus_one = witt._minus_one(phi.field)
-    an = witt._an_bits(phi.field, tuple(sorted(
-        [e.bits for e in phi] + [e.bits ^ minus_one for e in psi])))
+    an = witt._an_bits(phi.field, [e.bits for e in phi]
+                       + [e.bits ^ minus_one for e in psi])
     if len(an) > phi.dim - psi.dim:
         raise NotASubformError(f"{psi} is not a subform of {phi}")
     return witt._form(phi.field, an)
@@ -254,31 +254,44 @@ def format_form(phi: DiagonalForm) -> str:
 
 
 def parse_form(s: str, field: FieldDesc) -> DiagonalForm:
-    """Parse `<e1,...,ek>` or Pfister sugar `[c*]<<a1,...,ak>>`."""
+    """Parse `<e1,...,ek>` or Pfister sugar `[c*]<<a1,...,ak>>`; a
+    ParseError's position indexes s."""
     text = s.strip()
     if "<<" in text:
-        return parse_pfister_spec(text, field).expand()
+        return parse_pfister_spec(s, field).expand()
     if not (text.startswith("<") and text.endswith(">")):
         raise ParseError(f"form literal must be <...>, got {s!r}", 0)
-    body = text[1:-1].strip()
-    if not body:
+    body = text[1:-1]
+    if not body.strip():
         return zero_form(field)
-    entries = tuple(
-        parse_square_class(part, field) for part in body.split(","))
-    return DiagonalForm(field, entries)
+    start = len(s) - len(s.lstrip()) + 1
+    return DiagonalForm(field, _parse_classes(body, field, start))
+
+
+def _parse_classes(body: str, field: FieldDesc,
+                   start: int) -> tuple[SquareClass, ...]:
+    """The comma-separated square classes of body, which begins at
+    index start of the caller's string."""
+    out = []
+    for part in body.split(","):
+        out.append(_parse_square_class(part, field, start))
+        start += len(part) + 1
+    return tuple(out)
 
 
 def parse_pfister_spec(s: str, field: FieldDesc) -> PfisterSpec:
     text = s.strip()
+    lead = len(s) - len(s.lstrip())
     idx = text.find("<<")
     if idx < 0 or not text.endswith(">>"):
         raise ParseError(f"Pfister literal must be [c*]<<...>>, got {s!r}", 0)
     prefix = text[:idx].rstrip()
     if prefix.endswith("*"):
         prefix = prefix[:-1]
-    scalar = parse_square_class(prefix, field) if prefix else field.one()
-    body = text[idx + 2:-2].strip()
-    if not body:
-        raise ParseError("empty Pfister slot list", idx)
-    slots = tuple(parse_square_class(p, field) for p in body.split(","))
+    scalar = (_parse_square_class(prefix, field, lead) if prefix
+              else field.one())
+    body = text[idx + 2:-2]
+    if not body.strip():
+        raise ParseError("empty Pfister slot list", lead + idx)
+    slots = _parse_classes(body, field, lead + idx + 2)
     return PfisterSpec(scalar, slots)

@@ -260,11 +260,17 @@ def format_square_class(a: SquareClass) -> str:
 
 def parse_square_class(s: str, field: FieldDesc) -> SquareClass:
     """Parse `[-] (1 | t<k>(*t<k>)*)`, e.g. `-t1*t3`; round-trips bit-exactly."""
+    return _parse_square_class(s, field, 0)
+
+
+def _parse_square_class(s: str, field: FieldDesc, start: int) -> SquareClass:
+    """parse_square_class of the literal s that begins at index start of
+    the caller's string, which every ParseError position indexes."""
     text = s.strip()
     if not text:
         raise ParseError("empty square-class literal")
     bits = 0
-    pos = 0
+    pos = start + len(s) - len(s.lstrip())
     if text.startswith("-"):
         # -1 is a square over level-1 bases, so the sign is a no-op there.
         if field.base in (Base.F3, Base.R):
@@ -276,23 +282,25 @@ def parse_square_class(s: str, field: FieldDesc) -> SquareClass:
             raise ParseError("unit class 'u' only exists over the level-1 "
                              "two-unit-class base", pos)
         bits ^= 1
-        text = text[1:].lstrip("*")
-        if not text:
+        if text == "u":
             return SquareClass(field, bits)
+        text = text[2:]
+        pos += 2
     if not text:
         raise ParseError("missing square-class body", pos)
     for factor in text.split("*"):
+        at = pos + len(factor) - len(factor.lstrip())
+        pos += len(factor) + 1
         factor = factor.strip()
         if factor == "1":
             continue
         m = _VAR_RE.match(factor)
         if not m:
-            raise ParseError(f"bad square-class factor {factor!r}", pos)
+            raise ParseError(f"bad square-class factor {factor!r}", at)
         k = int(m.group(1))
         if not 1 <= k <= field.nvars:
-            raise ParseError(f"unknown variable t{k} over {field}", pos)
+            raise ParseError(f"unknown variable t{k} over {field}", at)
         bits ^= 1 << k
-        pos += len(factor) + 1
     return SquareClass(field, bits)
 
 
@@ -305,13 +313,15 @@ def parse_field(s: str) -> FieldDesc:
     if not m:
         raise ParseError(f"bad field literal {s!r}", 0)
     base = {"F3": Base.F3, "R": Base.R, "C": Base.C}[m.group(1)]
-    body = m.group(2).strip()
-    if not body:
+    body = m.group(2)
+    if not body.strip():
         return FieldDesc(base, 0)
-    names = [v.strip() for v in body.split(",")]
+    at = m.start(2)
+    names = body.split(",")
     for i, name in enumerate(names, start=1):
-        if name != f"t{i}":
+        if name.strip() != f"t{i}":
             raise ParseError(
-                f"variables must be contiguous t1..tn, got {name!r} in "
-                f"position {i}", s.find(name) if name in s else 0)
+                f"variables must be contiguous t1..tn, got {name.strip()!r} "
+                f"in position {i}", at + len(name) - len(name.lstrip()))
+        at += len(name) + 1
     return FieldDesc(base, len(names))

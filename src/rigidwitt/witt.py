@@ -169,21 +169,31 @@ def _dims(field: FieldDesc, ws: Iterable) -> Iterator[int]:
             for w in ws)
 
 
-@lru_cache(maxsize=1 << 18)
-def _an_bits(field: FieldDesc, entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Anisotropic part on raw bits, read off the nonzero Witt
-    coefficients (_counts), sorted."""
-    modulus, m, split_units = _ring_params(field)
+# stores nothing; perfbench/tracer.py and tools/ still call cache_info/clear
+@lru_cache(maxsize=0)
+def _an_bits(field: FieldDesc, entries: Iterable[int]) -> tuple[int, ...]:
+    """Anisotropic part on raw bits, sorted, read off the nonzero Witt
+    coefficients.  They are counted as in _counts, but by the class h
+    that an H-index stands for, so no index is shifted either way.  The
+    entries may come in any order, and nothing is kept: the part is
+    computed on every call."""
+    modulus, _, split_units = _ring_params(field)
+    counts: dict[int, int] = {}
+    for b in entries:
+        h = b & ~split_units
+        counts[h] = counts.get(h, 0) + 1 - 2 * (b & split_units)
     out: list[int] = []
-    for idx, c in _counts(field, entries).items():
-        h = idx << (field.nvars + 1 - m)
+    for h, c in counts.items():
+        if modulus:
+            c %= modulus
         if not split_units:  # Z/2 coefficients
             out += [h] * c
         elif modulus:  # Z/4 over F3: 2 is <h,h>, 3 = -1 is <-h>
             out += ((), (h,), (h, h), (h | 1,))[c]
         else:  # Z coefficients over R
             out += [h | (c < 0)] * abs(c)
-    return tuple(sorted(out))
+    out.sort()
+    return tuple(out)
 
 
 def _form(field: FieldDesc, an: Sequence[int]) -> DiagonalForm:
@@ -209,8 +219,7 @@ def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
     flexed = [e.bits for e in phi.entries if e.bits & flex]
     if _an_dim(phi) == phi.dim and len(set(flexed)) == len(flexed):
         return phi
-    return _form(field, _an_bits(field, tuple(sorted(
-        e.bits for e in phi.entries))))
+    return _form(field, _an_bits(field, [e.bits for e in phi.entries]))
 
 
 def _an_dim(phi: DiagonalForm) -> int:

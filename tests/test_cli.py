@@ -127,6 +127,17 @@ def test_exit_code_parse(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("field,form,position", [
+    ("F3[t1]", "<1, t9>", 4),
+    ("F3[t1,t1]", "<1>", 6),
+], ids=["form", "field"])
+def test_parse_error_names_the_position_in_the_option(capsys, field, form,
+                                                      position):
+    code, _, err = run(capsys, "analyze", "--field", field, "--form", form)
+    assert code == 2
+    assert f"(at position {position})" in err
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "pfister-number", "--field", "F3[t1]",
                        "--form", "<1,t1>", "--n", "2")

@@ -469,17 +469,19 @@ def test_library_runs_without_numpy():
     assert done.returncode == 0, done.stderr
 
 
-def test_pfister_subforms_leaves_an_cache_alone():
-    from rigidwitt.witt import _an_bits
+def test_pfister_subforms_reads_no_anisotropic_part(monkeypatch):
+    from rigidwitt import witt
 
     phi = _sample(16, 7)
     bits = [e.bits for e in phi.entries]
-    # no call at all: hits, misses and currsize stay as they were
-    before = _an_bits.cache_info()
+    # the walk splits entries off one by one and never calls _an_bits,
+    # whether through pfnum or through witt
+    calls = _count_calls(monkeypatch, ["_an_bits"])
+    monkeypatch.setattr(witt, "_an_bits", pfnum._an_bits)
     found = list(_pfister_subforms(F5, bits, 3, _anchors(F5, bits)))
     found += list(_pfister_subforms(F5, bits, 2, bits))
     assert found
-    assert _an_bits.cache_info() == before
+    assert calls["_an_bits"] == 0
 
 
 # --- the generic examples -------------------------------------------------
@@ -1122,6 +1124,34 @@ def test_two_terms_are_ruled_out_by_one_lookup(gp_lookup, monkeypatch,
         assert _search_sum(field, bits, 2, 2, unscaled) is None
         assert taken == [1]
         ruled_out += 1
+
+
+def test_search_misses_without_the_2_sumset(monkeypatch):
+    # the 1240 scaled P_2 generators over F3[t1..t4] are too many to
+    # store S2, so k = 2 is one pass over G, and k = 3 one pass that
+    # keeps no candidate: a remainder of a dim-14 form minus a 4-dim
+    # generator has dimension at least 10, above 2 * 4.  Dimension alone
+    # proves both misses (10 > 2 * 4, 14 > 3 * 4)
+    field = FieldDesc(Base.F3, 4)
+    assert _sumset(field, 2, False) is None
+    size = len(pfnum._generators(field, 2, False))
+    taken = []
+
+    def counted(field, w, xs, inner=pfnum._diffs):
+        taken.append(len(xs))
+        return inner(field, w, xs)
+
+    monkeypatch.setattr(pfnum, "_diffs", counted)
+    rng = random.Random(1128)
+    for _ in range(3):
+        bits = [e.bits for e in random_In_form(field, 2, 10, rng).entries]
+        taken.clear()
+        assert _search_sum(field, bits, 2, 2, False) is None
+        assert taken == [size]
+    taken.clear()
+    bits = [e.bits for e in parse_form(_DIM14_T4, field).entries]
+    assert _search_sum(field, bits, 2, 3, False) is None
+    assert taken == [size]
 
 
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)], ids=str)
@@ -2042,6 +2072,42 @@ def test_random_In_form_unreachable_dimension():
     for n, dim in ((2, 14), (3, 26)):
         with pytest.raises(ValueError):
             random_In_form(F5, n, dim, _NoDraws())
+
+
+def test_random_In_form_below_2_to_the_n_is_the_zero_form():
+    # only the zero form has dimension below 2^n (Arason-Pfister
+    # Hauptsatz), so no n-fold term is drawn or expanded to 2^n entries
+    for n, dim, allow_smaller in ((30, 4, True), (30, 0, False)):
+        phi = random_In_form(FieldDesc(Base.F3, 1), n, dim, _NoDraws(),
+                             allow_smaller=allow_smaller)
+        assert phi == DiagonalForm(FieldDesc(Base.F3, 1), ())
+
+
+def test_anisotropic_parts_keep_no_state():
+    # seeded GP_3 draws at d = 18-24 and GP_4 draws at d = 30-40 over
+    # F3[t1..t6], answered or refused, leave nothing behind in _an_bits,
+    # which reads its entries in any order
+    from rigidwitt import witt
+
+    f6 = FieldDesc(Base.F3, 6)
+    minus_one = witt._minus_one(f6)
+    for n, dims in ((3, (18, 20, 22, 24)), (4, (30, 32, 34, 36, 38, 40))):
+        for d in dims:
+            rng = random.Random(700 + d)
+            for _ in range(3):
+                phi = random_In_form(f6, n, d, rng)
+                try:
+                    pfister_number(phi, n)
+                except DepthCapExceededError:
+                    pass
+                # phi minus every other entry of phi: half of it cancels
+                entries = [e.bits for e in phi.entries]
+                mixed = entries + [b ^ minus_one for b in entries[::2]]
+                an = witt._an_bits(f6, mixed)
+                assert an == witt._an_bits(f6, mixed[::-1])
+                assert an == witt._an_bits(f6, iter(mixed))
+                assert len(an) == d // 2
+    assert witt._an_bits.cache_info().currsize == 0
 
 
 def test_random_In_form_admissible_dimensions_still_draw():

@@ -50,6 +50,19 @@ def test_parse_examples():
         parse_form("1,t1", F2)
 
 
+@pytest.mark.parametrize("parse,text,position", [
+    (parse_form, "<1,t3>", 3),
+    (parse_form, "<1, t1*t3>", 7),
+    (parse_pfister_spec, "<<t1,t3>>", 5),
+], ids=["entry", "factor", "slot"])
+def test_parse_error_positions_index_the_literal(parse, text, position):
+    # the unknown t3 is reported where it stands in the caller's string,
+    # not in the entry or slot it belongs to
+    with pytest.raises(ParseError) as info:
+        parse(text, F2)
+    assert info.value.position == position == text.index("t3")
+
+
 def test_pfister_sugar_and_spec():
     spec = parse_pfister_spec("-t1*<<t1,t2>>", F2)
     assert spec.scalar == -F2.var(1)

@@ -32,6 +32,29 @@ def test_parse_field_rejects_noncontiguous():
         parse_field("Q[t1]")
 
 
+def test_parse_field_points_at_the_repeated_variable():
+    with pytest.raises(ParseError) as info:
+        parse_field("F3[t1,t1]")
+    assert info.value.position == 6
+
+
+def test_parse_square_class_counts_the_unit_prefix():
+    with pytest.raises(ParseError) as info:
+        parse_square_class("u*t1*t9", FieldDesc(Base.SQUARE_MINUS_ONE, 2))
+    assert info.value.position == 5
+
+
+def test_parse_square_class_rejects_a_unit_prefix_with_no_body():
+    # "u" alone is the unit class; "u*" lacks its body, as "-" does
+    field = FieldDesc(Base.SQUARE_MINUS_ONE, 2)
+    assert parse_square_class("u", field).bits == 1
+    for text, position in (("u*", 2), ("-", 1)):
+        with pytest.raises(ParseError, match="missing square-class body") \
+                as info:
+            parse_square_class(text, field)
+        assert info.value.position == position
+
+
 def test_square_class_counts():
     assert FieldDesc(Base.F3, 2).square_class_count() == 8
     assert FieldDesc(Base.C, 3).square_class_count() == 8
