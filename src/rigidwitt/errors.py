@@ -53,6 +53,9 @@ class DepthCapExceededError(RigidWittError):
         self.reason = reason
         super().__init__(message or f"search depth cap {cap} exceeded")
 
+    def __reduce__(self):
+        return type(self), (self.cap, str(self), self.k, self.reason)
+
 
 class InternalContradictionError(RigidWittError):
     """A witness mandated by theory was not found; this signals a bug."""
@@ -63,6 +66,10 @@ class ParseError(RigidWittError):
 
     def __init__(self, message: str, position: int | None = None):
         self.position = position
+        self.message = message
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.position)

@@ -20,16 +20,13 @@ from .errors import (
     UnitClassError,
 )
 from .qform import DiagonalForm, neg, orth_sum, scale
-from .sqclass import Base, FieldDesc, SquareClass, class_map
+from .sqclass import _LANE, Base, FieldDesc, SquareClass, class_map
 from .witt import (
     anisotropic_part,
     is_hyperbolic,
     represents,
     value_set,
-    _LANE,
     _form_vector,
-    _lanes,
-    _ring_params,
 )
 
 __all__ = [
@@ -94,7 +91,7 @@ def in_In(phi: DiagonalForm, n: int) -> bool:
 @lru_cache(maxsize=256)
 def _ideal_masks(field: FieldDesc, n: int) -> tuple:
     """in_In's masks for I^n, n >= 1, on packed vectors (witt._pack),
-    with witt's lane width and coefficient mask.
+    with the lane width and coefficient mask of FieldDesc._lanes.
 
     (coeffs, steps, zero, pairs): the mask of every coefficient bit; one
     (shift, low, guard) per variable, low the coefficient bits and guard
@@ -103,8 +100,8 @@ def _ideal_masks(field: FieldDesc, n: int) -> tuple:
     0; and, with the unit bit in the index (F3(i)), the lanes (S, 1)
     whose sum with (S, u) must be even.
     """
-    modulus, _, _, coeffs = _lanes(field)
-    m = _ring_params(field)[1]
+    modulus, _, _, coeffs = field._lanes
+    m = field._ring[1]
     top = modulus - 1
     first = m - field.nvars  # the index bit of t1
     steps = []
@@ -134,7 +131,7 @@ def _in_In_sparse(field: FieldDesc, items: Iterable[tuple[int, int]],
     coefficient is spread over the subsets of V of size below n, and
     only those lanes are tested.
     """
-    modulus, m, _ = _ring_params(field)
+    modulus, m, _ = field._ring
     first = m - field.nvars  # the index bit of t1
     units = (1 << first) - 1  # the unit bit, over F3(i)
     lanes: dict[int, int] = {}
@@ -185,14 +182,14 @@ def _split_along(phi: DiagonalForm, a: int) -> UnimodularSplit:
     top = 1 << a.bit_length() - 1
     even = DiagonalForm(field, tuple(e for e in phi if not e.bits & top))
     odd = DiagonalForm(field, tuple(
-        SquareClass(field, e.bits ^ a) for e in phi if e.bits & top))
+        field._classes[e.bits ^ a] for e in phi if e.bits & top))
     if is_hyperbolic(even) or is_hyperbolic(odd):
         raise HyperbolicResidueError(
             "both residue class forms must be non-hyperbolic")
     u = (min(value_set(even), key=SquareClass.sort_key)
          * min(value_set(odd), key=SquareClass.sort_key))
     sigma = anisotropic_part(orth_sum(even, neg(scale(u, odd))))
-    return UnimodularSplit(u * SquareClass(field, a), sigma, scale(u, odd))
+    return UnimodularSplit(u * field._classes[a], sigma, scale(u, odd))
 
 
 def decompose_unimodular(phi: DiagonalForm, i: int | None = None) -> UnimodularSplit:
@@ -228,7 +225,7 @@ def lift_form(phi: DiagonalForm, field: FieldDesc) -> DiagonalForm:
         raise FieldMismatchError(
             f"cannot embed {phi.field} into {field}")
     return DiagonalForm(
-        field, tuple(SquareClass(field, e.bits) for e in phi))
+        field, tuple(field._classes[e.bits] for e in phi))
 
 
 _UNIT_EXTENSION = {
@@ -267,4 +264,4 @@ def extend_scalars_quadratic(
         raise SquareClassIsOneError("extension requires a nonsquare class")
     target, bits = _extension_bits(phi.field, (e.bits for e in phi), a.bits)
     return target, DiagonalForm(
-        target, tuple(SquareClass(target, b) for b in bits))
+        target, tuple(map(target._classes.__getitem__, bits)))

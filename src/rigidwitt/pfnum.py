@@ -61,14 +61,11 @@ from .witt import (
     _class_order,
     _diffs,
     _dims,
-    _flex,
     _form,
     _form_vector,
     _in_class_order,
-    _minus_one,
     _neg,
     _pack,
-    _ring_params,
     _split_off,
     _value_set,
     _values,
@@ -112,20 +109,15 @@ class PfisterCertificate:
     target: DiagonalForm  # canonical anisotropic representative
 
     def verify(self) -> bool:
-        """Whether every term is n-fold over the target's field and the
-        terms, expanded on their classes' bits, sum to the target's Witt
-        class (whose vector is read once per form, see _form_vector)."""
+        """Whether every term's classes lie over the target's field (one
+        object per field, see FieldDesc) and the terms, read as raw
+        terms, are n-fold and sum to the target's Witt class (_sums_to)."""
         field = self.target.field
-        entries: list[int] = []
         for t in self.terms:
-            classes = (t.scalar, *t.slots)
-            if len(classes) != self.n + 1:
-                return False
-            for c in classes:
-                if c.field is not field and c.field != field:
+            for c in (t.scalar, *t.slots):
+                if c.field is not field:
                     return False
-            entries += _expand(field, _raw(t))
-        return _pack(field, entries) == _form_vector(self.target)
+        return _sums_to(self.n, [_raw(t) for t in self.terms], self.target)
 
     def to_json_dict(self) -> dict:
         import hashlib  # only commands that print a certificate need it
@@ -157,7 +149,7 @@ class PfisterCertificate:
 def _expand(field: FieldDesc, term: tuple) -> list[int]:
     """The entries of the scaled Pfister form term = (scalar, slots) on
     raw bits: the scalar times the products of the <1, -a>."""
-    minus_one = _minus_one(field)
+    minus_one = field._minus_bit
     scalar, slots = term
     out = [scalar]
     for a in slots:
@@ -172,10 +164,10 @@ def _raw(spec: PfisterSpec) -> tuple:
 
 
 def _spec(field: FieldDesc, term: tuple) -> PfisterSpec:
-    """The PfisterSpec of a raw term (scalar, slots)."""
+    """The PfisterSpec of a raw term (scalar, slots): interned classes."""
     scalar, slots = term
-    return PfisterSpec(SquareClass(field, scalar),
-                       tuple([SquareClass(field, s) for s in slots]))
+    classes = field._classes
+    return PfisterSpec(classes[scalar], tuple(map(classes.__getitem__, slots)))
 
 
 def _canon(field: FieldDesc, an: Sequence[int]) -> list[int]:
@@ -187,13 +179,27 @@ def _minus(field: FieldDesc, bits: Sequence[int], term: tuple) -> list[int]:
     """The canonical anisotropic part of <bits> - term, in the class
     order.  _an_bits writes a doubled class over F3 without its unit
     bit, as _canon_bits does, and its part is canonical already."""
-    minus_one = _minus_one(field)
+    minus_one = field._minus_bit
     total = list(bits) + [b ^ minus_one for b in _expand(field, term)]
     return _in_class_order(_an_bits(field, total))
 
 
+def _sums_to(n: int, terms: Sequence[tuple], target: DiagonalForm) -> bool:
+    """Whether the raw terms are n-fold and sum to target's Witt class
+    (whose vector is read once per form, see _form_vector)."""
+    field = target.field
+    entries: list[int] = []
+    for term in terms:
+        if len(term[1]) != n:
+            return False
+        entries += _expand(field, term)
+    return _pack(field, entries) == _form_vector(target)
+
+
 def _certificate(n: int, terms: Sequence[tuple],
                  target: DiagonalForm) -> PfisterCertificate:
+    """The verified certificate of the raw terms for target, its terms
+    built from the field's interned classes."""
     cert = PfisterCertificate(
         n, tuple([_spec(target.field, t) for t in terms]), target)
     if not cert.verify():
@@ -241,7 +247,7 @@ def _pfister_set(field: FieldDesc, n: int, limit: float) -> dict | None:
         out = None if rhos is None else _pfister_set(residue, n, limit)
         if out is None:
             return None
-        values = [_value_set(bits, _flex(field)) for bits in rhos]
+        values = [_value_set(bits, field._flex) for bits in rhos]
         if len(out) + sum(len(units) // len(v) for v in values) > limit:
             return None
         out = dict(out)
@@ -268,7 +274,7 @@ def _generators(field: FieldDesc, n: int, unscaled: bool) -> dict:
     if cached is not None:
         return cached
     if unscaled:
-        scalars = (0, _minus_one(field))
+        scalars = (0, field._minus_bit)
     else:
         scalars = field.class_bits()
     out: dict = {}
@@ -295,7 +301,7 @@ def _sumset(field: FieldDesc, n: int, unscaled: bool) -> set | None:
     if len(gens) * (len(gens) + 1) // 2 > _MAX_SUMSET:
         return None
     negs = [_neg(field, g) for g in gens]
-    cached = {_pack(field, ()), *gens}
+    cached = {field._zero, *gens}
     for i, g in enumerate(gens):
         cached.update(_diffs(field, g, negs[i:]))  # g - (-h) = g + h
     _GEN_CACHE[key] = cached
@@ -365,8 +371,8 @@ def _pfister_subforms(
     iterator over the values still to try.  A level's value set is the
     one its candidates are sorted from; the filter builds no other set.
     """
-    flex = _flex(field)
-    minus_one = _minus_one(field)
+    flex = field._flex
+    minus_one = field._minus_bit
     for e in anchors:
         psi = [e ^ b for b in bits]
         if not _split_off(psi, 0, flex):
@@ -420,7 +426,7 @@ def _anchors(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     for b in bits:
         if bits.count(b) == 1:
             return (b,)
-    return tuple(dict.fromkeys((bits[0], bits[0] ^ _flex(field))))
+    return tuple(dict.fromkeys((bits[0], bits[0] ^ field._flex)))
 
 
 def _may_split(field: FieldDesc, bits: Sequence[int], n: int) -> bool:
@@ -432,7 +438,7 @@ def _may_split(field: FieldDesc, bits: Sequence[int], n: int) -> bool:
     Proof.  Let phi = x*pi + psi be such a split.  Some summand
     represents an anchor e (_anchors), say x*pi, and as Pfister forms
     are round it is e*pi.  Write iota(y) = y >> shift for the H-index
-    of a class (shift as in witt._ring_params), a homomorphism on the
+    of a class (shift as in FieldDesc._ring), a homomorphism on the
     class bits under xor.  The entries of
     e*<<a1..an>> are e times the slot products prod (-a_i)^(s_i); iota
     maps these onto a subgroup U of H of rank n - m, m the rank of the
@@ -449,7 +455,7 @@ def _may_split(field: FieldDesc, bits: Sequence[int], n: int) -> bool:
     the split survives when T holds a subgroup of rank n - m
     (_holds_subgroup).  When none does, no split exists.
     """
-    shift = field.nvars + 1 - _ring_params(field)[1]
+    shift = field.nvars + 1 - field._ring[1]
     count: dict[int, int] = {}
     for b in bits:
         count[b >> shift] = count.get(b >> shift, 0) + 1
@@ -519,7 +525,7 @@ def _as_scaled_pfister(field: FieldDesc, bits: Sequence[int], n: int,
     if len(bits) != 1 << n:
         return None
     return _orthogonal_terms(field, bits, n, dict.fromkeys(
-        (0, _minus_one(field))) if unscaled else None)
+        (0, field._minus_bit)) if unscaled else None)
 
 
 def find_GP2_subform(
@@ -533,7 +539,7 @@ def find_GP2_subform(
         raise IsotropicInputError("find_GP2_subform needs an anisotropic form")
     field = phi.field
     bits = [e.bits for e in phi.entries]
-    anchors = _values(bits, _flex(field))
+    anchors = _values(bits, field._flex)
     for e, slots, comp in _pfister_subforms(field, bits, 2, anchors):
         return _spec(field, (e, slots)), _form(field, comp)
     return None
@@ -561,7 +567,7 @@ def _split_candidates(field: FieldDesc, bits: Sequence[int]) -> list[int]:
     that splits the form passes.  Every b != 1 for the zero form."""
     if not bits:
         return field.class_bits()[1:]
-    flex, minus_one = _flex(field), _minus_one(field)
+    flex, minus_one = field._flex, field._minus_bit
     member = _value_set(bits, flex)
     key = _canon_bits(field, bits)
     out = []
@@ -605,7 +611,7 @@ def divisible_by_pfister(
     bits = [e.bits for e in phi]
     if not all(_splits(field, bits, a.bits) for a in slots):
         return False, None
-    flex = _flex(field)
+    flex = field._flex
     rest = list(bits)
     quotient: list[int] = []
     while rest:
@@ -624,7 +630,7 @@ def divisible_by_pfister(
     if _pack(field, product) != _form_vector(phi):
         raise InternalContradictionError("peeled quotient fails to verify")
     return True, DiagonalForm(field, tuple(
-        SquareClass(field, x) for x in quotient))
+        map(field._classes.__getitem__, quotient)))
 
 
 def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
@@ -641,7 +647,7 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
     an = _an_bits(field, forms[0])
     for d in _split_candidates(field, an):
         if all(_splits(field, f, d) for f in forms):
-            return SquareClass(field, d)
+            return field._classes[d]
     return None
 
 
@@ -671,7 +677,7 @@ def _search_sum(
     """
     gens = _generators(field, n, unscaled)
     sums = _sumset(field, n, unscaled)
-    fronts = ((_pack(field, ()),), gens, sums)
+    fronts = ((field._zero,), gens, sums)
 
     def two(w) -> list[tuple] | None:
         """The terms of w when it is a sum of at most two generators."""
@@ -726,14 +732,14 @@ def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
 
 def _gp1_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     """The form as dim/2 scaled 1-fold Pfister forms: <a,b> = a<<-ab>>."""
-    minus_one = _minus_one(field)
+    minus_one = field._minus_bit
     return [(a, (a ^ b ^ minus_one,)) for a, b in zip(bits[0::2], bits[1::2])]
 
 
 def _gp2_peeling_terms(field: FieldDesc, bits: Sequence[int]) -> list[tuple]:
     """The dim/2 - 1 construction for I^2 forms: peel three entries at
     a time via <a,b,c,abc> = a<<-ab,-ac>>."""
-    minus_one = _minus_one(field)
+    minus_one = field._minus_bit
     terms: list[tuple] = []
     cur = list(bits)
     while len(cur) >= 4:
@@ -819,8 +825,8 @@ def _extension_terms(field: FieldDesc, bits: Sequence[int], n: int, k: int,
     need not be: some 28-dimensional I^4 forms over F3[t1..t5] are no
     sum of two.
     """
-    flex = _flex(field)
-    minus_one = _minus_one(field)
+    flex = field._flex
+    minus_one = field._minus_bit
     top = 2 << n
     wide = len(bits) > top
     anchors = _values(bits, flex) if wide else _anchors(field, bits)
@@ -863,7 +869,7 @@ def _tensor_reduction(
     which keeps it anisotropic: two of its entries differ by neither t
     nor -t, which hold t_i, so no two H-indices merge.
     """
-    flex = _flex(field)
+    flex = field._flex
     for i in range(field.nvars, 0, -1):
         bit = 1 << i
         even = [b for b in bits if not b & bit]
@@ -1062,7 +1068,7 @@ def _decide_k(
             return None
         # s*<<slots>> over the residue field lifts to s*<<slots, -t>>
         _, lift = class_map(t)
-        minus_t = t ^ _minus_one(field)
+        minus_t = t ^ field._minus_bit
         return [(lift(s), tuple(map(lift, slots)) + (minus_t,))
                 for s, slots in sub]
     limit = _MAX_SEARCH_COST // (_READ_COST * (
@@ -1142,7 +1148,7 @@ def classify14(phi: DiagonalForm) -> dict:
         raise IsotropicInputError("form must be anisotropic")
     k, terms, an = _exact_terms(phi, 3, False, None)
     field = phi.field
-    flex, minus_one = _flex(field), _minus_one(field)
+    flex, minus_one = field._flex, field._minus_bit
     (_, slots1), (_, slots2) = terms
     negs = {v ^ minus_one for v in _values(_expand(field, terms[1]), flex)}
     s = next((v for v in _values(_expand(field, terms[0]), flex)
@@ -1160,7 +1166,7 @@ def classify14(phi: DiagonalForm) -> dict:
         "gp2_complement": _complement(field, an, sub),
         "conditions_i_iii": True,
         "shape_ii": True,
-        "shape_scalar": SquareClass(field, s),
+        "shape_scalar": field._classes[s],
     }
 
 
@@ -1168,7 +1174,7 @@ def _complement(field: FieldDesc, an: DiagonalForm,
                 term: tuple) -> DiagonalForm:
     """The complement of the scaled Pfister subform term of the
     anisotropic form an, split off its entries by Witt cancellation."""
-    flex = _flex(field)
+    flex = field._flex
     rest = [e.bits for e in an.entries]
     if not all(_split_off(rest, y, flex) for y in _expand(field, term)):
         raise InternalContradictionError("GP_2 witness is not a subform")
@@ -1235,7 +1241,7 @@ def classify16(phi: DiagonalForm) -> dict:
     field = phi.field
     bits = [e.bits for e in an.entries]
     if k == 2:
-        minus_one = _minus_one(field)
+        minus_one = field._minus_bit
         four = [half for e, (a, b, c) in terms
                 for half in ((e, (a, b)), (e ^ c ^ minus_one, (a, b)))]
     else:
@@ -1252,7 +1258,7 @@ def classify16(phi: DiagonalForm) -> dict:
         "gp2_subform": _spec(field, four[0]),
         "gp2_complement": _complement(field, an, four[0]),
         "gp2_decomposition": [_spec(field, t) for t in four],
-        "splitting_pair": tuple(SquareClass(field, b) for b in pair),
+        "splitting_pair": tuple(map(field._classes.__getitem__, pair)),
     }
 
 
@@ -1284,10 +1290,11 @@ def random_In_form(
     Hauptsatz), and one strictly between 2^n and 2^(n+1) that is no
     linkage dimension 2^(n+1) - 2^(r+1) (Karpenko, "Holes in I^n"; see
     _linkage_dim).  So is one above 3 * 2^n, which a sum of at most
-    three terms cannot reach.  Below 2^n only the zero form qualifies,
-    by the same Hauptsatz, and it is returned with no draw.
+    three terms cannot reach, and, with allow_smaller too, a negative
+    one.  Below 2^n only the zero form qualifies, by the same Hauptsatz,
+    and it is returned with no draw.
     """
-    if not allow_smaller and (
+    if dim < 0 or not allow_smaller and (
             dim % 2 or dim > 3 << n or dim < 2 << n and dim not in (0, 1 << n)
             and not _linkage_dim(n, dim)):
         raise ValueError(f"no anisotropic I^{n} form of dimension {dim} "

@@ -163,7 +163,7 @@ def canonicalize(phi: DiagonalForm) -> DiagonalForm:
 
 def _canon_bits(field: FieldDesc, bits: Sequence[int]) -> tuple[int, ...]:
     """Canonical sorted bit tuple with the level-2 doubled-pair move."""
-    if field.level() != 2 or len(set(bits)) == len(bits):
+    if not field._flex or len(set(bits)) == len(bits):
         return tuple(sorted(bits))
     count: dict[int, int] = {}
     for b in bits:
@@ -199,7 +199,7 @@ def complement(psi: DiagonalForm, phi: DiagonalForm) -> DiagonalForm:
     if witt.is_isotropic(phi):
         raise IsotropicInputError("complement requires an anisotropic ambient")
     _check_fields(psi, phi)
-    minus_one = witt._minus_one(phi.field)
+    minus_one = phi.field._minus_bit
     an = witt._an_bits(phi.field, [e.bits for e in phi]
                        + [e.bits ^ minus_one for e in psi])
     if len(an) > phi.dim - psi.dim:
@@ -228,7 +228,7 @@ def decompose_over_split(
     if not is_subform(psi, ambient):
         raise NotASubformError("psi must be a subform of phi1 + phi2")
     fld = psi.field
-    flex = witt._flex(fld)
+    flex = fld._flex
     rest = [e.bits for e in psi]
     summands = ([e.bits for e in phi1], [e.bits for e in phi2])
     parts: tuple[list[int], list[int]] = ([], [])
@@ -242,7 +242,7 @@ def decompose_over_split(
         witt._split_off(rest, x, flex)
         witt._split_off(summands[side], x, flex)
         parts[side].append(x)
-    psi1, psi2 = (DiagonalForm(fld, tuple(SquareClass(fld, x) for x in p))
+    psi1, psi2 = (DiagonalForm(fld, tuple(map(fld._classes.__getitem__, p)))
                   for p in parts)
     return psi1, psi2, witt._form(fld, rest)
 

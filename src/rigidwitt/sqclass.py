@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterator
 
 from .errors import FieldMismatchError, ParseError, UnitClassError
@@ -37,16 +37,66 @@ _LEVELS = {Base.F3: 2, Base.R: None, Base.C: 1, Base.SQUARE_MINUS_ONE: 1}
 _BitMap = Callable[[int], int]  # a map of square classes on raw bits
 
 
-@dataclass(frozen=True)
+_LANE = 8  # bits per coefficient lane of a packed Witt vector: one byte
+_DENSE_BITS = 10  # H-index bits up to which vectors are packed (1 KB at most)
+
+
 class FieldDesc:
-    """A rigid-field model: base field plus Laurent variable count."""
+    """A rigid-field model: base field plus Laurent variable count.
 
-    base: Base
-    nvars: int
+    FieldDesc(base, nvars) returns the one object interned for (base,
+    nvars): equality is identity and the hash object's, both in C, and
+    pickle and copies go back through the constructor.  It computes once
+    what the Witt-ring code reads on every call: _flex, the bit of -1
+    where <z,z> = <-z,-z> (level 2), else 0; _minus_bit, the bit of -1
+    (0 at level 1); _ring, (modulus, index bits, whether H is the
+    unit-bit-0 subgroup, as over F3 and R) of W(F) = (Z/modulus)[H],
+    modulus 0 for Z; _lanes, (modulus, lo, guard, mask) of the packed
+    vectors of witt._pack, lo with 1 in every byte lane, guard the bit
+    above a lane's coefficient bits and mask those bits, all 0 where
+    vectors are sparse; _zero, the zero vector; and _classes, its
+    SquareClass objects by raw bits, each built on first lookup.
+    """
 
-    def __post_init__(self) -> None:
-        if self.nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+    __slots__ = ("base", "nvars", "_flex", "_minus_bit", "_ring", "_lanes",
+                 "_zero", "_classes")
+    _interned: dict[tuple[Base, int], "FieldDesc"] = {}
+
+    def __new__(cls, base: Base, nvars: int) -> "FieldDesc":
+        self = cls._interned.get((base, nvars))
+        if self is not None:
+            return self
+        if base not in _LEVELS or nvars < 0:
+            raise ValueError(f"no field model with base {base!r} and "
+                             f"nvars = {nvars} (nonnegative)")
+        self = super().__new__(cls)
+        level, modulus = _LEVELS[base], {Base.F3: 4, Base.R: 0}.get(base, 2)
+        m = nvars + (base is Base.SQUARE_MINUS_ONE)
+        lanes = (modulus, 0, 0, 0)
+        if modulus and m <= _DENSE_BITS:
+            lo = int.from_bytes(b"\x01" * (1 << m), "little")
+            lanes = (modulus, lo, lo * modulus, lo * (modulus - 1))
+        table = _ClassTable()
+        table.field = self
+        for name, value in (
+                ("base", base), ("nvars", nvars), ("_flex", int(level == 2)),
+                ("_minus_bit", int(level != 1)),
+                ("_ring", (modulus, m, int(level != 1))), ("_lanes", lanes),
+                ("_zero", 0 if lanes[3] else ()), ("_classes", table)):
+            object.__setattr__(self, name, value)
+        # setdefault is atomic, so two threads never intern two objects
+        return cls._interned.setdefault((base, nvars), self)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return FieldDesc, (self.base, self.nvars)
+
+    def __repr__(self) -> str:
+        return f"FieldDesc(base={self.base!r}, nvars={self.nvars!r})"
 
     def level(self) -> int | None:
         """Level of the field: 1, 2, or None (meaning infinity)."""
@@ -61,22 +111,20 @@ class FieldDesc:
     def random_class(self, rng) -> "SquareClass":
         """A uniformly drawn square class (C has no unit bit to draw)."""
         i = rng.randrange(self.square_class_count())
-        return SquareClass(self, i << 1 if self.base is Base.C else i)
+        return self._classes[i << 1 if self.base is Base.C else i]
 
     def one(self) -> "SquareClass":
-        return SquareClass(self, 0)
+        return self._classes[0]
 
     def minus_one(self) -> "SquareClass":
         """The class of -1 (trivial when the level is 1)."""
-        if self.base in (Base.C, Base.SQUARE_MINUS_ONE):
-            return SquareClass(self, 0)
-        return SquareClass(self, 1)
+        return self._classes[self._minus_bit]
 
     def var(self, i: int) -> "SquareClass":
         """The class of the i-th Laurent variable (1-based)."""
         if not 1 <= i <= self.nvars:
             raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
-        return SquareClass(self, 1 << i)
+        return self._classes[1 << i]
 
     def class_bits(self) -> list[int]:
         """Raw bits of all square classes, in the global tie-break order."""
@@ -86,7 +134,7 @@ class FieldDesc:
 
     def classes(self) -> Iterator["SquareClass"]:
         """All square classes, in the global tie-break order."""
-        return (SquareClass(self, b) for b in self.class_bits())
+        return map(self._classes.__getitem__, self.class_bits())
 
     def residue(self) -> "FieldDesc":
         """The residue field model (one Laurent variable fewer)."""
@@ -100,6 +148,16 @@ class FieldDesc:
     def __str__(self) -> str:
         vars_part = ",".join(f"t{i}" for i in range(1, self.nvars + 1))
         return f"{self.base.value}[{vars_part}]"
+
+
+class _ClassTable(dict):
+    """A field's SquareClass objects by raw bits, built on first lookup."""
+
+    __slots__ = ("field",)
+
+    def __missing__(self, bits: int) -> "SquareClass":
+        out = self[bits] = SquareClass(self.field, bits)
+        return out
 
 
 @dataclass(frozen=True, order=False)
@@ -137,11 +195,12 @@ class SquareClass:
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         self._check(other)
-        return SquareClass(self.field, self.bits ^ other.bits)
+        return self.field._classes[self.bits ^ other.bits]
 
     def __neg__(self) -> "SquareClass":
         """Multiply by the class of -1 (identity over level-1 fields)."""
-        return self * self.field.minus_one()
+        field = self.field
+        return field._classes[self.bits ^ field._minus_bit]
 
     def sort_key(self) -> tuple[int, int]:
         return (self.unit, self.exps)
@@ -176,7 +235,7 @@ class ClassAutomorphism:
         for j, col in enumerate(self.cols):
             if a.bits >> j & 1:
                 out ^= col
-        return SquareClass(self.field, out)
+        return self.field._classes[out]
 
 
 def class_map(a: int) -> tuple[_BitMap, _BitMap]:
@@ -268,7 +327,7 @@ def _parse_square_class(s: str, field: FieldDesc, start: int) -> SquareClass:
     the caller's string, which every ParseError position indexes."""
     text = s.strip()
     if not text:
-        raise ParseError("empty square-class literal")
+        raise ParseError("empty square-class literal", start)
     bits = 0
     pos = start + len(s) - len(s.lstrip())
     if text.startswith("-"):
@@ -283,7 +342,7 @@ def _parse_square_class(s: str, field: FieldDesc, start: int) -> SquareClass:
                              "two-unit-class base", pos)
         bits ^= 1
         if text == "u":
-            return SquareClass(field, bits)
+            return field._classes[bits]
         text = text[2:]
         pos += 2
     if not text:
@@ -301,7 +360,7 @@ def _parse_square_class(s: str, field: FieldDesc, start: int) -> SquareClass:
         if not 1 <= k <= field.nvars:
             raise ParseError(f"unknown variable t{k} over {field}", at)
         bits ^= 1 << k
-    return SquareClass(field, bits)
+    return field._classes[bits]
 
 
 _FIELD_RE = re.compile(r"^\s*(F3|R|C)\s*\[\s*([^\]]*)\s*\]\s*$")

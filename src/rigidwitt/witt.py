@@ -7,7 +7,9 @@ helper counts the vector's nonzero coefficients; anisotropic parts and
 value sets come from it, and the dense vector is built from it only
 where it is asked for.  This module owns the one comparable encoding
 of a Witt vector (_pack): byte lanes in an int where the ring is finite
-and H small, a sorted tuple of the nonzero coefficients otherwise.  A
+and H small, a sorted tuple of the nonzero coefficients otherwise; the
+ring's parameters and lane masks are computed once per field (the
+FieldDesc attributes _ring and _lanes).  A
 form keeps its vector (_form_vector); Witt-class equality, isometry,
 anisotropic dimensions, I^n membership and certificate checks read it,
 and the generator search in pfnum works on it through _diffs, _neg
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError
 from .qform import DiagonalForm, _canon_bits, orth_sum
-from .sqclass import Base, FieldDesc, SquareClass
+from .sqclass import FieldDesc, SquareClass
 
 __all__ = [
     "anisotropic_part",
@@ -41,30 +43,13 @@ __all__ = [
 
 # --- the group ring -------------------------------------------------------
 
-def _ring_params(field: FieldDesc) -> tuple[int, int, int]:
-    """(modulus, index-bit-count, whether H is the unit-bit-0 subgroup).
-
-    modulus 0 means Z.  For F3 and R the subgroup H consists of classes
-    with unit bit 0, indexed by the exponent bits; for the level-1 bases
-    H is the whole class group.
-    """
-    base = field.base
-    if base is Base.F3:
-        return 4, field.nvars, 1
-    if base is Base.R:
-        return 0, field.nvars, 1
-    if base is Base.C:
-        return 2, field.nvars, 0
-    return 2, field.nvars + 1, 0
-
-
 def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
     """Nonzero Witt coefficients of the form with these entries, by H-index.
 
     <x> adds 1 at x's index; when H is the unit-bit-0 subgroup, an x
     with the unit bit is -(-x) and adds -1 at the index of -x.
     """
-    modulus, m, split_units = _ring_params(field)
+    modulus, m, split_units = field._ring
     shift = field.nvars + 1 - m
     counts: dict[int, int] = {}
     for b in bits:
@@ -74,29 +59,12 @@ def _counts(field: FieldDesc, bits: Iterable[int]) -> dict[int, int]:
             if (r := c % modulus if modulus else c)}
 
 
-_LANE = 8  # bits per coefficient lane of a packed vector: one byte
-_DENSE_BITS = 10  # H-index bits up to which vectors are packed (1 KB at most)
-
-
-@lru_cache(maxsize=256)
-def _lanes(field: FieldDesc) -> tuple[int, int, int, int]:
-    """(modulus, lo, guard, mask) of the Witt vectors over field: lo has
-    1 in every lane, guard the bit above a lane's coefficient bits and
-    mask the coefficient bits; lo, guard and mask are 0 where the
-    vectors are sparse."""
-    modulus, m, _ = _ring_params(field)
-    if not modulus or m > _DENSE_BITS:
-        return modulus, 0, 0, 0
-    lo = int.from_bytes(b"\x01" * (1 << m), "little")
-    return modulus, lo, lo * modulus, lo * (modulus - 1)
-
-
 def _pack(field: FieldDesc, bits: Iterable[int]):
     """The Witt vector of the form with these entries as one value: two
     entry lists give equal values exactly when their forms are Witt
     equivalent.
 
-    Packed, over a finite ring (Z/m)[H] with at most 2^_DENSE_BITS
+    Packed, over a finite ring (Z/m)[H] with at most 2^sqclass._DENSE_BITS
     indices: an int with one byte lane per H-index, holding the
     coefficient in [0, m) under a guard bit that is 0 at rest.  The
     entries are counted in a bytearray, with no carry between lanes:
@@ -106,10 +74,10 @@ def _pack(field: FieldDesc, bits: Iterable[int]):
     Sparse, over R (coefficients in Z) and over larger groups: the
     sorted tuple of the nonzero (H-index, coefficient) pairs.
     """
-    mask = _lanes(field)[3]
+    mask = field._lanes[3]
     if not mask:
         return tuple(sorted(_counts(field, bits).items()))
-    modulus, m, split_units = _ring_params(field)
+    modulus, m, split_units = field._ring
     shift = field.nvars + 1 - m
     unit = (modulus - 2) * split_units
     counts = bytearray(1 << m)
@@ -133,7 +101,7 @@ def _diffs(field: FieldDesc, w, xs: Iterable) -> Iterator:
     """w - x for each vector x in xs, lazily.  Packed, every guard is
     set before the subtraction, so no lane borrows from the next, and
     masked off after it."""
-    modulus, _, guard, mask = _lanes(field)
+    modulus, _, guard, mask = field._lanes
     if not mask:
         return _sparse_diffs(w, xs, modulus)
     top = w | guard
@@ -154,14 +122,14 @@ def _sparse_diffs(w: tuple, xs: Iterable, modulus: int) -> Iterator:
 
 def _neg(field: FieldDesc, w):
     """-w, the zero vector minus w."""
-    return next(_diffs(field, _pack(field, ()), (w,)))
+    return next(_diffs(field, field._zero, (w,)))
 
 
 def _dims(field: FieldDesc, ws: Iterable) -> Iterator[int]:
     """The anisotropic dimensions of the Witt classes ws, lazily: min(c,
     m - c) per coefficient c over Z/m, |c| over Z.  Packed, a lane
     holding 1 or 3 counts 1 and one holding 2 counts 2."""
-    modulus, lo, _, _ = _lanes(field)
+    modulus, lo, _, _ = field._lanes
     if not lo:
         return (sum(min(c, modulus - c) if modulus else abs(c)
                     for _, c in w) for w in ws)
@@ -177,7 +145,7 @@ def _an_bits(field: FieldDesc, entries: Iterable[int]) -> tuple[int, ...]:
     that an H-index stands for, so no index is shifted either way.  The
     entries may come in any order, and nothing is kept: the part is
     computed on every call."""
-    modulus, _, split_units = _ring_params(field)
+    modulus, _, split_units = field._ring
     counts: dict[int, int] = {}
     for b in entries:
         h = b & ~split_units
@@ -199,8 +167,8 @@ def _an_bits(field: FieldDesc, entries: Iterable[int]) -> tuple[int, ...]:
 def _form(field: FieldDesc, an: Sequence[int]) -> DiagonalForm:
     """The canonical diagonalization of the anisotropic form with these
     entries."""
-    return DiagonalForm(field, tuple([SquareClass(field, b)
-                                      for b in _canon_bits(field, an)]))
+    return DiagonalForm(field, tuple(map(field._classes.__getitem__,
+                                         _canon_bits(field, an))))
 
 
 def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
@@ -215,7 +183,7 @@ def anisotropic_part(phi: DiagonalForm) -> DiagonalForm:
     without the unit bit.
     """
     field = phi.field
-    flex = _flex(field)
+    flex = field._flex
     flexed = [e.bits for e in phi.entries if e.bits & flex]
     if _an_dim(phi) == phi.dim and len(set(flexed)) == len(flexed):
         return phi
@@ -251,16 +219,6 @@ def is_hyperbolic(phi: DiagonalForm) -> bool:
 # square classes.  So D(psi) of an anisotropic psi is read off its
 # diagonal: the entries and, at level 2 where <z,z> = <-z,-z>, the
 # negatives of its doubled entries.
-
-def _flex(field: FieldDesc) -> int:
-    """The bit of -1 when <z,z> = <-z,-z> (level 2), else 0."""
-    return 1 if field.level() == 2 else 0
-
-
-def _minus_one(field: FieldDesc) -> int:
-    """The bit of -1 (0 when -1 is a square, at level 1)."""
-    return int(field.level() != 1)
-
 
 def _class_order(b: int) -> tuple[int, int]:
     """SquareClass.sort_key on raw bits."""
@@ -311,7 +269,7 @@ def _represented(phi: DiagonalForm) -> list[int] | None:
     represents every class)."""
     if is_isotropic(phi):
         return None
-    return _values([e.bits for e in phi], _flex(phi.field))
+    return _values([e.bits for e in phi], phi.field._flex)
 
 
 def represents(phi: DiagonalForm, x: SquareClass) -> bool:
@@ -328,14 +286,14 @@ def value_set(phi: DiagonalForm) -> frozenset[SquareClass]:
     vals = _represented(phi)
     if vals is None:
         return frozenset(field.classes())
-    return frozenset(SquareClass(field, b) for b in vals)
+    return frozenset(map(field._classes.__getitem__, vals))
 
 
 # --- Witt vectors ---------------------------------------------------------
 
 def witt_vector(phi: DiagonalForm) -> tuple[int, ...]:
     """Raw coefficient tuple of phi's Witt class, indexed by H."""
-    coeffs = [0] * (1 << _ring_params(phi.field)[1])
+    coeffs = [0] * (1 << phi.field._ring[1])
     for i, c in _counts(phi.field, (e.bits for e in phi)).items():
         coeffs[i] = c
     return tuple(coeffs)
@@ -389,7 +347,7 @@ def three_form_witt_index_check(
     if iw < m:
         return False, None
     fld = phi1.field
-    flex, minus_one = _flex(fld), _minus_one(fld)
+    flex, minus_one = fld._flex, fld._minus_bit
     # psi of dimension i_W inside phi1+phi2 with -psi inside phi3
     rest12 = [e.bits for e in phi1] + [e.bits for e in phi2]
     rest3 = [e.bits for e in phi3]
@@ -399,7 +357,7 @@ def three_form_witt_index_check(
         x = next(x for x in _values(rest12, flex) if x ^ minus_one in d3)
         _split_off(rest12, x, flex)
         _split_off(rest3, x ^ minus_one, flex)
-        psi.append(SquareClass(fld, x))
+        psi.append(fld._classes[x])
     psi1, psi2, psi3 = decompose_over_split(
         DiagonalForm(fld, tuple(psi)), phi1, phi2)
     return True, ThreeFormWitness(psi1, psi2, psi3.entries)

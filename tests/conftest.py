@@ -295,9 +295,9 @@ def _tensor_scan(field, bits):
     from rigidwitt.pfnum import _canon
     from rigidwitt.qform import _canon_bits
     from rigidwitt.sqclass import class_map
-    from rigidwitt.witt import _an_bits, _flex, _values
+    from rigidwitt.witt import _an_bits, _values
 
-    flex = _flex(field)
+    flex = field._flex
     for i in range(field.nvars, 0, -1):
         bit = 1 << i
         even = [b for b in bits if not b & bit]

@@ -69,15 +69,20 @@ from rigidwitt.qform import (
     scale,
     tensor,
 )
-from rigidwitt.sqclass import Base, FieldDesc, SquareClass, basis_change_map
+from rigidwitt.sqclass import (
+    _DENSE_BITS,
+    _LANE,
+    Base,
+    FieldDesc,
+    SquareClass,
+    basis_change_map,
+)
 from rigidwitt.witt import (
     anisotropic_part,
     is_anisotropic,
     is_hyperbolic,
     witt_index,
     witt_vector,
-    _DENSE_BITS,
-    _LANE,
     _diffs,
     _dims,
     _form_vector,
@@ -693,6 +698,10 @@ def test_certificate_verification_rejects_wrong_terms():
         3, (swapped,) + cert.terms[1:], cert.target).verify()
     with pytest.raises(InternalContradictionError):
         pfnum._certificate(3, [_raw(t) for t in cert.terms[:1]], cert.target)
+    # raw terms whose sum is another class: the swapped scalar above
+    with pytest.raises(InternalContradictionError):
+        pfnum._certificate(3, [_raw(swapped)] + [
+            _raw(t) for t in cert.terms[1:]], cert.target)
 
 
 def test_certificate_round_trips_through_pickle():
@@ -717,6 +726,22 @@ def test_depth_cap_exceeded():
         pfister_number(g6, 2, depth_cap=1)
     assert info.value.k == 2
     assert "exceeds depth_cap = 1" in str(info.value)
+
+
+def test_errors_round_trip_through_pickle():
+    from rigidwitt.errors import ParseError
+
+    err = DepthCapExceededError(3, "msg", k=4, reason="budget")
+    back = pickle.loads(pickle.dumps(err))
+    assert (str(back), back.cap, back.k, back.reason) == ("msg", 3, 4,
+                                                          "budget")
+    back = pickle.loads(pickle.dumps(DepthCapExceededError(2)))
+    assert (str(back), back.cap, back.k, back.reason) == (
+        "search depth cap 2 exceeded", 2, None, "depth_cap")
+    for position in (5, None):
+        err = ParseError("bad factor", position)
+        back = pickle.loads(pickle.dumps(err))
+        assert (str(back), back.position) == (str(err), position)
 
 
 # an I^2 form over F3[t1..t4] with scaled P_2 above 3
@@ -1191,6 +1216,12 @@ def test_verify_rejects_terms_of_another_fold_or_field():
     halves = (PfisterSpec(F3V.one(), (t1, t2)), PfisterSpec(-t3, (t1, t2)))
     assert PfisterCertificate(2, halves, target).verify()
     assert not PfisterCertificate(3, halves, target).verify()
+    # the same on raw terms: 2-fold terms certify no 3-fold sum
+    raw_halves = [_raw(h) for h in halves]
+    assert pfnum._certificate(2, raw_halves, target) == PfisterCertificate(
+        2, halves, target)
+    with pytest.raises(InternalContradictionError):
+        pfnum._certificate(3, raw_halves, target)
     _, cert = pfister_number(target, 3)
     assert cert.verify()
     real = FieldDesc(Base.R, 3)
@@ -2074,6 +2105,12 @@ def test_random_In_form_unreachable_dimension():
             random_In_form(F5, n, dim, _NoDraws())
 
 
+def test_random_In_form_rejects_a_negative_dimension_before_drawing():
+    for allow_smaller in (False, True):
+        with pytest.raises(ValueError):
+            random_In_form(F5, 3, -2, _NoDraws(), allow_smaller=allow_smaller)
+
+
 def test_random_In_form_below_2_to_the_n_is_the_zero_form():
     # only the zero form has dimension below 2^n (Arason-Pfister
     # Hauptsatz), so no n-fold term is drawn or expanded to 2^n entries
@@ -2090,7 +2127,7 @@ def test_anisotropic_parts_keep_no_state():
     from rigidwitt import witt
 
     f6 = FieldDesc(Base.F3, 6)
-    minus_one = witt._minus_one(f6)
+    minus_one = f6._minus_bit
     for n, dims in ((3, (18, 20, 22, 24)), (4, (30, 32, 34, 36, 38, 40))):
         for d in dims:
             rng = random.Random(700 + d)

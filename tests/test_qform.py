@@ -63,6 +63,18 @@ def test_parse_error_positions_index_the_literal(parse, text, position):
     assert info.value.position == position == text.index("t3")
 
 
+@pytest.mark.parametrize("text,position", [
+    ("<1,,t1>", 3),
+    ("<1, ,t1>", 3),
+    ("<<t1,>>", 5),
+], ids=["entry", "blank-entry", "slot"])
+def test_parse_error_positions_index_an_empty_entry(text, position):
+    # an empty entry is reported where it starts in the caller's string
+    with pytest.raises(ParseError, match="empty square-class") as info:
+        parse_form(text, F2)
+    assert info.value.position == position
+
+
 def test_pfister_sugar_and_spec():
     spec = parse_pfister_spec("-t1*<<t1,t2>>", F2)
     assert spec.scalar == -F2.var(1)

@@ -1,10 +1,14 @@
 """Square-class group, field models, parsing, and basis changes."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rigidwitt.errors import ParseError, UnitClassError
 from rigidwitt.sqclass import (
+    _DENSE_BITS,
     Base,
     FieldDesc,
     SquareClass,
@@ -53,6 +57,12 @@ def test_parse_square_class_rejects_a_unit_prefix_with_no_body():
                 as info:
             parse_square_class(text, field)
         assert info.value.position == position
+
+
+def test_parse_square_class_points_at_an_empty_literal():
+    with pytest.raises(ParseError, match="empty square-class") as info:
+        parse_square_class("", FieldDesc(Base.F3, 2))
+    assert info.value.position == 0
 
 
 def test_square_class_counts():
@@ -180,3 +190,107 @@ def test_sort_key_orders_units_first():
     f = FieldDesc(Base.F3, 1)
     classes = sorted(f.classes(), key=SquareClass.sort_key)
     assert [format_square_class(c) for c in classes] == ["1", "t1", "-1", "-t1"]
+
+
+# --- the field layer: one interned FieldDesc per (base, nvars) ------------
+
+# the per-call formulas the field's constants replace, by base: the
+# modulus of W(F) = (Z/m)[H] (0 for Z), index bits beyond nvars, whether
+# the unit bit is split off H, the flex bit and the bit of -1
+_OLD = {Base.F3: (4, 0, 1, 1, 1), Base.R: (0, 0, 1, 0, 1),
+        Base.C: (2, 0, 0, 0, 0), Base.SQUARE_MINUS_ONE: (2, 1, 0, 0, 0)}
+
+
+def _old_constants(f):
+    modulus, extra, split, flex, minus = _OLD[f.base]
+    m = f.nvars + extra
+    lanes = (modulus, 0, 0, 0)
+    if modulus and m <= 10:  # one byte lane per H-index
+        lo = sum(1 << 8 * i for i in range(1 << m))
+        lanes = (modulus, lo, lo * modulus, lo * (modulus - 1))
+    return {"ring": (modulus, m, split), "lanes": lanes, "flex": flex,
+            "minus": minus}
+
+
+def test_field_constants_match_the_per_call_formulas():
+    # every base at nvars 0-11, so the H-index bits fall on both sides of
+    # _DENSE_BITS = 10, where vectors stop being packed
+    from rigidwitt.witt import _pack
+
+    assert _DENSE_BITS == 10
+    for base in Base:
+        for nvars in range(12):
+            f = FieldDesc(base, nvars)
+            old = _old_constants(f)
+            assert f._ring == old["ring"], f
+            assert f._lanes == old["lanes"], f
+            assert (f._flex, f._minus_bit) == (old["flex"], old["minus"]), f
+            assert f._zero == _pack(f, ()) == (
+                0 if old["lanes"][3] else ()), f
+            assert f.minus_one().bits == old["minus"], f
+
+
+@pytest.mark.parametrize("base", list(Base), ids=lambda b: b.value)
+def test_a_field_is_one_object(base):
+    f = FieldDesc(base, 3)
+    assert f is FieldDesc(base, 3)
+    assert f.residue() is FieldDesc(base, 2) and f.residue().extended(1) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert f == FieldDesc(base, 3) and hash(f) == hash(FieldDesc(base, 3))
+    assert f != FieldDesc(base, 2)
+    assert repr(f) == f"FieldDesc(base={base!r}, nvars=3)"
+    # a pickle carries the base and nvars, not the constants or classes
+    list(f.classes())
+    assert len(pickle.dumps(f)) < 100
+    with pytest.raises(AttributeError):
+        f.nvars = 4
+    for name in ("nvars", "_lanes", "_classes"):
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.nvars == 3
+
+
+def test_an_invalid_field_is_not_interned():
+    before = dict(FieldDesc._interned)
+    for bad in ((Base.F3, -1), ("F3", 2)):
+        with pytest.raises(ValueError):
+            FieldDesc(*bad)
+    assert FieldDesc._interned == before
+
+
+@pytest.mark.parametrize("base", list(Base), ids=lambda b: b.value)
+def test_interned_classes_equal_fresh_ones(base):
+    # C's unit bit folds away in the table as in SquareClass itself
+    f = FieldDesc(base, 2)
+    for bits in range(8):
+        interned = f._classes[bits]
+        assert interned == SquareClass(f, bits) and interned.field is f
+        assert f._classes[bits] is interned
+    assert (f._classes[0b11].bits == 0b10) == (base is Base.C)
+    assert f.minus_one() == -f.one()
+    for bits in (8, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            f._classes[bits]
+        assert bits not in f._classes
+
+
+def test_intern_map_and_class_tables_stay_bounded():
+    # 40 distinct fields, each built twice and walked through its
+    # classes and random draws: one object per (base, nvars), and no
+    # table above the field's 2^(nvars+1) bit patterns
+    import random
+
+    rng = random.Random(28)
+    keys = [(base, nvars) for base in Base for nvars in range(10)]
+    before = set(FieldDesc._interned)
+    for base, nvars in keys * 2:
+        f = FieldDesc(base, nvars)
+        list(f.classes())
+        for _ in range(50):
+            f.random_class(rng)
+            f._classes[rng.getrandbits(nvars + 1)]
+    assert set(FieldDesc._interned) - before <= set(keys)
+    for (base, nvars), f in FieldDesc._interned.items():
+        assert (f.base, f.nvars) == (base, nvars)
+        assert len(f._classes) <= 2 << f.nvars

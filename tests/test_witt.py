@@ -166,9 +166,7 @@ def test_witt_index_additivity(phi, psi):
 
 
 def _modulus(field):
-    from rigidwitt.witt import _ring_params
-
-    return _ring_params(field)[0]
+    return field._ring[0]
 
 
 # --- ring maps on Witt vectors, against the conftest group ring ------------
