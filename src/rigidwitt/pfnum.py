@@ -15,9 +15,8 @@ and otherwise a complete search over the generator classes on their
 Witt vectors (witt._pack, with the 2-sumset of the generators when it
 is small enough to store).  Only the search builds anything: the
 generator classes, from the Pfister folds of the residue field by
-Springer's theorem, only when their number, known before any is made,
-is within a fixed step budget; a search is refused when it would take
-more steps than that budget.
+Springer's theorem.  It keeps to a fixed step budget and refuses what
+it cannot decide within it.
 Every certificate re-verifies before it is returned.
 
 Every route takes the field and the canonical entry bits of an
@@ -641,8 +640,9 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
     tried among the split candidates of the first.
     """
     field = pi1.scalar.field
-    if pi2.scalar.field != field:
-        raise FieldMismatchError(f"{field} vs {pi2.scalar.field}")
+    for c in (pi1.scalar, *pi1.slots, pi2.scalar, *pi2.slots):
+        if c.field is not field:
+            raise FieldMismatchError(f"{field} vs {c.field}")
     forms = [_expand(field, _raw(pi1)), _expand(field, _raw(pi2))]
     an = _an_bits(field, forms[0])
     for d in _split_candidates(field, an):
@@ -653,31 +653,55 @@ def common_slot(pi1: PfisterSpec, pi2: PfisterSpec) -> SquareClass | None:
 
 # --- the exact search -----------------------------------------------------
 
+def _over_budget(cap: int, k: int, why: str) -> DepthCapExceededError:
+    """The search's refusal when deciding k would exceed its budget."""
+    return DepthCapExceededError(
+        cap, f"no exact route decides whether {k} terms suffice: {why}", k=k,
+        reason="budget")
+
+
 def _search_sum(
     field: FieldDesc,
     bits: Sequence[int],
     n: int,
     k: int,
     unscaled: bool,
+    cap: int,
 ) -> list[tuple] | None:
     """Exact test: is the form with these entries a sum of at most k
     generator classes?
 
     Returns raw terms or None.  Complete over the cached generator set
-    G.  With S2 (zero and the sums of one or two generators, see
-    _sumset) stored, every k <= 4 is one meet in the middle: v is a sum
-    of at most k generators exactly when v - s lies in S2 for some s in
-    S_(k-2), where S_0 = {0}, S_1 = G and S_2 = S2, and s and v - s are
-    split into their terms by one pass over G each (two).  So two terms
-    are ruled out by one set lookup.  Without S2, k = 2 is that pass;
-    any other k recurses on v - g, the candidates ordered by anisotropic
-    dimension and bounded by 2^n (k - 1), until a level these rules
-    decide.  Callers must keep the build and the search within
-    _MAX_SEARCH_COST first (see _decide_k and _search_cost).
+    G.  S_t is the largest stored sumset: S2 (zero and the sums of one
+    or two generators, see _sumset) when it is stored, otherwise S_1 =
+    G, as zero and G are tested first.  Every k <= 2t is one meet in
+    the middle: v is a sum of at most k generators exactly when v - s
+    lies in S_t for some s in S_(k-t), S_0 = {0}, and s and v - s are
+    split into their terms by one pass over G each (two).  A larger k
+    recurses on v - g, the candidates ordered by anisotropic dimension
+    and bounded by 2^n (k - 1), down to 2t.  The search owns its
+    budget: G is built only when packing it, _READ_COST per class of
+    S_n and scalar, is within _MAX_SEARCH_COST (_pfister_set refuses
+    S_n over that size before it is made), and the search runs only
+    when its vector differences, |S_(k-t)| for k <= 2t and |G|^(k-2t)
+    |S_t| above, are too.  Otherwise it raises DepthCapExceededError
+    with reason "budget", so a wrong minimum can never be reported.
     """
+    limit = _MAX_SEARCH_COST // (_READ_COST * (
+        2 if unscaled else field.square_class_count()))
+    if _pfister_set(field, n, limit) is None:
+        raise _over_budget(cap, k, "building the generators would take over"
+                           f" its budget of {_MAX_SEARCH_COST} steps")
     gens = _generators(field, n, unscaled)
     sums = _sumset(field, n, unscaled)
-    fronts = ((field._zero,), gens, sums)
+    fronts = ((field._zero,), gens) + (() if sums is None else (sums,))
+    t, top = len(fronts) - 1, fronts[-1]
+    cost = (len(fronts[k - t]) if k <= 2 * t
+            else len(gens) ** (k - 2 * t) * len(top))
+    if cost > _MAX_SEARCH_COST:
+        raise _over_budget(cap, k, f"the generator search would take about"
+                           f" {cost} steps, over its budget of"
+                           f" {_MAX_SEARCH_COST}")
 
     def two(w) -> list[tuple] | None:
         """The terms of w when it is a sum of at most two generators."""
@@ -692,14 +716,14 @@ def _search_sum(
         return None
 
     def search(w, j: int) -> list[tuple] | None:
-        if not w or w in gens or j == 2 and sums is None:
+        if not w or w in gens:
             return two(w)
         if j <= 1:
             return None
-        if sums is not None and j <= 4:
-            front = fronts[j - 2]
+        if j <= 2 * t:
+            front = fronts[j - t]
             for s, r in zip(front, _diffs(field, w, front)):
-                if r in sums:
+                if r in top:
                     return two(s) + two(r)
             return None
         bound = (1 << n) * (j - 1)
@@ -715,17 +739,6 @@ def _search_sum(
         return None
 
     return search(_pack(field, bits), k)
-
-
-def _search_cost(field: FieldDesc, n: int, k: int, unscaled: bool) -> int:
-    """About how many vector differences _search_sum may take for k."""
-    size = len(_generators(field, n, unscaled))
-    sums = _sumset(field, n, unscaled) if k >= 3 else None
-    if k <= 2 or (k == 3 and sums is not None):
-        return size
-    if sums is None:
-        return size ** (k - 1)
-    return size ** (k - 4) * len(sums)
 
 
 # --- constructive certificate routes --------------------------------------
@@ -892,15 +905,15 @@ def _tensor_reduction(
 
 def two_pfister_bound(d: int) -> int:
     """GP_2(F, d) <= d/2 - 1 for even d >= 4."""
-    if d % 2:
-        raise ValueError("dimension must be even")
+    if d < 0 or d % 2:
+        raise ValueError("dimension must be even and nonnegative")
     return max(d // 2 - 1, 0)
 
 
 def three_pfister_bound(d: int) -> int:
     """Exact small-dimension GP_3 values and the refined bound for d >= 16."""
-    if d % 2:
-        raise ValueError("dimension must be even")
+    if d < 0 or d % 2:
+        raise ValueError("dimension must be even and nonnegative")
     if d < 8:
         return 0
     if d <= 10:
@@ -1038,13 +1051,9 @@ def _decide_k(
     at k = 3 each remainder is decided by these rules at k = 2); a
     scaled product <<t>> (x) tau (_tensor_reduction) is k terms exactly
     when GP_(n-1)(tau) = k, found by this ladder over the residue field
-    and lifted by the slot -t; any other k goes to the generator search.
-    Only the search needs the generator set, built only when packing
-    it, _READ_COST per class of S_n and scalar, is within
-    _MAX_SEARCH_COST (_pfister_set refuses S_n over that size before it
-    is made), and the search must keep to it too (_search_cost).  Raises
-    DepthCapExceededError, with reason "budget", when no complete
-    method is available, so a wrong minimum can never be reported.
+    and lifted by the slot -t; any other k goes to the generator search,
+    which raises DepthCapExceededError, with reason "budget", where it
+    would exceed its budget (_search_sum).
     """
     d = len(bits)
     top = 2 << n
@@ -1071,19 +1080,7 @@ def _decide_k(
         minus_t = t ^ field._minus_bit
         return [(lift(s), tuple(map(lift, slots)) + (minus_t,))
                 for s, slots in sub]
-    limit = _MAX_SEARCH_COST // (_READ_COST * (
-        2 if unscaled else field.square_class_count()))
-    if _pfister_set(field, n, limit) is None:
-        why = (f"building the generators would take over its budget of"
-               f" {_MAX_SEARCH_COST} steps")
-    elif (cost := _search_cost(field, n, k, unscaled)) <= _MAX_SEARCH_COST:
-        return _search_sum(field, bits, n, k, unscaled)
-    else:
-        why = (f"the generator search would take about {cost} steps,"
-               f" over its budget of {_MAX_SEARCH_COST}")
-    raise DepthCapExceededError(
-        cap, f"no exact route decides whether {k} terms suffice: {why}", k=k,
-        reason="budget")
+    return _search_sum(field, bits, n, k, unscaled, cap)
 
 
 # --- generic forms and the lower bound ------------------------------------

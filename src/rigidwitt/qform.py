@@ -44,7 +44,7 @@ class DiagonalForm:
     def __post_init__(self) -> None:
         field = self.field
         for e in self.entries:
-            if e.field is not field and e.field != field:
+            if e.field is not field:
                 raise FieldMismatchError(
                     f"entry over {e.field} in a form over {field}")
         # SquareClass.sort_key: by the bits, then stably by the unit bit

@@ -400,7 +400,7 @@ def test_generator_search_matches_lookup_on_every_class(field, gp_lookup):
         bits = [e.bits for e in phi.entries]
         for unscaled in (False, True):
             expected = look.terms(v, unscaled)
-            found = _search_sum(field, bits, 2, 2, unscaled)
+            found = _search_sum(field, bits, 2, 2, unscaled, 2)
             assert (found is None) == (expected is None), format_form(phi)
             if found is not None:
                 assert len(found) == expected
@@ -807,6 +807,12 @@ def test_generator_builds_keep_to_the_budget(monkeypatch):
     assert info.value.k == 4 and info.value.reason == "budget"
     assert "building the generators" in str(info.value)
     assert "over its budget" in str(info.value)
+    bits = [e.bits for e in parse_form(_DIM14_T4, f6).entries]
+    with pytest.raises(DepthCapExceededError) as direct:
+        _search_sum(f6, bits, 2, 4, False, 5)
+    assert (direct.value.k, direct.value.cap, direct.value.reason) == (
+        4, 5, "budget")
+    assert str(direct.value) == str(info.value)
     assert ("S", f6, 2) not in pfnum._GEN_CACHE
     assert not any(key[0] == "G" for key in pfnum._GEN_CACHE)
 
@@ -865,6 +871,55 @@ def test_search_stays_within_its_budget(raw_field):
     assert time.perf_counter() - start < 30
 
 
+def _step_count(size: int, sums: int | None, k: int) -> int:
+    """The steps the ladder once counted before each search, kept as the
+    oracle for the search's own refusal: size generators, sums classes
+    in S2 or None when S2 is not stored."""
+    if k <= 2 or k == 3 and sums is not None:
+        return size
+    if sums is None:
+        return size ** (k - 1)
+    return size ** (k - 4) * sums
+
+
+def test_search_refuses_where_the_step_count_exceeds_the_budget(
+        monkeypatch):
+    # the zero vector is answered with no terms right after the budget
+    # check, so it shows the refusal alone: every base, nvars 0-4, n 1-3,
+    # both scalings and k 2-6, against the fold limit and _step_count
+    monkeypatch.setattr(pfnum, "_GEN_CACHE", {})
+    budget = pfnum._MAX_SEARCH_COST
+    refused = 0
+    for base, nvars, n, unscaled in itertools.product(
+            Base, range(5), (1, 2, 3), (False, True)):
+        field = FieldDesc(base, nvars)
+        limit = budget // (pfnum._READ_COST * (
+            2 if unscaled else field.square_class_count()))
+        built = pfnum._pfister_set(field, n, limit) is not None
+        if built:
+            size = len(pfnum._generators(field, n, unscaled))
+            sums = _sumset(field, n, unscaled)
+            sums = None if sums is None else len(sums)
+        for k in range(2, 7):
+            if not built:
+                why = ("building the generators would take over its"
+                       f" budget of {budget} steps")
+            elif (cost := _step_count(size, sums, k)) > budget:
+                why = (f"the generator search would take about {cost}"
+                       f" steps, over its budget of {budget}")
+            else:
+                assert _search_sum(field, [], n, k, unscaled, 6) == []
+                continue
+            with pytest.raises(DepthCapExceededError) as info:
+                _search_sum(field, [], n, k, unscaled, 6)
+            assert (info.value.k, info.value.cap, info.value.reason) == (
+                k, 6, "budget")
+            assert str(info.value) == (
+                f"no exact route decides whether {k} terms suffice: {why}")
+            refused += 1
+    assert refused
+
+
 @pytest.mark.parametrize("field,unscaled,seed", [
     (FieldDesc(Base.F3, 4), False, 1),
     (FieldDesc(Base.C, 4), False, 2),
@@ -883,9 +938,9 @@ def test_search_starts_at_the_dimension_bound(monkeypatch, field, unscaled,
         asked.append((len(bits), n, k))
         return decide(fld, bits, n, k, unsc, cap)
 
-    def recorded(fld, bits, n, k, unsc):
+    def recorded(fld, bits, n, k, unsc, cap):
         asked.append((len(bits), n, k))
-        return search(fld, bits, n, k, unsc)
+        return search(fld, bits, n, k, unsc, cap)
 
     monkeypatch.setattr(pfnum, "_decide_k", recorded_decide)
     monkeypatch.setattr(pfnum, "_search_sum", recorded)
@@ -945,7 +1000,7 @@ def test_pass_matches_the_search_over_F3_t4(gp_lookup):
         for terms in ((3,), (4,)) * 2:
             v, phi = _random_class(look, rng, 3, dim, terms)
             assert _search_sum(field, [e.bits for e in phi], 3, 3,
-                               False) is not None
+                               False, 3) is not None
             k, cert = pfister_number(phi, 3)
             assert k == len(cert.terms) == 3 <= three_pfister_bound(dim)
             _pass_oracle(look, 3, v, cert.terms)
@@ -1146,17 +1201,21 @@ def test_two_terms_are_ruled_out_by_one_lookup(gp_lookup, monkeypatch,
             continue
         taken.clear()
         bits = [e.bits for e in phi.entries]
-        assert _search_sum(field, bits, 2, 2, unscaled) is None
+        assert _search_sum(field, bits, 2, 2, unscaled, 2) is None
         assert taken == [1]
         ruled_out += 1
 
 
-def test_search_misses_without_the_2_sumset(monkeypatch):
+def test_search_misses_without_the_2_sumset(monkeypatch, gp_lookup):
     # the 1240 scaled P_2 generators over F3[t1..t4] are too many to
     # store S2, so k = 2 is one pass over G, and k = 3 one pass that
     # keeps no candidate: a remainder of a dim-14 form minus a 4-dim
     # generator has dimension at least 10, above 2 * 4.  Dimension alone
-    # proves both misses (10 > 2 * 4, 14 > 3 * 4)
+    # proves both misses (10 > 2 * 4, 14 > 3 * 4).  Where S2 is stored
+    # (scaled over F3[t1..t3], unscaled over F3[t1..t4]), a search made
+    # to go without it decides k = 2 and 3 alike: at k = 2 with the same
+    # terms, as both walk G in one order; at k = 3 the search without S2
+    # tries the remainders by dimension, so its terms may be others
     field = FieldDesc(Base.F3, 4)
     assert _sumset(field, 2, False) is None
     size = len(pfnum._generators(field, 2, False))
@@ -1171,12 +1230,36 @@ def test_search_misses_without_the_2_sumset(monkeypatch):
     for _ in range(3):
         bits = [e.bits for e in random_In_form(field, 2, 10, rng).entries]
         taken.clear()
-        assert _search_sum(field, bits, 2, 2, False) is None
+        assert _search_sum(field, bits, 2, 2, False, 2) is None
         assert taken == [size]
     taken.clear()
     bits = [e.bits for e in parse_form(_DIM14_T4, field).entries]
-    assert _search_sum(field, bits, 2, 3, False) is None
+    assert _search_sum(field, bits, 2, 3, False, 3) is None
     assert taken == [size]
+    cases = []
+    for fld, unscaled in ((F3V, False), (field, True)):
+        look = gp_lookup(fld, 2)
+        for dim in (6, 8, 10, 12):
+            for _ in range(3):
+                v, phi = _random_class(look, rng, 2, dim, (2, 3))
+                bits = [e.bits for e in phi.entries]
+                cases.append((fld, unscaled, look, v, bits, [
+                    _search_sum(fld, bits, 2, k, unscaled, k)
+                    for k in (2, 3)]))
+    monkeypatch.setattr(pfnum, "_MAX_SUMSET", 0)
+    monkeypatch.setattr(pfnum, "_GEN_CACHE", {
+        key: v for key, v in pfnum._GEN_CACHE.items() if key[0] != "S2"})
+    hits = 0
+    for fld, unscaled, look, v, bits, (two, three) in cases:
+        assert _sumset(fld, 2, unscaled) is None
+        assert _search_sum(fld, bits, 2, 2, unscaled, 2) == two
+        found = _search_sum(fld, bits, 2, 3, unscaled, 3)
+        assert (found is None) == (three is None)
+        if found is not None:
+            assert len(found) <= 3
+            assert _spec_sum(look, [_spec(fld, t) for t in found]) == v
+            hits += 1
+    assert hits
 
 
 @pytest.mark.parametrize("field", [F2, FieldDesc(Base.C, 3)], ids=str)
@@ -1195,7 +1278,7 @@ def test_search_sum_allows_fewer_terms(gp_lookup, field, unscaled):
         bits = [e.bits for e in look.form(v).entries]
         least = look.terms(v, unscaled)
         for k in range(least, 6):
-            found = _search_sum(field, bits, 2, k, unscaled)
+            found = _search_sum(field, bits, 2, k, unscaled, k)
             assert found is not None and least <= len(found) <= k
             assert _spec_sum(look, [_spec(field, t) for t in found]) == v
 
@@ -1376,6 +1459,12 @@ def test_divisibility_rejects_classes_of_another_field():
     with pytest.raises(FieldMismatchError):
         common_slot(PfisterSpec(F2.one(), (F2.var(1),)),
                     PfisterSpec(F3V.one(), (F3V.var(1),)))
+    # a slot of another field under scalars of one field, in either spec
+    f4 = FieldDesc(Base.F3, 4)
+    for slot in (f4.var(3), f4.var(1)):
+        for specs in ((slot,), (F2.var(1),)), ((F2.var(1),), (slot,)):
+            with pytest.raises(FieldMismatchError):
+                common_slot(*(PfisterSpec(F2.one(), s) for s in specs))
 
 
 def test_common_slot():
@@ -2052,6 +2141,9 @@ def test_unscaled_at_most_double():
 def test_two_pfister_bound():
     assert [two_pfister_bound(d) for d in (0, 2, 4, 6, 8, 10)] == \
         [0, 0, 1, 2, 3, 4]
+    for d in (-4, 5):
+        with pytest.raises(ValueError):
+            two_pfister_bound(d)
 
 
 def test_three_pfister_bound_table():
@@ -2059,8 +2151,9 @@ def test_three_pfister_bound_table():
         [0, 0, 1, 1, 2, 2]
     assert three_pfister_bound(16) == 3
     assert three_pfister_bound(18) == 6
-    with pytest.raises(ValueError):
-        three_pfister_bound(7)
+    for d in (-2, 7):
+        with pytest.raises(ValueError):
+            three_pfister_bound(d)
 
 
 def test_theorem_bound_closed_form(poly_bound):

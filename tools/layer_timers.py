@@ -49,7 +49,7 @@ def label(name: str, args: tuple, out, kind: str) -> str:
     if name == "_certificate":
         return f"{name}/{kind}"
     if name == "_search_sum":
-        _field, _bits, n, k, unscaled = args
+        n, k, unscaled = args[2:5]
         return f"{name}/{'P' if unscaled else 'GP'}{n}/k{k}"
     if name == "_may_split":
         return f"{name}/{'pass' if out else 'reject'}"
